@@ -6,7 +6,7 @@ perturbation, parity readout, classical preprocessing, and evaluation
 metrics, wired together by a reproducible command-line pipeline.
 """
 
-from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
+from .ansatz import AnsatzSpec, build_ansatz, init_params
 from .errors import (
     BindingError,
     ConfigError,
@@ -15,13 +15,13 @@ from .errors import (
     OptimizerError,
     VqclassError,
 )
-from .featmap import DataMap, FeatureMapSpec, build_feature_map, default_data_map, encode
+from .featmap import DataMap, FeatureMapSpec, default_data_map, encode
 from .metrics import ConfusionMatrix, MetricsReport, auroc, confusion, full_report
 from .prep import Dataset, load_csv, one_hot_encode, stratified_split
-from .qkernel import KernelMatrix, kernel_entry, kernel_matrix
+from .qkernel import KernelMatrix, kernel_matrix
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 from .statevec import Circuit, GateOp, StateVector, run_circuit, zero_state
-from .vqc import Label, Prediction, VqcConfig, forward, parity_decode, predict_batch, train
+from .vqc import Label, Prediction, VqcConfig, p_ad, parity_decode, predict_batch, train
 
 __version__ = "0.1.0"
 
@@ -47,20 +47,17 @@ __all__ = [
     "TrainingRun",
     "VqcConfig",
     "VqclassError",
-    "apply_ansatz",
     "auroc",
     "build_ansatz",
-    "build_feature_map",
     "confusion",
     "default_data_map",
     "encode",
-    "forward",
     "full_report",
     "init_params",
-    "kernel_entry",
     "kernel_matrix",
     "load_csv",
     "one_hot_encode",
+    "p_ad",
     "parity_decode",
     "predict_batch",
     "run_circuit",

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import BindingError, ConfigError
-from .statevec import Circuit, GateOp, ParamSlot, StateVector
+from .errors import ConfigError
+from .statevec import Circuit, GateOp, ParamSlot
 
 ENTANGLEMENTS = ("linear", "full")
 ENTANGLER_KINDS = ("CY", "CZ")
@@ -94,16 +93,3 @@ def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=spec.n_params)
 
-
-def apply_ansatz(state: StateVector, spec: AnsatzSpec, params: Sequence[float]) -> StateVector:
-    """Advance ``state`` through the ansatz with ``params`` bound."""
-    if state.n_qubits != spec.n_qubits:
-        raise BindingError(
-            f"state has {state.n_qubits} qubits, ansatz needs {spec.n_qubits}"
-        )
-    values = np.asarray(params, dtype=np.float64)
-    if values.ndim != 1 or values.size != spec.n_params:
-        raise BindingError(
-            f"expected {spec.n_params} parameters, got shape {values.shape}"
-        )
-    return build_ansatz(spec).apply(state, (), values)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -130,6 +131,20 @@ def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> dic
     return sec
 
 
+def _float(value, name: str) -> float:
+    """A finite JSON number; bool, NaN and Infinity raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(value, name: str) -> int:
+    """A JSON integer; bool and non-integral or non-finite numbers raise ConfigError."""
+    if not _float(value, name).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON run config."""
     try:
@@ -161,41 +176,44 @@ def load_config(path: str) -> RunConfig:
         raw, "spsa", {"maxiter", "a", "c", "alpha", "gamma", "A", "seed"}, set()
     )
 
-    pca_k = int(prep_sec.get("pca_k", 5))
+    pca_k = _int(prep_sec.get("pca_k", 5), "prep.pca_k")
     shots = vqc_sec.get("shots", None)
     # eval_shots falls back to the training setting when omitted
     eval_shots = vqc_sec.get("eval_shots", shots)
+    measured = vqc_sec.get("measured_qubits", [0, 1])
+    if not isinstance(measured, list):
+        raise ConfigError(f"vqc.measured_qubits must be a list, got {measured!r}")
     return RunConfig(
         data_path=str(data["path"]),
         label_column=str(data["label_column"]),
         positive_label=str(data["positive_label"]),
         output_dir=str(raw["output_dir"]),
         pca_k=pca_k,
-        test_fraction=float(prep_sec.get("test_fraction", 0.25)),
-        split_seed=int(prep_sec.get("seed", 7)),
+        test_fraction=_float(prep_sec.get("test_fraction", 0.25), "prep.test_fraction"),
+        split_seed=_int(prep_sec.get("seed", 7), "prep.seed"),
         feature_map=FeatureMapSpec(
             n_qubits=pca_k,
-            reps=int(fmap_sec.get("reps", 1)),
+            reps=_int(fmap_sec.get("reps", 1), "feature_map.reps"),
             entanglement=str(fmap_sec.get("entanglement", "full")),
         ),
         ansatz=AnsatzSpec(
             n_qubits=pca_k,
-            reps=int(ansatz_sec.get("reps", 2)),
+            reps=_int(ansatz_sec.get("reps", 2), "ansatz.reps"),
             entanglement=str(ansatz_sec.get("entanglement", "linear")),
         ),
-        measured_qubits=tuple(vqc_sec.get("measured_qubits", (0, 1))),
-        shots=None if shots is None else int(shots),
-        eval_shots=None if eval_shots is None else int(eval_shots),
-        vqc_seed=int(vqc_sec.get("seed", 11)),
-        loss_clip_epsilon=float(vqc_sec.get("loss_clip_epsilon", 1e-9)),
+        measured_qubits=tuple(_int(q, "vqc.measured_qubits") for q in measured),
+        shots=None if shots is None else _int(shots, "vqc.shots"),
+        eval_shots=None if eval_shots is None else _int(eval_shots, "vqc.eval_shots"),
+        vqc_seed=_int(vqc_sec.get("seed", 11), "vqc.seed"),
+        loss_clip_epsilon=_float(vqc_sec.get("loss_clip_epsilon", 1e-9), "vqc.loss_clip_epsilon"),
         spsa=SpsaConfig(
-            maxiter=int(spsa_sec.get("maxiter", 500)),
-            a=float(spsa_sec.get("a", 0.15)),
-            c=float(spsa_sec.get("c", 0.2)),
-            alpha=float(spsa_sec.get("alpha", 0.602)),
-            gamma=float(spsa_sec.get("gamma", 0.101)),
-            A=None if spsa_sec.get("A") is None else float(spsa_sec["A"]),
-            seed=int(spsa_sec.get("seed", 13)),
+            maxiter=_int(spsa_sec.get("maxiter", 500), "spsa.maxiter"),
+            a=_float(spsa_sec.get("a", 0.15), "spsa.a"),
+            c=_float(spsa_sec.get("c", 0.2), "spsa.c"),
+            alpha=_float(spsa_sec.get("alpha", 0.602), "spsa.alpha"),
+            gamma=_float(spsa_sec.get("gamma", 0.101), "spsa.gamma"),
+            A=None if spsa_sec.get("A") is None else _float(spsa_sec["A"], "spsa.A"),
+            seed=_int(spsa_sec.get("seed", 13), "spsa.seed"),
         ),
     )
 

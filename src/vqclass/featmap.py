@@ -1,11 +1,11 @@
-"""Second-order phase feature map: Hadamard layer plus single- and
-pairwise-phase terms realized with CX-P-CX sandwiches.
+"""Second-order phase feature map, evaluated in closed form for a batch.
 
-Encodes a classical feature vector x (min-max normalized to [0, 1]) into
-an n-qubit state, one qubit per feature. Each repetition applies H to
-every qubit, a phase P(2*phi_single(x_j)) per qubit, and for every
-entangled pair (j, k) the diagonal two-qubit phase
-CX(j,k) P_k(2*phi_pair(x_j, x_k)) CX(j,k).
+One qubit per feature (min-max normalized to [0, 1]). Each repetition is
+H on every qubit, P(2*phi_single(x_j)) per qubit and, for every entangled
+pair (j, k), CX(j,k) P_k(2*phi_pair(x_j, x_k)) CX(j,k). All of those
+phase terms are diagonal, so a repetition is H^n followed by the phase
+exp(i * [sum_j 2 phi_j(x) b_j + sum_(j,k) 2 phi_jk(x) (b_j XOR b_k)]) on
+basis state |b_0 ... b_(n-1)>, computed for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, EncodingError
-from .statevec import Circuit, FeatureExpr, GateOp, StateVector, run_circuit
+from .statevec import MAX_QUBITS, GateOp, apply_ops
 
 ENTANGLEMENTS = ("full", "linear")
 
@@ -42,17 +42,22 @@ class FeatureMapSpec:
 
 @dataclass(frozen=True)
 class DataMap:
-    """Pure functions turning feature values into phase angles (radians)."""
+    """Pure functions turning feature values into phase angles (radians).
 
-    phi_single: Callable[[float], float]
-    phi_pair: Callable[[float, float], float]
+    Both callables receive whole feature columns as 1-D arrays (one entry
+    per sample) and return an array of the same length, or a scalar that
+    broadcasts over it.
+    """
+
+    phi_single: Callable[[np.ndarray], np.ndarray | float]
+    phi_pair: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
 
 
-def _phi_single_default(x: float) -> float:
+def _phi_single_default(x):
     return x
 
 
-def _phi_pair_default(xj: float, xk: float) -> float:
+def _phi_pair_default(xj, xk):
     return (math.pi - xj) * (math.pi - xk)
 
 
@@ -71,48 +76,56 @@ def entangled_pairs(spec: FeatureMapSpec) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(spec.n_qubits), 2))
 
 
-def build_feature_map(spec: FeatureMapSpec, data_map: DataMap | None = None) -> Circuit:
-    """Encoding circuit with symbolic feature slots (slot j = feature j)."""
-    dm = data_map if data_map is not None else default_data_map()
-
-    def single_angle(xj: float, _phi=dm.phi_single) -> float:
-        return 2.0 * _phi(xj)
-
-    def pair_angle(xj: float, xk: float, _phi=dm.phi_pair) -> float:
-        return 2.0 * _phi(xj, xk)
-
-    ops: list[GateOp] = []
-    for _ in range(spec.reps):
-        ops.extend(GateOp("H", (q,)) for q in range(spec.n_qubits))
-        ops.extend(
-            GateOp("P", (q,), FeatureExpr((q,), single_angle)) for q in range(spec.n_qubits)
-        )
-        for j, k in entangled_pairs(spec):
-            ops.append(GateOp("CX", (j, k)))
-            ops.append(GateOp("P", (k,), FeatureExpr((j, k), pair_angle)))
-            ops.append(GateOp("CX", (j, k)))
-    return Circuit(spec.n_qubits, tuple(ops), n_feature_slots=spec.n_qubits)
+def _phase_bits(spec: FeatureMapSpec) -> np.ndarray:
+    """2^n x (n + #pairs) 0/1 matrix: row b holds the bits b_j of basis
+    state b (qubit 0 most significant), then b_j XOR b_k per pair."""
+    n = spec.n_qubits
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    j, k = np.array(entangled_pairs(spec), dtype=np.intp).reshape(-1, 2).T
+    return np.hstack([bits, bits[:, j] ^ bits[:, k]]).astype(np.float64)
 
 
-def encode(
-    x: Sequence[float],
-    spec: FeatureMapSpec,
-    data_map: DataMap | None = None,
-) -> StateVector:
-    """Encode a normalized feature vector into the pure state it maps to.
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i * phase), written straight into one complex array."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def encode(x: np.ndarray, spec: FeatureMapSpec, data_map: DataMap | None = None) -> np.ndarray:
+    """Encode a batch of normalized feature vectors, shape (N, n), into
+    the (N, 2^n) amplitudes of the states they map to.
 
     Features must already be min-max normalized: every entry in [0, 1].
     """
+    n = spec.n_qubits
+    if n > MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != spec.n_qubits:
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
+    outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN included
+    if np.any(outside):
+        row, col = np.argwhere(outside)[0]
         raise EncodingError(
-            f"feature vector must have length {spec.n_qubits}, got shape {arr.shape}"
+            f"sample {row} feature {col} = {arr[row, col]} outside [0, 1]; normalize upstream"
         )
-    if not np.all(np.isfinite(arr)):
-        raise EncodingError("feature vector contains non-finite entries")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        bad = int(np.argmax((arr < 0.0) | (arr > 1.0)))
-        raise EncodingError(
-            f"feature {bad} = {arr[bad]} outside [0, 1]; normalize upstream"
-        )
-    return run_circuit(build_feature_map(spec, data_map), arr, ())
+    dm = data_map if data_map is not None else default_data_map()
+    cols = [dm.phi_single(arr[:, j]) for j in range(n)]
+    cols += [dm.phi_pair(arr[:, j], arr[:, k]) for j, k in entangled_pairs(spec)]
+    try:
+        angles = 2.0 * np.stack([np.broadcast_to(c, arr.shape[:1]) for c in cols], axis=1)
+    except ValueError as exc:
+        raise EncodingError(f"angle map output does not fit {len(arr)} samples: {exc}") from None
+    if not np.all(np.isfinite(angles)):
+        raise EncodingError("angle map gave a non-finite angle")
+    diag = _cis(angles @ _phase_bits(spec).T)
+    # the first H layer maps |0...0> to the uniform superposition
+    amps = diag.copy() if spec.reps > 1 else diag
+    amps *= 2.0 ** (-0.5 * n)
+    h_layer = [GateOp("H", (q,)) for q in range(n)]
+    for _ in range(spec.reps - 1):
+        apply_ops(amps, n, h_layer)
+        amps *= diag
+    return amps

@@ -2,8 +2,8 @@
 
 Entries are |<phi(x')|phi(x)>|^2 computed from full statevectors, so a
 same-set Gram matrix is symmetric, unit-diagonal, and positive
-semidefinite up to float roundoff. Each sample is encoded once, not
-once per pair.
+semidefinite up to float roundoff. Each side is encoded with one batched
+``encode`` call, and all overlaps come from one matrix product.
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ class KernelMatrix:
     col_ids: list
 
 
-def kernel_entry(
-    x: Sequence[float],
-    x_other: Sequence[float],
-    spec: FeatureMapSpec,
-    data_map: DataMap | None = None,
-) -> float:
-    """Fidelity between two encoded samples, in [0, 1]."""
-    a = encode(x, spec, data_map).amplitudes
-    b = encode(x_other, spec, data_map).amplitudes
-    return min(1.0, float(np.abs(np.vdot(b, a)) ** 2))
-
-
 def kernel_matrix(
     samples_a: np.ndarray,
     samples_b: np.ndarray,
@@ -52,11 +40,11 @@ def kernel_matrix(
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
-    states_a = np.stack([encode(row, spec, data_map).amplitudes for row in a])
+    states_a = encode(a, spec, data_map)
     if b is a or (b.shape == a.shape and np.array_equal(b, a)):
         states_b = states_a
     else:
-        states_b = np.stack([encode(row, spec, data_map).amplitudes for row in b])
+        states_b = encode(b, spec, data_map)
     overlaps = states_a @ states_b.conj().T
     values = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
     return KernelMatrix(

@@ -14,7 +14,7 @@ many states at once with bitwise-identical per-state results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,23 +29,6 @@ GATE_KINDS = tuple(sorted(_SINGLE_KINDS | _PAIR_KINDS))
 
 
 @dataclass(frozen=True)
-class FeatureExpr:
-    """Symbolic angle computed from feature values at bind time.
-
-    ``indices`` name the feature slots consumed; ``fn`` maps those
-    feature values (in order) to an angle in radians.
-    """
-
-    indices: tuple[int, ...]
-    fn: Callable[..., float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not self.indices or any(i < 0 for i in self.indices):
-            raise ConfigError(f"feature slot indices must be non-negative, got {self.indices}")
-
-
-@dataclass(frozen=True)
 class ParamSlot:
     """Symbolic angle bound to entry ``index`` of the parameter vector."""
 
@@ -56,14 +39,14 @@ class ParamSlot:
             raise ConfigError(f"parameter slot index must be non-negative, got {self.index}")
 
 
-Angle = Union[float, FeatureExpr, ParamSlot]
+Angle = Union[float, ParamSlot]
 
 
 @dataclass(frozen=True)
 class GateOp:
     """One gate application: kind, target qubit(s), and an optional angle.
 
-    The angle may be a bound float or a symbolic slot; it is present
+    The angle may be a bound float or a parameter slot; it is present
     exactly for the rotation/phase kinds RY, RZ, P.
     """
 
@@ -93,7 +76,7 @@ class GateOp:
 
     @property
     def is_bound(self) -> bool:
-        return not isinstance(self.angle, (FeatureExpr, ParamSlot))
+        return not isinstance(self.angle, ParamSlot)
 
 
 @dataclass(eq=False)
@@ -103,22 +86,17 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a fixed register, with symbolic slot counts.
+    """Ordered gate list over a fixed register.
 
-    ``n_feature_slots`` / ``n_param_slots`` declare how many feature and
-    parameter values a binding must supply; executable only once every
-    symbolic angle is bound.
+    ``n_param_slots`` declares how many parameter values a binding must
+    supply; executable only once every parameter slot is bound.
     """
 
     n_qubits: int
     ops: tuple[GateOp, ...]
-    n_feature_slots: int = 0
     n_param_slots: int = 0
 
     def __post_init__(self) -> None:
@@ -130,34 +108,6 @@ class Circuit:
                 )
             if isinstance(op.angle, ParamSlot) and op.angle.index >= self.n_param_slots:
                 raise ConfigError(f"parameter slot {op.angle.index} outside declared table")
-            if isinstance(op.angle, FeatureExpr) and max(op.angle.indices) >= self.n_feature_slots:
-                raise ConfigError(f"feature slot {op.angle.indices} outside declared table")
-
-    @property
-    def is_bound(self) -> bool:
-        return all(op.is_bound for op in self.ops)
-
-    def apply(
-        self,
-        state: StateVector,
-        feature_values: Sequence[float] = (),
-        param_values: Sequence[float] = (),
-    ) -> StateVector:
-        """Advance ``state`` through all ops in order; returns the same object."""
-        if state.n_qubits != self.n_qubits:
-            raise BindingError(
-                f"state has {state.n_qubits} qubits, circuit needs {self.n_qubits}"
-            )
-        if len(feature_values) != self.n_feature_slots:
-            raise BindingError(
-                f"expected {self.n_feature_slots} feature values, got {len(feature_values)}"
-            )
-        if len(param_values) != self.n_param_slots:
-            raise BindingError(
-                f"expected {self.n_param_slots} parameter values, got {len(param_values)}"
-            )
-        apply_ops(state.amplitudes, self.n_qubits, self.ops, feature_values, param_values)
-        return state
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -169,19 +119,11 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _resolve_angle(
-    angle: Angle | None,
-    feature_values: Sequence[float],
-    param_values: Sequence[float],
-) -> float:
+def _resolve_angle(angle: Angle | None, param_values: Sequence[float]) -> float:
     if isinstance(angle, ParamSlot):
         if angle.index >= len(param_values):
             raise BindingError(f"parameter slot {angle.index} is unbound")
         return float(param_values[angle.index])
-    if isinstance(angle, FeatureExpr):
-        if max(angle.indices) >= len(feature_values):
-            raise BindingError(f"feature slot {angle.indices} is unbound")
-        return float(angle.fn(*(feature_values[i] for i in angle.indices)))
     return float(angle)  # type: ignore[arg-type]
 
 
@@ -208,7 +150,6 @@ def apply_ops(
     amplitudes: np.ndarray,
     n_qubits: int,
     ops: Sequence[GateOp],
-    feature_values: Sequence[float] = (),
     param_values: Sequence[float] = (),
 ) -> None:
     """Apply ``ops`` in order, in place, to amplitudes of shape (..., 2^n).
@@ -228,19 +169,19 @@ def apply_ops(
             a0[...] = h * (b0 + a1)
             a1[...] = h * (b0 - a1)
         elif kind == "RY":
-            half = 0.5 * _resolve_angle(op.angle, feature_values, param_values)
+            half = 0.5 * _resolve_angle(op.angle, param_values)
             c, s = np.cos(half), np.sin(half)
             a0, a1 = _single_views(amplitudes, n, op.qubits[0])
             b0 = a0.copy()
             a0[...] = c * b0 - s * a1
             a1[...] = s * b0 + c * a1
         elif kind == "RZ":
-            half = 0.5 * _resolve_angle(op.angle, feature_values, param_values)
+            half = 0.5 * _resolve_angle(op.angle, param_values)
             a0, a1 = _single_views(amplitudes, n, op.qubits[0])
             a0 *= np.exp(-1j * half)
             a1 *= np.exp(1j * half)
         elif kind == "P":
-            lam = _resolve_angle(op.angle, feature_values, param_values)
+            lam = _resolve_angle(op.angle, param_values)
             _, a1 = _single_views(amplitudes, n, op.qubits[0])
             a1 *= np.exp(1j * lam)
         elif kind == "CX":
@@ -266,13 +207,15 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return state
 
 
-def run_circuit(
-    circuit: Circuit,
-    feature_values: Sequence[float] = (),
-    param_values: Sequence[float] = (),
-) -> StateVector:
-    """Advance |0...0> through the circuit with the given slot bindings."""
-    return circuit.apply(zero_state(circuit.n_qubits), feature_values, param_values)
+def run_circuit(circuit: Circuit, param_values: Sequence[float] = ()) -> StateVector:
+    """Advance |0...0> through the circuit with the given parameter bindings."""
+    if len(param_values) != circuit.n_param_slots:
+        raise BindingError(
+            f"expected {circuit.n_param_slots} parameter values, got {len(param_values)}"
+        )
+    state = zero_state(circuit.n_qubits)
+    apply_ops(state.amplitudes, circuit.n_qubits, circuit.ops, param_values)
+    return state
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The classifier: feature map + ansatz composition, parity readout,
-cross-entropy loss, training, and batch prediction.
+cross-entropy loss, training, and batch prediction. Training and
+prediction share one batched path: one ``encode`` call per batch, then
+``p_ad`` runs the ansatz and the readout on all states at once.
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -10,18 +12,19 @@ mode it is an empirical frequency over seeded samples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
-from .errors import ConfigError
+from .ansatz import AnsatzSpec, build_ansatz, init_params
+from .errors import BindingError, ConfigError
 from .featmap import DataMap, FeatureMapSpec, encode
 from .prep import Dataset
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
-from .statevec import StateVector, apply_ops, probabilities, sample_counts
+from .statevec import StateVector, apply_ops, sample_counts
 
 
 class Label(IntEnum):
@@ -34,7 +37,7 @@ class VqcConfig:
     """Everything needed to evaluate the classifier on one sample.
 
     ``shots`` None means exact probabilities from the statevector; an
-    integer means that many seeded measurement samples per forward pass.
+    integer means that many seeded measurement samples per state read out.
     """
 
     feature_map: FeatureMapSpec
@@ -85,60 +88,52 @@ def parity_decode(bits: str) -> Label:
     return Label.AD if bits.count("1") % 2 == 0 else Label.NON_AD
 
 
-def _parity_vector(n_qubits: int, measured_qubits: Sequence[int], even: bool) -> np.ndarray:
-    """0/1 mask over all 2^n basis indices selecting the given parity."""
-    idx = np.arange(1 << n_qubits)
+@functools.lru_cache(maxsize=8)
+def _readout_circuit(ansatz: AnsatzSpec, measured_qubits: tuple[int, ...]) -> tuple:
+    """Ansatz gate list and the 0/1 mask of even-parity basis indices,
+    built once per configuration rather than once per loss evaluation."""
+    idx = np.arange(1 << ansatz.n_qubits)
     acc = np.zeros_like(idx)
     for q in measured_qubits:
-        acc ^= (idx >> (n_qubits - 1 - q)) & 1
-    return (acc == 0).astype(np.float64) if even else (acc == 1).astype(np.float64)
-
-
-def parity_mass(state: StateVector, measured_qubits: Sequence[int], even: bool = True) -> float:
-    """Total probability of outcomes with the given parity on the
-    measured qubits (the rest are marginalized)."""
-    mask = _parity_vector(state.n_qubits, measured_qubits, even)
-    return float(probabilities(state) @ mask)
+        acc ^= (idx >> (ansatz.n_qubits - 1 - q)) & 1
+    even = (acc == 0).astype(np.float64)
+    even.flags.writeable = False
+    return build_ansatz(ansatz).ops, even
 
 
 def shot_seed(base_seed: int, sample_index: int, eval_counter: int) -> int:
-    """Per-forward sampling seed, mixed with numpy's SeedSequence so the
+    """Per-state sampling seed, mixed with numpy's SeedSequence so the
     result is independent of evaluation order or parallelism."""
     seq = np.random.SeedSequence((base_seed, sample_index, eval_counter))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _p_ad_from_counts(counts: dict[str, int], shots: int) -> float:
-    even = sum(c for bits, c in counts.items() if parity_decode(bits) is Label.AD)
-    return even / shots
+def p_ad(
+    states: np.ndarray, params: Sequence[float], cfg: VqcConfig, eval_counter: int = 0
+) -> np.ndarray:
+    """AD-class probability of each encoded state after the ansatz.
 
-
-def forward(
-    x: Sequence[float],
-    params: Sequence[float],
-    cfg: VqcConfig,
-    data_map: DataMap | None = None,
-    sample_index: int = 0,
-    eval_counter: int = 0,
-) -> Prediction:
-    """Encode, apply the ansatz, and read out the AD-class probability.
-
-    ``sample_index`` and ``eval_counter`` only matter in shot mode,
-    where they derive the per-call sampling seed.
+    ``states`` holds one encoded state per row, shape (N, 2^n), and is
+    evolved through the ansatz in place, so no second batch-sized buffer
+    is needed; pass a copy to keep the encoded states. In shot mode row i
+    samples with seed ``shot_seed(cfg.seed, i, eval_counter)``.
     """
-    state = encode(x, cfg.feature_map, data_map)
-    apply_ansatz(state, cfg.ansatz, params)
+    n = cfg.n_qubits
+    params = np.asarray(params, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != 1 << n:
+        raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
+    if params.shape != (cfg.ansatz.n_params,):
+        raise BindingError(f"expected {cfg.ansatz.n_params} parameters, got shape {params.shape}")
+    ops, even = _readout_circuit(cfg.ansatz, cfg.measured_qubits)
+    apply_ops(states, n, ops, params)
     if cfg.shots is None:
-        p_ad = parity_mass(state, cfg.measured_qubits)
-    else:
-        counts = sample_counts(
-            state,
-            cfg.shots,
-            shot_seed(cfg.seed, sample_index, eval_counter),
-            cfg.measured_qubits,
-        )
-        p_ad = _p_ad_from_counts(counts, cfg.shots)
-    return Prediction(p_ad, Label.AD if p_ad >= 0.5 else Label.NON_AD)
+        return (states.real * states.real + states.imag * states.imag) @ even
+    out = np.empty(states.shape[0])
+    for i in range(states.shape[0]):
+        seed = shot_seed(cfg.seed, i, eval_counter)
+        counts = sample_counts(StateVector(n, states[i]), cfg.shots, seed, cfg.measured_qubits)
+        out[i] = sum(c for bits, c in counts.items() if parity_decode(bits) is Label.AD) / cfg.shots
+    return out
 
 
 def binary_cross_entropy(
@@ -154,10 +149,8 @@ class _LossEvaluator:
     """Loss over a dataset as a function of the parameter vector.
 
     Encodes every sample once up front (the feature-map states never
-    change during training) and applies the ansatz to the whole batch
-    with the shared strided kernels, which is bitwise identical to
-    evolving each state separately. Each call increments an evaluation
-    counter used only for shot-mode seed derivation.
+    change during training). Each call increments an evaluation counter
+    used only for shot-mode seed derivation.
     """
 
     def __init__(self, dataset: Dataset, cfg: VqcConfig, data_map: DataMap | None = None):
@@ -166,39 +159,15 @@ class _LossEvaluator:
         bad = set(np.unique(dataset.labels)) - {0, 1}
         if bad:
             raise ConfigError(f"labels must be 0 (NON_AD) or 1 (AD), got extras {sorted(bad)}")
-        self._encoded = np.stack(
-            [
-                encode(row, cfg.feature_map, data_map).amplitudes
-                for row in np.asarray(dataset.features, dtype=np.float64)
-            ]
-        )
-        self._ansatz_ops = build_ansatz(cfg.ansatz).ops
-        self._even = _parity_vector(cfg.n_qubits, cfg.measured_qubits, even=True)
+        self._encoded = encode(dataset.features, cfg.feature_map, data_map)
         self._labels = np.asarray(dataset.labels, dtype=np.float64)
         self._cfg = cfg
         self.eval_counter = 0
 
-    def p_ad(self, params: np.ndarray, eval_counter: int = 0) -> np.ndarray:
-        cfg = self._cfg
-        amps = self._encoded.copy()
-        apply_ops(amps, cfg.n_qubits, self._ansatz_ops, (), params)
-        if cfg.shots is None:
-            return (amps.real * amps.real + amps.imag * amps.imag) @ self._even
-        out = np.empty(amps.shape[0])
-        for i in range(amps.shape[0]):
-            counts = sample_counts(
-                StateVector(cfg.n_qubits, amps[i]),
-                cfg.shots,
-                shot_seed(cfg.seed, i, eval_counter),
-                cfg.measured_qubits,
-            )
-            out[i] = _p_ad_from_counts(counts, cfg.shots)
-        return out
-
     def __call__(self, params: np.ndarray) -> float:
         counter = self.eval_counter
         self.eval_counter += 1
-        p = self.p_ad(np.asarray(params, dtype=np.float64), counter)
+        p = p_ad(self._encoded.copy(), params, self._cfg, counter)
         return binary_cross_entropy(self._labels, p, self._cfg.loss_clip_epsilon)
 
 
@@ -236,8 +205,10 @@ def predict_batch(
     cfg: VqcConfig,
     data_map: DataMap | None = None,
 ) -> list[Prediction]:
-    """Element-wise forward pass, order preserved."""
-    return [
-        forward(x, params, cfg, data_map, sample_index=i)
-        for i, x in enumerate(samples)
-    ]
+    """Predictions for a batch of normalized feature vectors, order
+    preserved. In shot mode row i samples with ``shot_seed(cfg.seed, i, 0)``."""
+    if len(samples) == 0:
+        return []
+    states = encode(samples, cfg.feature_map, data_map)
+    probs = p_ad(states, params, cfg)
+    return [Prediction(float(p), Label.AD if p >= 0.5 else Label.NON_AD) for p in probs]

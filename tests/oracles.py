@@ -61,15 +61,13 @@ def embed_controlled(u: np.ndarray, control: int, target: int, n: int) -> np.nda
     return off + on
 
 
-def op_unitary(op, n: int, features=(), params=()) -> np.ndarray:
-    """Dense unitary of one (possibly symbolic) gate op."""
-    from vqclass.statevec import FeatureExpr, ParamSlot
+def op_unitary(op, n: int, params=()) -> np.ndarray:
+    """Dense unitary of one gate op, its parameter slot bound from ``params``."""
+    from vqclass.statevec import ParamSlot
 
     angle = op.angle
     if isinstance(angle, ParamSlot):
         angle = float(params[angle.index])
-    elif isinstance(angle, FeatureExpr):
-        angle = float(angle.fn(*(features[i] for i in angle.indices)))
     if op.kind == "H":
         return embed_single(H_MAT, op.qubits[0], n)
     if op.kind == "RY":
@@ -87,19 +85,49 @@ def op_unitary(op, n: int, features=(), params=()) -> np.ndarray:
     raise ValueError(op.kind)
 
 
-def circuit_unitary(circuit, features=(), params=()) -> np.ndarray:
+def circuit_unitary(circuit, params=()) -> np.ndarray:
     """Dense unitary of a whole circuit: plain matrix products."""
     u = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
     for op in circuit.ops:
-        u = op_unitary(op, circuit.n_qubits, features, params) @ u
+        u = op_unitary(op, circuit.n_qubits, params) @ u
     return u
 
 
-def run_circuit_dense(circuit, features=(), params=()) -> np.ndarray:
+def run_circuit_dense(circuit, params=()) -> np.ndarray:
     """Final state from the dense-unitary product applied to |0...0>."""
     e0 = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
     e0[0] = 1.0
-    return circuit_unitary(circuit, features, params) @ e0
+    return circuit_unitary(circuit, params) @ e0
+
+
+def feature_map_circuit(x, spec, data_map=None):
+    """Gate-level feature map of one sample, every angle bound: per
+    repetition an H layer, P(2*phi_j) per qubit, then CX-P-CX per pair.
+
+    Pairs and the default angle maps are written out here rather than
+    taken from the package, so the closed-form encoder is checked against
+    an independent statement of the circuit.
+    """
+    from vqclass.statevec import Circuit, GateOp
+
+    n = spec.n_qubits
+    if data_map is None:
+        phi_single, phi_pair = (lambda a: a), (lambda a, b: (np.pi - a) * (np.pi - b))
+    else:
+        phi_single, phi_pair = data_map.phi_single, data_map.phi_pair
+    if spec.entanglement == "linear":
+        pairs = [(j, j + 1) for j in range(n - 1)]
+    else:
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    ops = []
+    for _ in range(spec.reps):
+        ops.extend(GateOp("H", (q,)) for q in range(n))
+        ops.extend(GateOp("P", (q,), 2.0 * float(phi_single(x[q]))) for q in range(n))
+        for j, k in pairs:
+            ops.append(GateOp("CX", (j, k)))
+            ops.append(GateOp("P", (k,), 2.0 * float(phi_pair(x[j], x[k]))))
+            ops.append(GateOp("CX", (j, k)))
+    return Circuit(n, tuple(ops))
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int):

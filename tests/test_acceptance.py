@@ -21,7 +21,7 @@ from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
 from vqclass.statevec import GateOp, apply_gate, run_circuit, zero_state
 from vqclass.synth import make_blobs, make_handwriting_table, write_labeled_csv, write_table_csv
-from vqclass.vqc import VqcConfig, forward
+from vqclass.vqc import VqcConfig, predict_batch
 
 ARTIFACTS = [
     "model.json", "split_train.csv", "split_test.csv", "loss_history.csv",
@@ -176,7 +176,7 @@ def test_criterion_07_shot_convergence():
     x = [0.15, 0.4, 0.65, 0.9, 0.3]
     params = init_params(ansatz, 7)
     exact_cfg = VqcConfig(feature_map=fmap, ansatz=ansatz, measured_qubits=(0, 1))
-    p_exact = forward(x, params, exact_cfg).p_ad
+    p_exact = predict_batch([x], params, exact_cfg)[0].p_ad
     details = []
     for shots in (256, 1024, 4096):
         diffs = []
@@ -185,7 +185,7 @@ def test_criterion_07_shot_convergence():
                 feature_map=fmap, ansatz=ansatz, measured_qubits=(0, 1),
                 shots=shots, seed=seed,
             )
-            diffs.append(abs(forward(x, params, cfg).p_ad - p_exact))
+            diffs.append(abs(predict_batch([x], params, cfg)[0].p_ad - p_exact))
         mean_diff = float(np.mean(diffs))
         assert mean_diff <= 5.0 / np.sqrt(shots), (shots, mean_diff)
         details.append(f"{shots}: {mean_diff:.4f} <= {5.0 / np.sqrt(shots):.4f}")

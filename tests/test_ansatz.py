@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass.ansatz import (
-    AnsatzSpec,
-    apply_ansatz,
-    build_ansatz,
-    entangling_links,
-    init_params,
-)
+from vqclass.ansatz import AnsatzSpec, build_ansatz, entangling_links, init_params
 from vqclass.errors import BindingError, ConfigError
-from vqclass.featmap import FeatureMapSpec
-from vqclass.statevec import GateOp, ParamSlot, apply_gate, zero_state
-from vqclass.vqc import VqcConfig, forward
+from vqclass.featmap import FeatureMapSpec, encode
+from vqclass.statevec import GateOp, ParamSlot, apply_gate, apply_ops, run_circuit
+from vqclass.vqc import VqcConfig, p_ad, predict_batch
+
+
+def apply_ansatz(state, spec, params):
+    """Advance ``state`` in place through the ansatz with ``params`` bound."""
+    apply_ops(state.amplitudes, spec.n_qubits, build_ansatz(spec).ops, params)
+    return state
 
 
 def op_shape(op):
@@ -63,8 +63,7 @@ class TestStructure:
 
 class TestApplication:
     def test_zero_params_identity_on_zero_state(self):
-        s = zero_state(2)
-        apply_ansatz(s, AnsatzSpec(2, reps=1), np.zeros(8))
+        s = run_circuit(build_ansatz(AnsatzSpec(2, reps=1)), np.zeros(8))
         np.testing.assert_allclose(s.amplitudes, [1, 0, 0, 0], atol=1e-15)
 
     def test_zero_params_single_qubit_leaves_any_state(self):
@@ -77,8 +76,7 @@ class TestApplication:
         # RY(pi) flips qubit 0; the CY entangler then maps |10> to i|11>
         params = np.zeros(8)
         params[0] = np.pi
-        s = zero_state(2)
-        apply_ansatz(s, AnsatzSpec(2, reps=1), params)
+        s = run_circuit(build_ansatz(AnsatzSpec(2, reps=1)), params)
         np.testing.assert_allclose(s.amplitudes, [0, 0, 0, 1j], atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -87,18 +85,25 @@ class TestApplication:
         c = build_ansatz(spec)
         for _ in range(5):
             params = rng.uniform(-np.pi, np.pi, spec.n_params)
-            s = zero_state(3)
-            apply_ansatz(s, spec, params)
+            s = run_circuit(c, params)
             expect = oracles.run_circuit_dense(c, params=params)
             np.testing.assert_allclose(s.amplitudes, expect, atol=1e-12)
 
     def test_param_length_mismatch(self):
+        cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
+        states = encode([[0.1, 0.2]], cfg.feature_map)
         with pytest.raises(BindingError):
-            apply_ansatz(zero_state(2), AnsatzSpec(2, reps=1), np.zeros(7))
+            p_ad(states, np.zeros(7), cfg)
+        with pytest.raises(BindingError):
+            p_ad(states, np.zeros(9), cfg)
+        with pytest.raises(BindingError):
+            run_circuit(build_ansatz(cfg.ansatz), np.zeros(7))
 
     def test_state_size_mismatch(self):
+        cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
+        states = encode([[0.1, 0.2, 0.3]], FeatureMapSpec(3))
         with pytest.raises(BindingError):
-            apply_ansatz(zero_state(3), AnsatzSpec(2, reps=1), np.zeros(8))
+            p_ad(states, np.zeros(8), cfg)
 
 
 class TestInitParams:
@@ -141,7 +146,7 @@ class TestUnitaryProperties:
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         s = oracles.random_state(rng, 3)
         before = s.amplitudes.copy()
-        circuit.apply(s, (), params)
+        apply_ops(s.amplitudes, 3, circuit.ops, params)
         for op in reversed(circuit.ops):
             if isinstance(op.angle, ParamSlot):
                 apply_gate(s, GateOp(op.kind, op.qubits, -params[op.angle.index]))
@@ -159,7 +164,7 @@ class TestUnitaryProperties:
         x = [0.35, 0.6]
 
         def expectation(params):
-            p = forward(x, params, cfg).p_ad
+            p = predict_batch([x], params, cfg)[0].p_ad
             return 2.0 * p - 1.0  # parity observable expectation
 
         h = 1e-5

@@ -147,6 +147,21 @@ class TestGuards:
     def test_missing_config_file(self, tmp_path):
         assert main(["prep", "--config", str(tmp_path / "none.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("prep", {"pca_k": True}, "prep.pca_k"),  # a bool is not a qubit count
+            ("prep", {"pca_k": 4.9}, "prep.pca_k"),  # was truncated to 4 qubits
+            ("spsa", {"maxiter": 3, "seed": 3, "a": float("nan")}, "spsa.a"),
+        ],
+    )
+    def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):
+        cfg_path = small_config(tmp_path, **{section: value})
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(cfg_path))
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_load_config_validates_sections(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"output_dir": "x", "vqc": {"bad_key": 1},

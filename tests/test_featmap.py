@@ -7,51 +7,44 @@ import pytest
 
 import oracles
 from vqclass.errors import ConfigError, EncodingError
-from vqclass.featmap import (
-    DataMap,
-    FeatureMapSpec,
-    build_feature_map,
-    default_data_map,
-    encode,
-    entangled_pairs,
-)
-from vqclass.statevec import FeatureExpr, run_circuit
+from vqclass.featmap import DataMap, FeatureMapSpec, default_data_map, encode, entangled_pairs
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def op_shape(op):
-    """Structural view of a gate op, ignoring function identity."""
-    slots = op.angle.indices if isinstance(op.angle, FeatureExpr) else None
-    return (op.kind, op.qubits, slots)
+    """Structural view of a gate op of the gate-level reference circuit."""
+    return (op.kind, op.qubits)
 
 
 class TestStructure:
+    # the gate-level reference circuit in oracles.py must be the circuit
+    # the closed-form encoder claims to evaluate
+
     def test_single_qubit_has_no_pair_terms(self):
-        c = build_feature_map(FeatureMapSpec(1, 1))
-        assert [op_shape(o) for o in c.ops] == [("H", (0,), None), ("P", (0,), (0,))]
+        assert entangled_pairs(FeatureMapSpec(1, 1)) == []
+        c = oracles.feature_map_circuit([0.5], FeatureMapSpec(1, 1))
+        assert [op_shape(o) for o in c.ops] == [("H", (0,)), ("P", (0,))]
 
     def test_two_qubit_full_gate_count(self):
-        c = build_feature_map(FeatureMapSpec(2, 1, "full"))
+        c = oracles.feature_map_circuit([0.1, 0.2], FeatureMapSpec(2, 1, "full"))
         assert len(c.ops) == 7  # 2 H + 2 P + (CX, P, CX)
+        assert len(entangled_pairs(FeatureMapSpec(2, 1, "full"))) == 1
 
     def test_five_qubit_full_gate_count(self):
-        c = build_feature_map(FeatureMapSpec(5, 1, "full"))
+        c = oracles.feature_map_circuit([0.1] * 5, FeatureMapSpec(5, 1, "full"))
         assert len(c.ops) == 40  # 5 H + 5 P + 10 pair sandwiches
+        assert len(entangled_pairs(FeatureMapSpec(5, 1, "full"))) == 10
 
     def test_pair_enumeration(self):
         assert entangled_pairs(FeatureMapSpec(4, 1, "linear")) == [(0, 1), (1, 2), (2, 3)]
         assert entangled_pairs(FeatureMapSpec(3, 1, "full")) == [(0, 1), (0, 2), (1, 2)]
 
     def test_reps_repeat_block_with_same_slots(self):
-        base = [op_shape(o) for o in build_feature_map(FeatureMapSpec(3, 1)).ops]
-        doubled = [op_shape(o) for o in build_feature_map(FeatureMapSpec(3, 2)).ops]
+        x = [0.2, 0.5, 0.9]
+        base = oracles.feature_map_circuit(x, FeatureMapSpec(3, 1)).ops
+        doubled = oracles.feature_map_circuit(x, FeatureMapSpec(3, 2)).ops
         assert doubled == base * 2
-
-    def test_slot_table_size(self):
-        c = build_feature_map(FeatureMapSpec(4, 3))
-        assert c.n_feature_slots == 4
-        assert c.n_param_slots == 0
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -75,49 +68,79 @@ class TestDefaultDataMap:
 
 class TestEncode:
     def test_zero_vector_is_hadamard_only(self):
-        s = encode([0.0], FeatureMapSpec(1))
-        np.testing.assert_allclose(s.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        amps = encode([[0.0]], FeatureMapSpec(1))
+        np.testing.assert_allclose(amps, [[INV_SQRT2, INV_SQRT2]], atol=1e-15)
 
     def test_half_pi_slot_value_flips_phase(self):
-        # exercised through run_circuit: encode() itself enforces [0, 1]
-        c = build_feature_map(FeatureMapSpec(1))
-        s = run_circuit(c, [math.pi / 2], ())
-        np.testing.assert_allclose(s.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
+        # a pi/2 angle-map value: P(pi) flips the sign of |1>
+        dm = DataMap(phi_single=lambda v: 0.5 * math.pi * v, phi_pair=lambda a, b: 0.0)
+        amps = encode([[1.0]], FeatureMapSpec(1), dm)
+        np.testing.assert_allclose(amps, [[INV_SQRT2, -INV_SQRT2]], atol=1e-12)
 
     def test_matches_dense_oracle(self):
         spec = FeatureMapSpec(2, 1, "full")
-        c = build_feature_map(spec)
-        for x in ([0.3, 0.7], [0.0, 1.0], [0.91, 0.13]):
-            got = encode(x, spec).amplitudes
-            expect = oracles.run_circuit_dense(c, features=x)
-            np.testing.assert_allclose(got, expect, atol=1e-12)
+        xs = [[0.3, 0.7], [0.0, 1.0], [0.91, 0.13]]
+        got = encode(xs, spec)
+        for row, x in zip(got, xs):
+            expect = oracles.run_circuit_dense(oracles.feature_map_circuit(x, spec))
+            np.testing.assert_allclose(row, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_gate_level_oracle_grid(self, n, reps, entanglement):
+        spec = FeatureMapSpec(n, reps, entanglement)
+        xs = np.random.default_rng(100 * n + 10 * reps).uniform(0, 1, size=(3, n))
+        got = encode(xs, spec)
+        assert got.shape == (3, 1 << n)
+        for row, x in zip(got, xs):
+            expect = oracles.run_circuit_dense(oracles.feature_map_circuit(x, spec))
+            np.testing.assert_allclose(row, expect, rtol=0, atol=1e-12)
 
     def test_norm_one(self):
         rng = np.random.default_rng(1)
-        spec = FeatureMapSpec(4, 2, "full")
-        for _ in range(20):
-            s = encode(rng.uniform(0, 1, 4), spec)
-            assert abs(np.vdot(s.amplitudes, s.amplitudes).real - 1.0) < 1e-12
+        amps = encode(rng.uniform(0, 1, (20, 4)), FeatureMapSpec(4, 2, "full"))
+        for row in amps:
+            assert abs(np.vdot(row, row).real - 1.0) < 1e-12
 
     def test_deterministic(self):
         spec = FeatureMapSpec(3)
-        x = [0.2, 0.5, 0.8]
-        assert np.array_equal(encode(x, spec).amplitudes, encode(x, spec).amplitudes)
+        x = [[0.2, 0.5, 0.8]]
+        assert np.array_equal(encode(x, spec), encode(x, spec))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(EncodingError):
-            encode([0.1, 0.2], FeatureMapSpec(3))
+            encode([[0.1, 0.2]], FeatureMapSpec(3))
+        with pytest.raises(EncodingError):
+            encode([0.1, 0.2, 0.3], FeatureMapSpec(3))  # one sample must be a 1-row batch
+
+    def test_register_cap_enforced(self):
+        with pytest.raises(ConfigError):
+            encode([[0.5] * 25], FeatureMapSpec(25))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(EncodingError):
-            encode([0.5, 1.5], FeatureMapSpec(2))
+            encode([[0.5, 1.5]], FeatureMapSpec(2))
         with pytest.raises(EncodingError):
-            encode([-0.1, 0.5], FeatureMapSpec(2))
+            encode([[0.2, 0.3], [-0.1, 0.5]], FeatureMapSpec(2))
+        with pytest.raises(EncodingError):
+            encode([[0.2, float("nan")]], FeatureMapSpec(2))
 
     def test_custom_data_map_used(self):
         dm = DataMap(phi_single=lambda x: 0.0, phi_pair=lambda a, b: 0.0)
-        s = encode([0.4], FeatureMapSpec(1), dm)
-        np.testing.assert_allclose(s.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        amps = encode([[0.4]], FeatureMapSpec(1), dm)
+        np.testing.assert_allclose(amps, [[INV_SQRT2, INV_SQRT2]], atol=1e-15)
+
+    def test_non_finite_angles_rejected(self):
+        # log(0) = -inf: the angle map, not the features, is at fault
+        dm = DataMap(phi_single=np.log, phi_pair=lambda a, b: a * b)
+        with np.errstate(divide="ignore"), pytest.raises(EncodingError, match="non-finite"):
+            encode([[0.5, 0.0]], FeatureMapSpec(2), dm)
+
+    def test_angle_map_output_shape_checked(self):
+        dm = DataMap(phi_single=lambda v: v[:, None], phi_pair=lambda a, b: 0.0)
+        with pytest.raises(EncodingError):
+            encode([[0.5, 0.2], [0.1, 0.3]], FeatureMapSpec(2), dm)
 
 
 class TestPermutationConsistency:
@@ -126,8 +149,7 @@ class TestPermutationConsistency:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.uniform(0, 1, 2)
-            a = encode(x, spec).amplitudes
-            b = encode(x[::-1], spec).amplitudes
+            a, b = encode([x, x[::-1]], spec)
             b_swapped = b[[0, 2, 1, 3]]  # exchange the two qubits
             fidelity = abs(np.vdot(b_swapped, a)) ** 2
             assert fidelity == pytest.approx(1.0, abs=1e-12)

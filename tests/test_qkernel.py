@@ -7,9 +7,14 @@ import pytest
 
 from vqclass.errors import EncodingError
 from vqclass.featmap import DataMap, FeatureMapSpec
-from vqclass.qkernel import kernel_entry, kernel_matrix, kernel_to_csv
+from vqclass.qkernel import kernel_matrix, kernel_to_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
+
+
+def kernel_entry(x, x_other, spec, data_map=None):
+    """One fidelity, computed as a 1 x 1 kernel matrix."""
+    return kernel_matrix(np.array([x]), np.array([x_other]), spec, data_map).values[0, 0]
 
 
 class TestKernelEntry:

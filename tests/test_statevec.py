@@ -9,7 +9,6 @@ import oracles
 from vqclass.errors import BindingError, ConfigError
 from vqclass.statevec import (
     Circuit,
-    FeatureExpr,
     GateOp,
     ParamSlot,
     StateVector,
@@ -155,9 +154,9 @@ class TestRunCircuit:
     def test_binding_validation(self):
         c = Circuit(1, (GateOp("RY", (0,), ParamSlot(0)),), n_param_slots=1)
         with pytest.raises(BindingError):
-            run_circuit(c, (), ())  # parameter missing
+            run_circuit(c, ())  # parameter missing
         with pytest.raises(BindingError):
-            run_circuit(c, (0.3,), (0.1,))  # unexpected feature
+            run_circuit(c, (0.3, 0.1))  # unexpected extra parameter
 
     def test_unbound_gate_application_rejected(self):
         with pytest.raises(BindingError):
@@ -332,9 +331,7 @@ class TestGateOpValidation:
         with pytest.raises(ConfigError):
             Circuit(1, (GateOp("RY", (0,), ParamSlot(0)),), n_param_slots=0)
 
-    def test_feature_expr_validation(self):
-        with pytest.raises(ConfigError):
-            FeatureExpr((), lambda: 0.0)
+    def test_param_slot_validation(self):
         with pytest.raises(ConfigError):
             ParamSlot(-1)
 

@@ -1,4 +1,4 @@
-"""Classifier tests: parity readout, forward pass, loss, training."""
+"""Classifier tests: parity readout, batched forward pass, loss, training."""
 
 import math
 
@@ -8,24 +8,45 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from vqclass.ansatz import AnsatzSpec, init_params
+import vqclass
+from vqclass.ansatz import AnsatzSpec, build_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.prep import Dataset
 from vqclass.spsa import SpsaConfig
+from vqclass.statevec import StateVector, apply_ops, sample_counts
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
     Label,
+    Prediction,
     VqcConfig,
     binary_cross_entropy,
-    forward,
     loss,
+    p_ad,
     parity_decode,
-    parity_mass,
     predict_batch,
     shot_seed,
     train,
 )
+
+
+def final_state(x, params, cfg):
+    """Encoded state of one sample after the ansatz, as a StateVector."""
+    amps = encode([x], cfg.feature_map)
+    apply_ops(amps, cfg.n_qubits, build_ansatz(cfg.ansatz).ops, params)
+    return StateVector(cfg.n_qubits, amps[0])
+
+
+def parity_mass(state, measured_qubits, even=True):
+    """Probability of an even (or odd) number of 1s on the measured qubits,
+    by enumerating every basis outcome."""
+    n = state.n_qubits
+    total = 0.0
+    for idx in range(1 << n):
+        bits = format(idx, f"0{n}b")
+        if ("".join(bits[q] for q in measured_qubits).count("1") % 2 == 0) == even:
+            total += abs(state.amplitudes[idx]) ** 2
+    return total
 
 
 def small_cfg(n=2, shots=None, seed=0, measured=None):
@@ -63,7 +84,7 @@ class TestForward:
             ansatz=AnsatzSpec(1, reps=1),
             measured_qubits=(0,),
         )
-        pred = forward([0.0], np.zeros(4), cfg)
+        pred = predict_batch([[0.0]], np.zeros(4), cfg)[0]
         assert pred.p_ad == pytest.approx(0.5, abs=1e-15)
 
     def test_probabilities_partition(self):
@@ -72,11 +93,8 @@ class TestForward:
         for _ in range(10):
             x = rng.uniform(0, 1, 3)
             params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
-            state = encode(x, cfg.feature_map)
-            from vqclass.ansatz import apply_ansatz
-
-            apply_ansatz(state, cfg.ansatz, params)
-            p_even = parity_mass(state, cfg.measured_qubits, even=True)
+            state = final_state(x, params, cfg)
+            p_even = predict_batch([x], params, cfg)[0].p_ad
             p_odd = parity_mass(state, cfg.measured_qubits, even=False)
             assert 0.0 <= p_even <= 1.0
             assert p_even + p_odd == pytest.approx(1.0, abs=1e-12)
@@ -87,12 +105,9 @@ class TestForward:
             cfg = small_cfg(n, measured=measured)
             x = rng.uniform(0, 1, n)
             params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
-            state = encode(x, cfg.feature_map)
-            from vqclass.ansatz import apply_ansatz
-
-            apply_ansatz(state, cfg.ansatz, params)
+            state = final_state(x, params, cfg)
             expect = oracles.p_even_bruteforce(state, measured)
-            got = forward(x, params, cfg).p_ad
+            got = predict_batch([x], params, cfg)[0].p_ad
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_parity_convention_flip_swaps_labels(self):
@@ -101,10 +116,7 @@ class TestForward:
         for _ in range(20):
             x = rng.uniform(0, 1, 3)
             params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
-            state = encode(x, cfg.feature_map)
-            from vqclass.ansatz import apply_ansatz
-
-            apply_ansatz(state, cfg.ansatz, params)
+            state = final_state(x, params, cfg)
             p_even = parity_mass(state, cfg.measured_qubits, even=True)
             p_odd = parity_mass(state, cfg.measured_qubits, even=False)
             assert p_odd == pytest.approx(1.0 - p_even, abs=1e-12)
@@ -117,23 +129,23 @@ class TestForward:
         cfg_exact = small_cfg(3)
         x = [0.3, 0.6, 0.8]
         params = init_params(cfg_exact.ansatz, 5)
-        p_exact = forward(x, params, cfg_exact).p_ad
+        p_exact = predict_batch([x], params, cfg_exact)[0].p_ad
         shots = 4096
         diffs = []
         for seed in range(20):
             cfg_shot = small_cfg(3, shots=shots, seed=seed)
-            diffs.append(abs(forward(x, params, cfg_shot).p_ad - p_exact))
+            diffs.append(abs(predict_batch([x], params, cfg_shot)[0].p_ad - p_exact))
         assert np.mean(diffs) <= 5.0 / np.sqrt(shots)
 
     def test_shot_mode_deterministic(self):
         cfg = small_cfg(2, shots=256, seed=3)
         x = [0.2, 0.9]
         params = init_params(cfg.ansatz, 1)
-        a = forward(x, params, cfg, sample_index=4, eval_counter=2)
-        b = forward(x, params, cfg, sample_index=4, eval_counter=2)
-        assert a == b
-        c = forward(x, params, cfg, sample_index=5, eval_counter=2)
-        assert a != c  # different sample index reseeds
+        states = encode([x] * 6, cfg.feature_map)
+        a = p_ad(states.copy(), params, cfg, eval_counter=2)
+        b = p_ad(states.copy(), params, cfg, eval_counter=2)
+        assert a[4] == b[4]
+        assert a[4] != a[5]  # different sample index reseeds
 
     def test_shot_seed_mixing_is_stable(self):
         assert shot_seed(1, 2, 3) == shot_seed(1, 2, 3)
@@ -143,7 +155,7 @@ class TestForward:
         cfg = small_cfg(2)
         x = [0.4, 0.7]
         params = init_params(cfg.ansatz, 8)
-        pred = forward(x, params, cfg)
+        pred = predict_batch([x], params, cfg)[0]
         assert pred.label is (Label.AD if pred.p_ad >= 0.5 else Label.NON_AD)
 
 
@@ -271,7 +283,9 @@ class TestPredictBatch:
         cfg = small_cfg(2)
         params = init_params(cfg.ansatz, 0)
         x = [0.3, 0.8]
-        assert predict_batch([x], params, cfg) == [forward(x, params, cfg)]
+        p = float(p_ad(encode([x], cfg.feature_map), params, cfg)[0])
+        label = Label.AD if p >= 0.5 else Label.NON_AD
+        assert predict_batch([x], params, cfg) == [Prediction(p, label)]
 
     def test_order_preserved(self):
         cfg = small_cfg(2)
@@ -280,5 +294,46 @@ class TestPredictBatch:
         xs = rng.uniform(0, 1, size=(21, 2))
         preds = predict_batch(xs, params, cfg)
         assert len(preds) == 21
+        probs = p_ad(encode(xs, cfg.feature_map), params, cfg)
         for i, x in enumerate(xs):
-            assert preds[i].p_ad == forward(x, params, cfg, sample_index=i).p_ad
+            assert preds[i].p_ad == probs[i]
+            # a 1-row and a 21-row matrix product may round differently
+            single = predict_batch([x], params, cfg)[0].p_ad
+            assert preds[i].p_ad == pytest.approx(single, abs=1e-14)
+
+    @pytest.mark.parametrize("n, measured", [(2, (0, 1)), (3, (0, 2)), (5, (0, 1)), (4, (1, 2, 3))])
+    def test_exact_matches_oracle_state(self, n, measured):
+        cfg = VqcConfig(
+            feature_map=FeatureMapSpec(n, 2, "full"),
+            ansatz=AnsatzSpec(n, reps=2, entanglement="full"),
+            measured_qubits=measured,
+        )
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0, 1, size=(6, n))
+        params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
+        preds = predict_batch(xs, params, cfg)
+        ansatz = build_ansatz(cfg.ansatz)
+        for pred, x in zip(preds, xs):
+            fmap = oracles.circuit_unitary(oracles.feature_map_circuit(x, cfg.feature_map))
+            amps = oracles.circuit_unitary(ansatz, params=params) @ fmap[:, 0]
+            expect = oracles.p_even_bruteforce(StateVector(n, amps), measured)
+            assert pred.p_ad == pytest.approx(expect, abs=1e-12)
+
+    def test_shot_rows_use_their_own_seeds(self):
+        cfg = small_cfg(3, shots=128, seed=9)
+        params = init_params(cfg.ansatz, 2)
+        xs = np.random.default_rng(6).uniform(0, 1, size=(7, 3))
+        preds = predict_batch(xs, params, cfg)
+        states = encode(xs, cfg.feature_map)
+        apply_ops(states, 3, build_ansatz(cfg.ansatz).ops, params)
+        for i, pred in enumerate(preds):
+            counts = sample_counts(
+                StateVector(3, states[i]), cfg.shots, shot_seed(cfg.seed, i, 0), cfg.measured_qubits
+            )
+            even = sum(c for bits, c in counts.items() if parity_decode(bits) is Label.AD)
+            assert pred.p_ad == even / cfg.shots
+
+
+def test_public_names_resolve():
+    for name in vqclass.__all__:
+        assert getattr(vqclass, name) is not None, name
