@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -132,8 +131,10 @@ def _section(raw: dict, name: str, allowed: set[str], required: set[str]) -> dic
 
 
 def _float(value, name: str) -> float:
-    """A finite JSON number; bool, NaN and Infinity raise ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A finite JSON number; bool, NaN, Infinity and integers beyond the
+    float range raise ConfigError."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

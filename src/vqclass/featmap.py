@@ -76,18 +76,19 @@ def entangled_pairs(spec: FeatureMapSpec) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(spec.n_qubits), 2))
 
 
-def _phase_bits(spec: FeatureMapSpec) -> np.ndarray:
-    """2^n x (n + #pairs) 0/1 matrix: row b holds the bits b_j of basis
-    state b (qubit 0 most significant), then b_j XOR b_k per pair."""
+def _diagonal(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
+    """exp(i * phase) of basis state |b_0 ... b_(n-1)> (qubit 0 most
+    significant) for each row of ``angles``; the phase sums the angles of
+    the set bits b_j, then of the pairs (j, k) with b_j XOR b_k = 1. It is
+    summed column by column, not by one matrix product, so a row's phase
+    is rounded the same whatever batch it is encoded in."""
     n = spec.n_qubits
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    j, k = np.array(entangled_pairs(spec), dtype=np.intp).reshape(-1, 2).T
-    return np.hstack([bits, bits[:, j] ^ bits[:, k]]).astype(np.float64)
-
-
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i * phase), written straight into one complex array."""
-    out = np.empty(phase.shape, dtype=np.complex128)
+    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1 == 1
+    masks = list(bits) + [bits[j] ^ bits[k] for j, k in entangled_pairs(spec)]
+    phase = np.zeros((len(angles), 1 << n))
+    for col, mask in zip(angles.T, masks):
+        np.add(phase, col[:, None], out=phase, where=mask)
+    out = np.empty(phase.shape, dtype=np.complex128)  # cos and sin fill it in place
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
@@ -120,7 +121,7 @@ def encode(x: np.ndarray, spec: FeatureMapSpec, data_map: DataMap | None = None)
         raise EncodingError(f"angle map output does not fit {len(arr)} samples: {exc}") from None
     if not np.all(np.isfinite(angles)):
         raise EncodingError("angle map gave a non-finite angle")
-    diag = _cis(angles @ _phase_bits(spec).T)
+    diag = _diagonal(angles, spec)
     # the first H layer maps |0...0> to the uniform superposition
     amps = diag.copy() if spec.reps > 1 else diag
     amps *= 2.0 ** (-0.5 * n)

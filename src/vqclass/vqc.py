@@ -113,12 +113,13 @@ def p_ad(
 ) -> np.ndarray:
     """AD-class probability of each encoded state after the ansatz.
 
-    ``states`` holds one encoded state per row, shape (N, 2^n), and is
-    evolved through the ansatz in place, so no second batch-sized buffer
-    is needed; pass a copy to keep the encoded states. In shot mode row i
-    samples with seed ``shot_seed(cfg.seed, i, eval_counter)``.
+    ``states`` holds one encoded state per row, shape (N, 2^n); it is left
+    unchanged. Each row is read out on its own, so its probability does not
+    depend on the batch it comes in. In shot mode row i samples with seed
+    ``shot_seed(cfg.seed, i, eval_counter)``.
     """
     n = cfg.n_qubits
+    states = np.array(states, dtype=np.complex128)
     params = np.asarray(params, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
@@ -127,7 +128,7 @@ def p_ad(
     ops, even = _readout_circuit(cfg.ansatz, cfg.measured_qubits)
     apply_ops(states, n, ops, params)
     if cfg.shots is None:
-        return (states.real * states.real + states.imag * states.imag) @ even
+        return ((states.real**2 + states.imag**2) * even).sum(axis=1)
     out = np.empty(states.shape[0])
     for i in range(states.shape[0]):
         seed = shot_seed(cfg.seed, i, eval_counter)
@@ -167,7 +168,7 @@ class _LossEvaluator:
     def __call__(self, params: np.ndarray) -> float:
         counter = self.eval_counter
         self.eval_counter += 1
-        p = p_ad(self._encoded.copy(), params, self._cfg, counter)
+        p = p_ad(self._encoded, params, self._cfg, counter)
         return binary_cross_entropy(self._labels, p, self._cfg.loss_clip_epsilon)
 
 

@@ -153,6 +153,7 @@ class TestGuards:
             ("prep", {"pca_k": True}, "prep.pca_k"),  # a bool is not a qubit count
             ("prep", {"pca_k": 4.9}, "prep.pca_k"),  # was truncated to 4 qubits
             ("spsa", {"maxiter": 3, "seed": 3, "a": float("nan")}, "spsa.a"),
+            ("spsa", {"maxiter": 10**400, "seed": 3}, "spsa.maxiter"),  # overflows a float
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):

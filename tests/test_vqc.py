@@ -142,10 +142,19 @@ class TestForward:
         x = [0.2, 0.9]
         params = init_params(cfg.ansatz, 1)
         states = encode([x] * 6, cfg.feature_map)
-        a = p_ad(states.copy(), params, cfg, eval_counter=2)
-        b = p_ad(states.copy(), params, cfg, eval_counter=2)
+        a = p_ad(states, params, cfg, eval_counter=2)
+        b = p_ad(states, params, cfg, eval_counter=2)
         assert a[4] == b[4]
         assert a[4] != a[5]  # different sample index reseeds
+
+    def test_p_ad_leaves_states_unchanged(self):
+        cfg = small_cfg(3)
+        states = encode(np.random.default_rng(3).uniform(0, 1, size=(4, 3)), cfg.feature_map)
+        before = states.copy()
+        params = init_params(cfg.ansatz, 4)
+        first = p_ad(states, params, cfg)
+        np.testing.assert_array_equal(states, before)
+        np.testing.assert_array_equal(p_ad(states, params, cfg), first)
 
     def test_shot_seed_mixing_is_stable(self):
         assert shot_seed(1, 2, 3) == shot_seed(1, 2, 3)
@@ -288,18 +297,15 @@ class TestPredictBatch:
         assert predict_batch([x], params, cfg) == [Prediction(p, label)]
 
     def test_order_preserved(self):
-        cfg = small_cfg(2)
-        params = init_params(cfg.ansatz, 1)
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(0, 1, size=(21, 2))
-        preds = predict_batch(xs, params, cfg)
-        assert len(preds) == 21
-        probs = p_ad(encode(xs, cfg.feature_map), params, cfg)
-        for i, x in enumerate(xs):
-            assert preds[i].p_ad == probs[i]
-            # a 1-row and a 21-row matrix product may round differently
-            single = predict_batch([x], params, cfg)[0].p_ad
-            assert preds[i].p_ad == pytest.approx(single, abs=1e-14)
+        for n in (2, 5):  # n = 5 shows batch-dependent rounding that n = 2 can miss
+            cfg = small_cfg(n)
+            params = init_params(cfg.ansatz, 1)
+            rng = np.random.default_rng(5)
+            xs = rng.uniform(0, 1, size=(21, n))
+            preds = predict_batch(xs, params, cfg)
+            assert len(preds) == 21
+            for i, x in enumerate(xs):
+                assert preds[i].p_ad == predict_batch([x], params, cfg)[0].p_ad
 
     @pytest.mark.parametrize("n, measured", [(2, (0, 1)), (3, (0, 2)), (5, (0, 1)), (4, (1, 2, 3))])
     def test_exact_matches_oracle_state(self, n, measured):
