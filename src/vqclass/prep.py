@@ -8,6 +8,8 @@ afterwards, so applying them to test rows cannot leak information back.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ class RawTable:
     rows: list[list[str]]
     label_column: str
     positive_label: str
+    sha256: str = ""  # of the file's bytes; empty for a table not read from a file
 
 
 @dataclass
@@ -62,22 +65,27 @@ class MinMaxModel:
 
 
 def load_csv(path: str, label_column: str, positive_label: str) -> RawTable:
-    """Read a comma-delimited UTF-8 table with a header row.
+    """Read a comma-delimited UTF-8 table with a header row, and the
+    sha256 of the bytes it was parsed from.
 
     The label column must exist and hold exactly two distinct values,
     one of which is ``positive_label``. The first structural defect is
     reported with its 1-based data-row number.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                columns = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: file is empty (no header row)") from None
-            rows = list(reader)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
+    # decoded in chunks, as a text-mode open would, so no decoded copy of the file is held
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    try:
+        columns = next(reader)
+        rows = list(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty (no header row)") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if label_column not in columns:
         raise DataError(f"{path}: label column {label_column!r} not among {columns}")
     width = len(columns)
@@ -97,7 +105,8 @@ def load_csv(path: str, label_column: str, positive_label: str) -> RawTable:
         raise DataError(
             f"{path}: positive label {positive_label!r} not among {label_values}"
         )
-    return RawTable(columns, rows, label_column, positive_label)
+    return RawTable(columns, rows, label_column, positive_label,
+                    hashlib.sha256(raw).hexdigest())
 
 
 def _try_numeric(values: list[str]) -> np.ndarray | None:

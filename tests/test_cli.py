@@ -1,11 +1,14 @@
 """End-to-end CLI tests on a small synthetic dataset."""
 
 import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqclass.cli import load_config, main
+from vqclass.cli import SCHEMA, load_config, main
 from vqclass.errors import ConfigError
 from vqclass.synth import make_blobs, write_labeled_csv
 
@@ -154,6 +157,14 @@ class TestGuards:
             ("prep", {"pca_k": 4.9}, "prep.pca_k"),  # was truncated to 4 qubits
             ("spsa", {"maxiter": 3, "seed": 3, "a": float("nan")}, "spsa.a"),
             ("spsa", {"maxiter": 10**400, "seed": 3}, "spsa.maxiter"),  # overflows a float
+            # every section is validated before any verb writes an artifact
+            ("vqc", {"measured_qubits": [0, 7]}, "measured_qubits"),  # only 2 qubits
+            ("vqc", {"eval_shots": 0}, "vqc.eval_shots"),  # failed only after training
+            ("data", {"path": "blobs.csv", "label_column": None, "positive_label": "pos"},
+             "data.label_column"),  # was read as the column "None"
+            ("prep", {"pca_k": 2, "seed": -1}, "prep.seed"),  # exited 2 in numpy's seeding
+            ("spsa", {"maxiter": 3, "seed": -1}, "spsa.seed"),  # same, after prep had written
+            ("prep", {"pca_k": 2, "test_fraction": 1.5}, "prep.test_fraction"),
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):
@@ -162,6 +173,13 @@ class TestGuards:
             load_config(str(cfg_path))
         assert main(["prep", "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_shots_defaults_to_shots(self, tmp_path):
+        cfg_path = small_config(tmp_path, vqc={"shots": 64, "seed": 2})
+        cfg = load_config(str(cfg_path))
+        assert cfg.values["vqc.eval_shots"] == 64
+        assert cfg.vqc.shots == cfg.eval_vqc.shots == 64
 
     def test_load_config_validates_sections(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -170,6 +188,81 @@ class TestGuards:
                                              "positive_label": "p"}}))
         with pytest.raises(ConfigError, match="bad_key"):
             load_config(str(path))
+
+
+class TestProvenance:
+    """prep records the config and the input's sha256; the later verbs check both."""
+
+    @pytest.mark.parametrize(
+        "change, rc, message",
+        [
+            ({"ansatz": {"reps": 1, "entanglement": "linear"}}, 1, "'ansatz.entanglement'"),
+            ({"feature_map": {"reps": 2, "entanglement": "full"}}, 1, "'feature_map.reps'"),
+            ({"vqc": {"measured_qubits": [0, 1], "shots": None, "seed": 5}}, 1, "'vqc.seed'"),
+            ("swap_csv", 1, "changed since prep"),  # same row count, other values
+            ({"vqc": {"measured_qubits": [0, 1], "shots": None, "eval_shots": 64, "seed": 2}},
+             0, ""),  # eval_shots may change after training
+        ],
+        ids=["ansatz-entanglement", "feature-map-reps", "vqc-seed", "csv", "eval-shots-only"],
+    )
+    def test_drift_after_prep(self, tmp_path, capsys, change, rc, message):
+        base = {"ansatz": {"reps": 1, "entanglement": "full"}}
+        cfg_path = small_config(tmp_path, **base)
+        assert main(["prep", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        if change == "swap_csv":
+            features, labels = make_blobs(16, 3, separation=4.0, seed=9)
+            write_labeled_csv(str(tmp_path / "blobs.csv"), features, labels)
+        else:
+            cfg_path = small_config(tmp_path, **{**base, **change})
+        capsys.readouterr()
+        for verb in (["train", "--force"], ["eval"], ["kernel"]):
+            assert main([verb[0], "--config", str(cfg_path), *verb[1:]]) == rc, verb
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["unparsable", "split", "prep", "ids"])
+    def test_bad_model_file(self, tmp_path, capsys, damage):
+        cfg_path = small_config(tmp_path)
+        assert main(["prep", "--config", str(cfg_path)]) == 0
+        model_path = tmp_path / "run" / "model.json"
+        if damage == "unparsable":
+            model_path.write_text("{not json", encoding="utf-8")
+        else:
+            model = json.loads(model_path.read_text())
+            if damage == "ids":  # a negative id would silently index from the end
+                model["split"]["test_ids"][0] = -1
+            else:
+                del model[damage]
+            model_path.write_text(json.dumps(model), encoding="utf-8")
+        for verb in ("train", "eval", "kernel"):
+            assert main([verb, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert str(model_path) in err and "Traceback" not in err
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        cfg_path = small_config(tmp_path)
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["prep", "--config", str(cfg_path)]) == 2
+        assert list((tmp_path / "run").iterdir()) == []  # no artifact, no temp file
+
+    def test_config_echo_is_the_resolved_schema(self, tmp_path):
+        cfg_path = small_config(tmp_path)
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+        flat = {f"{s}.{k}": v for s, sec in echo.items() if isinstance(sec, dict)
+                for k, v in sec.items()}
+        assert [*flat, "output_dir"] == list(SCHEMA)
+        assert flat == {k: v for k, v in load_config(str(cfg_path)).values.items()
+                        if k != "output_dir"}
+
+
+def test_readme_config_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config reference", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(SCHEMA)
 
 
 class TestSingleClassEval:

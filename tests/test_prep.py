@@ -1,5 +1,8 @@
 """Preprocessing tests: CSV ingestion, one-hot, PCA, min-max, splitting."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,17 @@ class TestLoadCsv:
         table = load_csv(path, "class", "P")
         assert table.columns == ["a", "b", "class"]
         assert len(table.rows) == 3
+
+    def test_sha256_of_file_bytes(self, tmp_path):
+        path = write_csv(tmp_path, "a,class\r\n1,P\r\n2,H\r\n")
+        expected = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert load_csv(path, "class", "P").sha256 == expected
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,class\n\xe9,P\n1,H\n".encode("latin-1"))
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(str(path), "class", "P")
 
     def test_ragged_row_names_row_number(self, tmp_path):
         rows = ["a,b,class"] + [f"{i},{i},H" for i in range(1, 7)] + ["7,P", "8,8,P"]
