@@ -6,7 +6,7 @@ perturbation, parity readout, classical preprocessing, and evaluation
 metrics, wired together by a reproducible command-line pipeline.
 """
 
-from .ansatz import AnsatzSpec, build_ansatz, init_params
+from .ansatz import AnsatzSpec, init_params
 from .errors import (
     BindingError,
     ConfigError,
@@ -21,7 +21,7 @@ from .prep import Dataset, load_csv, one_hot_encode, stratified_split
 from .qkernel import KernelMatrix, kernel_matrix
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 from .statevec import Circuit, GateOp, StateVector, run_circuit, zero_state
-from .vqc import Label, Prediction, VqcConfig, p_ad, parity_decode, predict_batch, train
+from .vqc import Label, Prediction, VqcConfig, p_ad, predict_batch, train
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "VqcConfig",
     "VqclassError",
     "auroc",
-    "build_ansatz",
     "confusion",
     "default_data_map",
     "encode",
@@ -58,7 +57,6 @@ __all__ = [
     "load_csv",
     "one_hot_encode",
     "p_ad",
-    "parity_decode",
     "predict_batch",
     "run_circuit",
     "spsa_minimize",

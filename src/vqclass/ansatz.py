@@ -2,8 +2,12 @@
 
 Each repetition applies an RY rotation to every qubit, then an RZ
 rotation to every qubit, then an entangling block; a final RY+RZ layer
-closes the circuit. Parameter slots are numbered layer-major,
-qubit-minor, giving 2 * n_qubits * (reps + 1) parameters in total.
+closes the circuit. Parameters are numbered layer-major, qubit-minor,
+giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
+(reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
+the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
+straight from that vector, one fused RZ(phi) RY(theta) matrix per qubit
+and layer, on a whole batch of states.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -12,13 +16,17 @@ on odd. The per-link gate kinds can be overridden via ``entanglers``.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .statevec import Circuit, GateOp, ParamSlot
+from .errors import BindingError, ConfigError
+from .statevec import GateOp, apply_ops, apply_single
 
 ENTANGLEMENTS = ("linear", "full")
 ENTANGLER_KINDS = ("CY", "CZ")
@@ -70,22 +78,26 @@ def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
     return [("CY" if i % 2 == 0 else "CZ", pair) for i, pair in enumerate(pairs)]
 
 
-def build_ansatz(spec: AnsatzSpec) -> Circuit:
-    """Layered trainable circuit with symbolic parameter slots."""
-    links = entangling_links(spec)
-    ops: list[GateOp] = []
-    slot = itertools.count()
+@functools.lru_cache(maxsize=8)
+def _entangler_block(spec: AnsatzSpec) -> tuple[GateOp, ...]:
+    return tuple(GateOp(kind, pair) for kind, pair in entangling_links(spec))
 
-    def rotation_layer(kind: str) -> None:
-        ops.extend(GateOp(kind, (q,), ParamSlot(next(slot))) for q in range(spec.n_qubits))
 
-    for _ in range(spec.reps):
-        rotation_layer("RY")
-        rotation_layer("RZ")
-        ops.extend(GateOp(kind, pair) for kind, pair in links)
-    rotation_layer("RY")
-    rotation_layer("RZ")
-    return Circuit(spec.n_qubits, tuple(ops), n_param_slots=spec.n_params)
+def apply_ansatz(states: np.ndarray, spec: AnsatzSpec, params: Sequence[float]) -> None:
+    """Advance a batch of states, shape (N, 2^n), in place through the ansatz
+    with parameter vector ``params``."""
+    n = spec.n_qubits
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (spec.n_params,):
+        raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
+    for layer, (thetas, phis) in enumerate(params.reshape(spec.reps + 1, 2, n)):
+        if layer:
+            apply_ops(states, n, _entangler_block(spec))
+        for q, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
+            # RZ(phi) RY(theta) = [[e^-i phi/2 c, -e^-i phi/2 s], [e^i phi/2 s, e^i phi/2 c]]
+            c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+            z = cmath.exp(-0.5j * phi)
+            apply_single(states, n, q, ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c)))
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

@@ -207,7 +207,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _artifact_path(cfg: RunConfig, name: str, force: bool) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output_dir {cfg.out} is not a directory") from None
     path = cfg.out / name
     if path.exists() and not force:
         raise ConfigError(f"refusing to overwrite existing artifact {path}; pass --force")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,6 +107,14 @@ def encode(x: np.ndarray, spec: FeatureMapSpec, data_map: DataMap | None = None)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
+    # the encoded batch plus the working copy p_ad evolves: two complex arrays
+    need = 2 * arr.shape[0] * (1 << n) * 16
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"{arr.shape[0]} samples at n={n} qubits need about {need / 2**30:.1f} GiB of "
+            f"state memory, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN included
     if np.any(outside):
         row, col = np.argwhere(outside)[0]

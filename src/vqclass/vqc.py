@@ -5,9 +5,10 @@ prediction share one batched path: one ``encode`` call per batch, then
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
-the positive AD class, odd is NON_AD. In exact mode the class-1
-probability is the summed even-parity mass of the final state; in shot
-mode it is an empirical frequency over seeded samples.
+the positive AD class, odd is NON_AD. The class-1 probability is the
+summed even-parity mass of the final state. In exact mode that mass is
+returned; in shot mode the even-outcome count of ``shots`` measurements
+is one seeded Binomial(shots, mass) draw, and its frequency is returned.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_ansatz, init_params
+from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import DataMap, FeatureMapSpec, encode
 from .prep import Dataset
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
-from .statevec import StateVector, apply_ops, sample_counts
 
 
 class Label(IntEnum):
@@ -81,24 +81,17 @@ class Prediction:
     label: Label
 
 
-def parity_decode(bits: str) -> Label:
-    """AD when the bit string holds an even number of '1's, else NON_AD."""
-    if not bits or set(bits) - {"0", "1"}:
-        raise ConfigError(f"expected a non-empty 0/1 string, got {bits!r}")
-    return Label.AD if bits.count("1") % 2 == 0 else Label.NON_AD
-
-
 @functools.lru_cache(maxsize=8)
-def _readout_circuit(ansatz: AnsatzSpec, measured_qubits: tuple[int, ...]) -> tuple:
-    """Ansatz gate list and the 0/1 mask of even-parity basis indices,
-    built once per configuration rather than once per loss evaluation."""
-    idx = np.arange(1 << ansatz.n_qubits)
+def _even_parity_mask(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """0/1 mask of the basis indices with an even number of 1s on the
+    measured qubits, built once per configuration."""
+    idx = np.arange(1 << n_qubits)
     acc = np.zeros_like(idx)
     for q in measured_qubits:
-        acc ^= (idx >> (ansatz.n_qubits - 1 - q)) & 1
+        acc ^= (idx >> (n_qubits - 1 - q)) & 1
     even = (acc == 0).astype(np.float64)
     even.flags.writeable = False
-    return build_ansatz(ansatz).ops, even
+    return even
 
 
 def shot_seed(base_seed: int, sample_index: int, eval_counter: int) -> int:
@@ -115,26 +108,23 @@ def p_ad(
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
     unchanged. Each row is read out on its own, so its probability does not
-    depend on the batch it comes in. In shot mode row i samples with seed
-    ``shot_seed(cfg.seed, i, eval_counter)``.
+    depend on the batch it comes in. In shot mode row i draws its count with
+    seed ``shot_seed(cfg.seed, i, eval_counter)``.
     """
     n = cfg.n_qubits
     states = np.array(states, dtype=np.complex128)
-    params = np.asarray(params, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
-    if params.shape != (cfg.ansatz.n_params,):
-        raise BindingError(f"expected {cfg.ansatz.n_params} parameters, got shape {params.shape}")
-    ops, even = _readout_circuit(cfg.ansatz, cfg.measured_qubits)
-    apply_ops(states, n, ops, params)
+    apply_ansatz(states, cfg.ansatz, params)
+    even = _even_parity_mask(n, cfg.measured_qubits)
+    mass = ((states.real**2 + states.imag**2) * even).sum(axis=1)
     if cfg.shots is None:
-        return ((states.real**2 + states.imag**2) * even).sum(axis=1)
-    out = np.empty(states.shape[0])
-    for i in range(states.shape[0]):
-        seed = shot_seed(cfg.seed, i, eval_counter)
-        counts = sample_counts(StateVector(n, states[i]), cfg.shots, seed, cfg.measured_qubits)
-        out[i] = sum(c for bits, c in counts.items() if parity_decode(bits) is Label.AD) / cfg.shots
-    return out
+        return mass
+    counts = [
+        np.random.default_rng(shot_seed(cfg.seed, i, eval_counter)).binomial(cfg.shots, p)
+        for i, p in enumerate(np.clip(mass, 0.0, 1.0).tolist())
+    ]
+    return np.array(counts, dtype=np.float64) / cfg.shots
 
 
 def binary_cross_entropy(

@@ -61,13 +61,9 @@ def embed_controlled(u: np.ndarray, control: int, target: int, n: int) -> np.nda
     return off + on
 
 
-def op_unitary(op, n: int, params=()) -> np.ndarray:
-    """Dense unitary of one gate op, its parameter slot bound from ``params``."""
-    from vqclass.statevec import ParamSlot
-
+def op_unitary(op, n: int) -> np.ndarray:
+    """Dense unitary of one gate op."""
     angle = op.angle
-    if isinstance(angle, ParamSlot):
-        angle = float(params[angle.index])
     if op.kind == "H":
         return embed_single(H_MAT, op.qubits[0], n)
     if op.kind == "RY":
@@ -85,19 +81,19 @@ def op_unitary(op, n: int, params=()) -> np.ndarray:
     raise ValueError(op.kind)
 
 
-def circuit_unitary(circuit, params=()) -> np.ndarray:
+def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a whole circuit: plain matrix products."""
     u = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
     for op in circuit.ops:
-        u = op_unitary(op, circuit.n_qubits, params) @ u
+        u = op_unitary(op, circuit.n_qubits) @ u
     return u
 
 
-def run_circuit_dense(circuit, params=()) -> np.ndarray:
+def run_circuit_dense(circuit) -> np.ndarray:
     """Final state from the dense-unitary product applied to |0...0>."""
     e0 = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
     e0[0] = 1.0
-    return circuit_unitary(circuit, params) @ e0
+    return circuit_unitary(circuit) @ e0
 
 
 def feature_map_circuit(x, spec, data_map=None):
@@ -127,6 +123,35 @@ def feature_map_circuit(x, spec, data_map=None):
             ops.append(GateOp("CX", (j, k)))
             ops.append(GateOp("P", (k,), 2.0 * float(phi_pair(x[j], x[k]))))
             ops.append(GateOp("CX", (j, k)))
+    return Circuit(n, tuple(ops))
+
+
+def ansatz_circuit(spec, params):
+    """Gate-level ansatz, every angle bound from ``params``: per repetition
+    an RY layer, an RZ layer, then the entangling links, CY on even link
+    positions and CZ on odd unless ``spec.entanglers`` overrides them; a
+    final RY and RZ layer closes it. Angles are read layer-major,
+    qubit-minor.
+
+    Links and their gate kinds are written out here rather than taken from
+    the package, so the production ansatz is checked against an
+    independent statement of the circuit.
+    """
+    from vqclass.statevec import Circuit, GateOp
+
+    n = spec.n_qubits
+    if spec.entanglement == "linear":
+        pairs = [(j, j + 1) for j in range(n - 1)]
+    else:
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    kinds = spec.entanglers or ["CY" if i % 2 == 0 else "CZ" for i in range(len(pairs))]
+    angles = iter(float(a) for a in params)
+    ops = []
+    for layer in range(spec.reps + 1):
+        if layer:
+            ops.extend(GateOp(kind, pair) for kind, pair in zip(kinds, pairs))
+        for kind in ("RY", "RZ"):
+            ops.extend(GateOp(kind, (q,), next(angles)) for q in range(n))
     return Circuit(n, tuple(ops))
 
 

@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass.ansatz import AnsatzSpec, build_ansatz, entangling_links, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, entangling_links, init_params
 from vqclass.errors import BindingError, ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.statevec import GateOp, ParamSlot, apply_gate, apply_ops, run_circuit
+from vqclass.statevec import GateOp, apply_gate, zero_state
 from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 
-def apply_ansatz(state, spec, params):
-    """Advance ``state`` in place through the ansatz with ``params`` bound."""
-    apply_ops(state.amplitudes, spec.n_qubits, build_ansatz(spec).ops, params)
-    return state
+def run_ansatz(spec, params, state=None):
+    """``state`` (default |0...0>) advanced in place through the production
+    ansatz; returns its amplitudes."""
+    state = zero_state(spec.n_qubits) if state is None else state
+    apply_ansatz(state.amplitudes[None, :], spec, params)
+    return state.amplitudes
 
 
 def op_shape(op):
-    slot = op.angle.index if isinstance(op.angle, ParamSlot) else None
+    # the oracle binds parameter i to the value i, so the angle names its slot
+    slot = int(op.angle) if op.angle is not None else None
     return (op.kind, op.qubits, slot)
 
 
 class TestStructure:
     def test_two_qubit_one_rep_sequence(self):
-        c = build_ansatz(AnsatzSpec(2, reps=1, entanglement="linear"))
+        spec = AnsatzSpec(2, reps=1, entanglement="linear")
+        c = oracles.ansatz_circuit(spec, np.arange(spec.n_params))
         assert [op_shape(o) for o in c.ops] == [
             ("RY", (0,), 0),
             ("RY", (1,), 1),
@@ -36,7 +40,7 @@ class TestStructure:
             ("RZ", (0,), 6),
             ("RZ", (1,), 7),
         ]
-        assert c.n_param_slots == 8
+        assert spec.n_params == 8
 
     def test_param_count_formula(self):
         assert AnsatzSpec(5, reps=2).n_params == 30
@@ -63,31 +67,54 @@ class TestStructure:
 
 class TestApplication:
     def test_zero_params_identity_on_zero_state(self):
-        s = run_circuit(build_ansatz(AnsatzSpec(2, reps=1)), np.zeros(8))
-        np.testing.assert_allclose(s.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        amps = run_ansatz(AnsatzSpec(2, reps=1), np.zeros(8))
+        np.testing.assert_allclose(amps, [1, 0, 0, 0], atol=1e-15)
 
     def test_zero_params_single_qubit_leaves_any_state(self):
         s = oracles.random_state(np.random.default_rng(0), 1)
         before = s.amplitudes.copy()
-        apply_ansatz(s, AnsatzSpec(1, reps=1), np.zeros(4))
+        run_ansatz(AnsatzSpec(1, reps=1), np.zeros(4), s)
         np.testing.assert_allclose(s.amplitudes, before, atol=1e-15)
 
     def test_first_param_is_ry_on_qubit0(self):
         # RY(pi) flips qubit 0; the CY entangler then maps |10> to i|11>
         params = np.zeros(8)
         params[0] = np.pi
-        s = run_circuit(build_ansatz(AnsatzSpec(2, reps=1)), params)
-        np.testing.assert_allclose(s.amplitudes, [0, 0, 0, 1j], atol=1e-12)
+        amps = run_ansatz(AnsatzSpec(2, reps=1), params)
+        np.testing.assert_allclose(amps, [0, 0, 0, 1j], atol=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
         spec = AnsatzSpec(3, reps=2)
-        c = build_ansatz(spec)
         for _ in range(5):
             params = rng.uniform(-np.pi, np.pi, spec.n_params)
-            s = run_circuit(c, params)
-            expect = oracles.run_circuit_dense(c, params=params)
-            np.testing.assert_allclose(s.amplitudes, expect, atol=1e-12)
+            amps = run_ansatz(spec, params)
+            expect = oracles.run_circuit_dense(oracles.ansatz_circuit(spec, params))
+            np.testing.assert_allclose(amps, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_batch_matches_dense_oracle(self, n, reps, entanglement):
+        # row 0 starts in |0...0>, the others in random states
+        spec = AnsatzSpec(n, reps=reps, entanglement=entanglement)
+        rng = np.random.default_rng(100 * n + 10 * reps + len(entanglement))
+        params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        circuit = oracles.ansatz_circuit(spec, params)
+        starts = np.stack(
+            [zero_state(n).amplitudes] + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
+        )
+        got = starts.copy()
+        apply_ansatz(got, spec, params)
+        np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
+        np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
+
+    def test_overridden_entanglers_match_dense_oracle(self):
+        kinds = ("CZ", "CZ", "CY", "CY", "CZ", "CY")
+        spec = AnsatzSpec(4, reps=2, entanglement="full", entanglers=kinds)
+        params = np.random.default_rng(12).uniform(-np.pi, np.pi, spec.n_params)
+        expect = oracles.run_circuit_dense(oracles.ansatz_circuit(spec, params))
+        np.testing.assert_allclose(run_ansatz(spec, params), expect, atol=1e-12)
 
     def test_param_length_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
@@ -97,7 +124,7 @@ class TestApplication:
         with pytest.raises(BindingError):
             p_ad(states, np.zeros(9), cfg)
         with pytest.raises(BindingError):
-            run_circuit(build_ansatz(cfg.ansatz), np.zeros(7))
+            run_ansatz(cfg.ansatz, np.zeros(7))
 
     def test_state_size_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
@@ -135,21 +162,21 @@ class TestUnitaryProperties:
             spec = AnsatzSpec(n, reps=int(rng.integers(1, 4)))
             params = rng.uniform(-np.pi, np.pi, spec.n_params)
             s = oracles.random_state(rng, n)
-            apply_ansatz(s, spec, params)
+            run_ansatz(spec, params, s)
             worst = max(worst, abs(np.linalg.norm(s.amplitudes) - 1.0))
         assert worst < 1e-10
 
     def test_inverse_composition_returns_start(self):
         rng = np.random.default_rng(77)
         spec = AnsatzSpec(3, reps=2)
-        circuit = build_ansatz(spec)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        circuit = oracles.ansatz_circuit(spec, params)
         s = oracles.random_state(rng, 3)
         before = s.amplitudes.copy()
-        apply_ops(s.amplitudes, 3, circuit.ops, params)
+        run_ansatz(spec, params, s)
         for op in reversed(circuit.ops):
-            if isinstance(op.angle, ParamSlot):
-                apply_gate(s, GateOp(op.kind, op.qubits, -params[op.angle.index]))
+            if op.angle is not None:
+                apply_gate(s, GateOp(op.kind, op.qubits, -op.angle))
             else:
                 apply_gate(s, op)  # CY/CZ are self-inverse
         np.testing.assert_allclose(s.amplitudes, before, atol=1e-10)

@@ -116,11 +116,17 @@ class TestPipeline:
 
 
 class TestGuards:
-    def test_refuses_overwrite_without_force(self, tmp_path):
+    def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)
         assert main(["prep", "--config", str(cfg_path)]) == 0
         assert main(["prep", "--config", str(cfg_path)]) == 1
         assert main(["prep", "--config", str(cfg_path), "--force"]) == 0
+        # an output_dir that names a file is a config error, even with --force
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        cfg_path = small_config(tmp_path, out_name="taken")
+        capsys.readouterr()
+        assert main(["prep", "--config", str(cfg_path), "--force"]) == 1
+        assert f"output_dir {tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
 
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)

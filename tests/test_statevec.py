@@ -1,4 +1,6 @@
-"""Simulator tests: gate semantics, norm/unitarity properties, sampling."""
+"""Simulator tests: gate semantics, norm/unitarity properties, and the
+outcome probabilities and shot sampling that the parity readout
+(``vqc.p_ad``) takes from a state."""
 
 import numpy as np
 import pytest
@@ -6,21 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vqclass.errors import BindingError, ConfigError
-from vqclass.statevec import (
-    Circuit,
-    GateOp,
-    ParamSlot,
-    StateVector,
-    apply_gate,
-    marginal_probabilities,
-    probabilities,
-    run_circuit,
-    sample_counts,
-    zero_state,
-)
+from vqclass.ansatz import AnsatzSpec
+from vqclass.errors import ConfigError
+from vqclass.featmap import FeatureMapSpec
+from vqclass.statevec import Circuit, GateOp, apply_gate, run_circuit, zero_state
+from vqclass.vqc import VqcConfig, p_ad
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def readout_cfg(n, measured, shots=None, seed=0):
+    # zero angles and CZ links only: the ansatz leaves every outcome probability as it is
+    ansatz = AnsatzSpec(n, reps=1, entanglers=("CZ",) * (n - 1))
+    return VqcConfig(FeatureMapSpec(n), ansatz, measured_qubits=measured, shots=shots, seed=seed)
+
+
+def readout(amps, measured, shots=None, seed=0):
+    """Even-parity mass on ``measured`` of each state (row of ``amps``),
+    exact or as the frequency of ``shots`` seeded samples."""
+    amps = np.atleast_2d(np.asarray(amps, dtype=np.complex128))
+    cfg = readout_cfg(int(amps.shape[1]).bit_length() - 1, measured, shots, seed)
+    return p_ad(amps, np.zeros(cfg.ansatz.n_params), cfg)
+
+
+def parity_masses(amps, measured):
+    """(even, odd) parity mass by enumerating every basis outcome."""
+    n = int(len(amps)).bit_length() - 1
+    masses = [0.0, 0.0]
+    for idx, a in enumerate(amps):
+        bits = format(idx, f"0{n}b")
+        masses[sum(int(bits[q]) for q in measured) % 2] += abs(a) ** 2
+    return tuple(masses)
 
 
 class TestZeroState:
@@ -151,17 +169,6 @@ class TestRunCircuit:
         np.testing.assert_allclose(s.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
         np.testing.assert_allclose(s.amplitudes, oracles.run_circuit_dense(c), atol=1e-12)
 
-    def test_binding_validation(self):
-        c = Circuit(1, (GateOp("RY", (0,), ParamSlot(0)),), n_param_slots=1)
-        with pytest.raises(BindingError):
-            run_circuit(c, ())  # parameter missing
-        with pytest.raises(BindingError):
-            run_circuit(c, (0.3, 0.1))  # unexpected extra parameter
-
-    def test_unbound_gate_application_rejected(self):
-        with pytest.raises(BindingError):
-            apply_gate(zero_state(1), GateOp("RY", (0,), ParamSlot(0)))
-
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         c = oracles.random_circuit(rng, 3, 12)
@@ -228,80 +235,72 @@ class TestNormAndUnitarity:
 
 class TestProbabilities:
     def test_basis_state(self):
-        assert np.array_equal(probabilities(zero_state(1)), [1, 0])
+        assert np.array_equal(readout(np.eye(2), (0,)), [1, 0])
 
     def test_phase_is_ignored(self):
-        s = StateVector(1, np.array([INV_SQRT2, 1j * INV_SQRT2]))
-        np.testing.assert_allclose(probabilities(s), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(readout([INV_SQRT2, 1j * INV_SQRT2], (0,)), [0.5], atol=1e-15)
 
     def test_random_state_recomputation(self):
         s = oracles.random_state(np.random.default_rng(9), 3)
-        expect = np.array([abs(a) ** 2 for a in s.amplitudes])
-        np.testing.assert_allclose(probabilities(s), expect, atol=1e-15)
-        assert abs(probabilities(s).sum() - 1.0) < 1e-9
+        even, odd = parity_masses(s.amplitudes, (0, 1, 2))
+        np.testing.assert_allclose(readout(s.amplitudes, (0, 1, 2)), [even], atol=1e-15)
+        assert abs(readout(s.amplitudes, (0, 1, 2))[0] + odd - 1.0) < 1e-9
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_probabilities_sum_to_one(self, seed):
         s = oracles.random_state(np.random.default_rng(seed), 2)
-        assert abs(probabilities(s).sum() - 1.0) < 1e-9
+        _, odd = parity_masses(s.amplitudes, (0, 1))
+        assert abs(readout(s.amplitudes, (0, 1))[0] + odd - 1.0) < 1e-9
 
 
 class TestSampling:
     def test_deterministic_state_deterministic_counts(self):
         s = zero_state(2)
         s.amplitudes[:] = [0, 1, 0, 0]  # |01>
-        assert sample_counts(s, 1024, seed=0) == {"01": 1024}
+        assert readout(s.amplitudes, (0, 1), shots=1024, seed=0).tolist() == [0.0]
+        assert readout(s.amplitudes, (0,), shots=1024, seed=0).tolist() == [1.0]
 
     def test_binomial_concentration(self):
         s = apply_gate(zero_state(1), GateOp("H", (0,)))
-        counts = sample_counts(s, 1024, seed=42)
-        assert abs(counts.get("0", 0) - 512) <= 5 * np.sqrt(1024 * 0.25)
+        even = readout(s.amplitudes, (0,), shots=1024, seed=42)[0] * 1024
+        assert abs(even - 512) <= 5 * np.sqrt(1024 * 0.25)
 
     def test_same_seed_identical(self):
         s = apply_gate(zero_state(2), GateOp("H", (0,)))
-        assert sample_counts(s, 500, seed=17) == sample_counts(s, 500, seed=17)
+        a = readout(s.amplitudes, (0, 1), shots=500, seed=17)
+        assert np.array_equal(a, readout(s.amplitudes, (0, 1), shots=500, seed=17))
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ConfigError):
-            sample_counts(zero_state(1), 0, seed=0)
+            readout_cfg(1, (0,), shots=0)
 
     def test_bitstring_convention_qubit0_leftmost(self):
         s = apply_gate(zero_state(2), GateOp("RY", (0,), np.pi))  # |10>
-        assert sample_counts(s, 16, seed=1) == {"10": 16}
+        assert readout(s.amplitudes, (0, 1), shots=16, seed=1).tolist() == [0.0]
+        np.testing.assert_allclose(s.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
     def test_measured_subset_marginalizes(self):
         s = apply_gate(zero_state(2), GateOp("RY", (0,), np.pi))  # |10>
-        assert sample_counts(s, 8, seed=2, measured_qubits=[1]) == {"0": 8}
-        assert sample_counts(s, 8, seed=2, measured_qubits=[0]) == {"1": 8}
+        assert readout(s.amplitudes, (1,), shots=8, seed=2).tolist() == [1.0]
+        assert readout(s.amplitudes, (0,), shots=8, seed=2).tolist() == [0.0]
 
     def test_total_variation_convergence(self):
         s = run_circuit(oracles.random_circuit(np.random.default_rng(23), 2, 8))
-        p = probabilities(s)
+        p = readout(s.amplitudes, (0, 1))[0]
         for shots in (256, 1024, 4096):
-            tv = []
-            for seed in range(20):
-                counts = sample_counts(s, shots, seed=seed)
-                emp = np.zeros(4)
-                for bits, c in counts.items():
-                    emp[int(bits, 2)] = c / shots
-                tv.append(0.5 * np.abs(emp - p).sum())
+            # even/odd total variation is |frequency - p|
+            tv = [abs(readout(s.amplitudes, (0, 1), shots, seed)[0] - p) for seed in range(20)]
             assert np.mean(tv) <= 5.0 / np.sqrt(shots)
 
 
 class TestMarginals:
-    def test_order_follows_measured_list(self):
-        s = apply_gate(zero_state(2), GateOp("RY", (0,), np.pi))  # |10>
-        np.testing.assert_allclose(marginal_probabilities(s, [0, 1]), [0, 0, 1, 0], atol=1e-30)
-        np.testing.assert_allclose(marginal_probabilities(s, [1, 0]), [0, 1, 0, 0], atol=1e-30)
-
     def test_invalid_measured_lists(self):
-        s = zero_state(2)
         with pytest.raises(ConfigError):
-            marginal_probabilities(s, [])
+            readout_cfg(2, ())
         with pytest.raises(ConfigError):
-            marginal_probabilities(s, [0, 0])
+            readout_cfg(2, (0, 0))
         with pytest.raises(ConfigError):
-            marginal_probabilities(s, [2])
+            readout_cfg(2, (2,))
 
 
 class TestGateOpValidation:
@@ -328,12 +327,6 @@ class TestGateOpValidation:
     def test_circuit_rejects_out_of_range_ops(self):
         with pytest.raises(ConfigError):
             Circuit(1, (GateOp("H", (1,)),))
-        with pytest.raises(ConfigError):
-            Circuit(1, (GateOp("RY", (0,), ParamSlot(0)),), n_param_slots=0)
-
-    def test_param_slot_validation(self):
-        with pytest.raises(ConfigError):
-            ParamSlot(-1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Classifier tests: parity readout, batched forward pass, loss, training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,21 +10,21 @@ from hypothesis import strategies as st
 
 import oracles
 import vqclass
-from vqclass.ansatz import AnsatzSpec, build_ansatz, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.prep import Dataset
 from vqclass.spsa import SpsaConfig
-from vqclass.statevec import StateVector, apply_ops, sample_counts
+from vqclass.statevec import StateVector
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
     Label,
     Prediction,
     VqcConfig,
+    _even_parity_mask,
     binary_cross_entropy,
     loss,
     p_ad,
-    parity_decode,
     predict_batch,
     shot_seed,
     train,
@@ -33,7 +34,7 @@ from vqclass.vqc import (
 def final_state(x, params, cfg):
     """Encoded state of one sample after the ansatz, as a StateVector."""
     amps = encode([x], cfg.feature_map)
-    apply_ops(amps, cfg.n_qubits, build_ansatz(cfg.ansatz).ops, params)
+    apply_ansatz(amps, cfg.ansatz, params)
     return StateVector(cfg.n_qubits, amps[0])
 
 
@@ -59,22 +60,23 @@ def small_cfg(n=2, shots=None, seed=0, measured=None):
     )
 
 
+def parity_class(bits):
+    """Class the readout gives the basis outcome ``bits`` (qubit 0 leftmost),
+    every qubit measured."""
+    even = _even_parity_mask(len(bits), tuple(range(len(bits))))
+    return Label.AD if even[int(bits, 2)] else Label.NON_AD
+
+
 class TestParityDecode:
     def test_spec_cases(self):
-        assert parity_decode("00") is Label.AD
-        assert parity_decode("01") is Label.NON_AD
-        assert parity_decode("11") is Label.AD
-
-    def test_rejects_bad_strings(self):
-        with pytest.raises(ConfigError):
-            parity_decode("")
-        with pytest.raises(ConfigError):
-            parity_decode("0x1")
+        assert parity_class("00") is Label.AD
+        assert parity_class("01") is Label.NON_AD
+        assert parity_class("11") is Label.AD
 
     @given(st.text(alphabet="01", min_size=1, max_size=16))
     def test_appending_a_one_flips_class(self, bits):
-        assert parity_decode(bits) != parity_decode(bits + "1")
-        assert parity_decode(bits) == parity_decode(bits + "0")
+        assert parity_class(bits) != parity_class(bits + "1")
+        assert parity_class(bits) == parity_class(bits + "0")
 
 
 class TestForward:
@@ -318,10 +320,10 @@ class TestPredictBatch:
         xs = rng.uniform(0, 1, size=(6, n))
         params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
         preds = predict_batch(xs, params, cfg)
-        ansatz = build_ansatz(cfg.ansatz)
+        ansatz = oracles.circuit_unitary(oracles.ansatz_circuit(cfg.ansatz, params))
         for pred, x in zip(preds, xs):
             fmap = oracles.circuit_unitary(oracles.feature_map_circuit(x, cfg.feature_map))
-            amps = oracles.circuit_unitary(ansatz, params=params) @ fmap[:, 0]
+            amps = ansatz @ fmap[:, 0]
             expect = oracles.p_even_bruteforce(StateVector(n, amps), measured)
             assert pred.p_ad == pytest.approx(expect, abs=1e-12)
 
@@ -330,13 +332,10 @@ class TestPredictBatch:
         params = init_params(cfg.ansatz, 2)
         xs = np.random.default_rng(6).uniform(0, 1, size=(7, 3))
         preds = predict_batch(xs, params, cfg)
-        states = encode(xs, cfg.feature_map)
-        apply_ops(states, 3, build_ansatz(cfg.ansatz).ops, params)
+        exact = p_ad(encode(xs, cfg.feature_map), params, replace(cfg, shots=None))
         for i, pred in enumerate(preds):
-            counts = sample_counts(
-                StateVector(3, states[i]), cfg.shots, shot_seed(cfg.seed, i, 0), cfg.measured_qubits
-            )
-            even = sum(c for bits, c in counts.items() if parity_decode(bits) is Label.AD)
+            rng = np.random.default_rng(shot_seed(cfg.seed, i, 0))
+            even = rng.binomial(cfg.shots, np.clip(exact[i], 0.0, 1.0))
             assert pred.p_ad == even / cfg.shots
 
 
