@@ -15,7 +15,7 @@ from .errors import (
     OptimizerError,
     VqclassError,
 )
-from .featmap import DataMap, FeatureMapSpec, default_data_map, encode
+from .featmap import FeatureMapSpec, encode
 from .metrics import ConfusionMatrix, MetricsReport, auroc, confusion, full_report
 from .prep import Dataset, load_csv, one_hot_encode, stratified_split
 from .qkernel import KernelMatrix, kernel_matrix
@@ -32,7 +32,6 @@ __all__ = [
     "ConfigError",
     "ConfusionMatrix",
     "DataError",
-    "DataMap",
     "Dataset",
     "EncodingError",
     "FeatureMapSpec",
@@ -49,7 +48,6 @@ __all__ = [
     "VqclassError",
     "auroc",
     "confusion",
-    "default_data_map",
     "encode",
     "full_report",
     "init_params",

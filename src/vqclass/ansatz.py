@@ -1,4 +1,4 @@
-"""Trainable circuit: repeated RY/RZ rotation layers with CY/CZ entanglers.
+"""Trainable circuit: repeated RY/RZ rotation layers with CY/CZ links.
 
 Each repetition applies an RY rotation to every qubit, then an RZ
 rotation to every qubit, then an entangling block; a final RY+RZ layer
@@ -11,7 +11,7 @@ and layer, on a whole batch of states.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
-on odd. The per-link gate kinds can be overridden via ``entanglers``.
+on odd.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import BindingError, ConfigError
 from .statevec import GateOp, apply_ops, apply_single
 
 ENTANGLEMENTS = ("linear", "full")
-ENTANGLER_KINDS = ("CY", "CZ")
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class AnsatzSpec:
     n_qubits: int
     reps: int = 2
     entanglement: str = "linear"
-    entanglers: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
@@ -48,33 +46,19 @@ class AnsatzSpec:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
-        if self.entanglers is not None:
-            object.__setattr__(self, "entanglers", tuple(self.entanglers))
-            n_links = len(_link_pairs(self.n_qubits, self.entanglement))
-            if len(self.entanglers) != n_links:
-                raise ConfigError(
-                    f"entanglers must list {n_links} gate kinds, got {len(self.entanglers)}"
-                )
-            for kind in self.entanglers:
-                if kind not in ENTANGLER_KINDS:
-                    raise ConfigError(f"entangler kind must be CY or CZ, got {kind!r}")
 
     @property
     def n_params(self) -> int:
         return 2 * self.n_qubits * (self.reps + 1)
 
 
-def _link_pairs(n_qubits: int, entanglement: str) -> list[tuple[int, int]]:
-    if entanglement == "linear":
-        return [(i, i + 1) for i in range(n_qubits - 1)]
-    return list(itertools.combinations(range(n_qubits), 2))
-
-
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
     """(gate kind, qubit pair) for each link of one entangling block."""
-    pairs = _link_pairs(spec.n_qubits, spec.entanglement)
-    if spec.entanglers is not None:
-        return list(zip(spec.entanglers, pairs))
+    n = spec.n_qubits
+    if spec.entanglement == "linear":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
     return [("CY" if i % 2 == 0 else "CZ", pair) for i, pair in enumerate(pairs)]
 
 

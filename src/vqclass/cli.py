@@ -211,6 +211,8 @@ def _artifact_path(cfg: RunConfig, name: str, force: bool) -> Path:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"output_dir {cfg.out} is not a directory") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.out}: {exc}") from None
     path = cfg.out / name
     if path.exists() and not force:
         raise ConfigError(f"refusing to overwrite existing artifact {path}; pass --force")
@@ -225,8 +227,10 @@ def _write_text(path: Path, text: str) -> None:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write artifact {path}: {exc}") from None
         raise
 
 

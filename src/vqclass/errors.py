@@ -10,7 +10,7 @@ class ConfigError(VqclassError):
 
 
 class BindingError(VqclassError):
-    """A circuit was executed with unbound or mismatched slot values."""
+    """A circuit was run with the wrong parameter count or state shape."""
 
 
 class EncodingError(VqclassError):

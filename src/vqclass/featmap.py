@@ -1,20 +1,19 @@
 """Second-order phase feature map, evaluated in closed form for a batch.
 
 One qubit per feature (min-max normalized to [0, 1]). Each repetition is
-H on every qubit, P(2*phi_single(x_j)) per qubit and, for every entangled
-pair (j, k), CX(j,k) P_k(2*phi_pair(x_j, x_k)) CX(j,k). All of those
-phase terms are diagonal, so a repetition is H^n followed by the phase
-exp(i * [sum_j 2 phi_j(x) b_j + sum_(j,k) 2 phi_jk(x) (b_j XOR b_k)]) on
+H on every qubit, P(2*phi_j) per qubit and, for every entangled pair
+(j, k), CX(j,k) P_k(2*phi_jk) CX(j,k), with the fixed angle map
+phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k). All of those phase terms
+are diagonal, so a repetition is H^n followed by the phase
+exp(i * [sum_j 2 phi_j b_j + sum_(j,k) 2 phi_jk (b_j XOR b_k)]) on
 basis state |b_0 ... b_(n-1)>, computed for a whole batch at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,35 +38,6 @@ class FeatureMapSpec:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
-
-
-@dataclass(frozen=True)
-class DataMap:
-    """Pure functions turning feature values into phase angles (radians).
-
-    Both callables receive whole feature columns as 1-D arrays (one entry
-    per sample) and return an array of the same length, or a scalar that
-    broadcasts over it.
-    """
-
-    phi_single: Callable[[np.ndarray], np.ndarray | float]
-    phi_pair: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
-
-
-def _phi_single_default(x):
-    return x
-
-
-def _phi_pair_default(xj, xk):
-    return (math.pi - xj) * (math.pi - xk)
-
-
-DEFAULT_DATA_MAP = DataMap(_phi_single_default, _phi_pair_default)
-
-
-def default_data_map() -> DataMap:
-    """Conventional map: phi_j(x) = x_j, phi_jk(x) = (pi - x_j)(pi - x_k)."""
-    return DEFAULT_DATA_MAP
 
 
 def entangled_pairs(spec: FeatureMapSpec) -> list[tuple[int, int]]:
@@ -95,7 +65,7 @@ def _diagonal(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     return out
 
 
-def encode(x: np.ndarray, spec: FeatureMapSpec, data_map: DataMap | None = None) -> np.ndarray:
+def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """Encode a batch of normalized feature vectors, shape (N, n), into
     the (N, 2^n) amplitudes of the states they map to.
 
@@ -121,15 +91,8 @@ def encode(x: np.ndarray, spec: FeatureMapSpec, data_map: DataMap | None = None)
         raise EncodingError(
             f"sample {row} feature {col} = {arr[row, col]} outside [0, 1]; normalize upstream"
         )
-    dm = data_map if data_map is not None else default_data_map()
-    cols = [dm.phi_single(arr[:, j]) for j in range(n)]
-    cols += [dm.phi_pair(arr[:, j], arr[:, k]) for j, k in entangled_pairs(spec)]
-    try:
-        angles = 2.0 * np.stack([np.broadcast_to(c, arr.shape[:1]) for c in cols], axis=1)
-    except ValueError as exc:
-        raise EncodingError(f"angle map output does not fit {len(arr)} samples: {exc}") from None
-    if not np.all(np.isfinite(angles)):
-        raise EncodingError("angle map gave a non-finite angle")
+    pairs = [(np.pi - arr[:, j]) * (np.pi - arr[:, k]) for j, k in entangled_pairs(spec)]
+    angles = 2.0 * np.column_stack([arr, *pairs])
     diag = _diagonal(angles, spec)
     # the first H layer maps |0...0> to the uniform superposition
     amps = diag.copy() if spec.reps > 1 else diag

@@ -195,17 +195,17 @@ def minmax_fit(train_features: np.ndarray) -> MinMaxModel:
 
 
 def minmax_transform(model: MinMaxModel, features: np.ndarray) -> np.ndarray:
-    """(x - min) / (max - min), clipped into [0, 1].
+    """(x - min) / (max - min), with x first clipped into [min, max].
 
     A degenerate feature (max == min on the training rows) maps to 0.0;
-    out-of-range test values are clipped so downstream angle encodings
-    stay bounded.
+    out-of-range test values come out as exactly 0.0 or 1.0, so downstream
+    angle encodings stay bounded. Clipping before the division keeps a
+    tiny span from overflowing the quotient.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.clip(np.asarray(features, dtype=np.float64), model.minimum, model.maximum)
     span = model.maximum - model.minimum
     safe = np.where(span > 0.0, span, 1.0)
-    scaled = np.where(span > 0.0, (x - model.minimum) / safe, 0.0)
-    return np.clip(scaled, 0.0, 1.0)
+    return np.where(span > 0.0, (x - model.minimum) / safe, 0.0)
 
 
 def stratified_split(

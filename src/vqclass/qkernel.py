@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .featmap import DataMap, FeatureMapSpec, encode
+from .featmap import FeatureMapSpec, encode
 
 
 @dataclass
@@ -29,7 +29,6 @@ def kernel_matrix(
     samples_a: np.ndarray,
     samples_b: np.ndarray,
     spec: FeatureMapSpec,
-    data_map: DataMap | None = None,
     row_ids: Sequence | None = None,
     col_ids: Sequence | None = None,
 ) -> KernelMatrix:
@@ -40,11 +39,11 @@ def kernel_matrix(
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
-    states_a = encode(a, spec, data_map)
+    states_a = encode(a, spec)
     if b is a or (b.shape == a.shape and np.array_equal(b, a)):
         states_b = states_a
     else:
-        states_b = encode(b, spec, data_map)
+        states_b = encode(b, spec)
     overlaps = states_a @ states_b.conj().T
     values = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
     return KernelMatrix(

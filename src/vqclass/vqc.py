@@ -1,7 +1,8 @@
 """The classifier: feature map + ansatz composition, parity readout,
 cross-entropy loss, training, and batch prediction. Training and
 prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` runs the ansatz and the readout on all states at once.
+``p_ad`` runs the ansatz on all states at once and hands them to
+``readout``.
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -22,7 +23,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
-from .featmap import DataMap, FeatureMapSpec, encode
+from .featmap import FeatureMapSpec, encode
 from .prep import Dataset
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 
@@ -107,16 +108,25 @@ def p_ad(
     """AD-class probability of each encoded state after the ansatz.
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
-    unchanged. Each row is read out on its own, so its probability does not
-    depend on the batch it comes in. In shot mode row i draws its count with
-    seed ``shot_seed(cfg.seed, i, eval_counter)``.
+    unchanged. The ansatz runs on a copy, which ``readout`` then reads.
     """
     n = cfg.n_qubits
     states = np.array(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
     apply_ansatz(states, cfg.ansatz, params)
-    even = _even_parity_mask(n, cfg.measured_qubits)
+    return readout(states, cfg, eval_counter)
+
+
+def readout(states: np.ndarray, cfg: VqcConfig, eval_counter: int = 0) -> np.ndarray:
+    """Even-parity mass on ``cfg.measured_qubits`` of each state, shape
+    (N, 2^n): exact, or the frequency of ``cfg.shots`` seeded samples.
+
+    Each row is read out on its own, so its probability does not depend on
+    the batch it comes in. In shot mode row i draws its count with seed
+    ``shot_seed(cfg.seed, i, eval_counter)``.
+    """
+    even = _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)
     mass = ((states.real**2 + states.imag**2) * even).sum(axis=1)
     if cfg.shots is None:
         return mass
@@ -144,13 +154,13 @@ class _LossEvaluator:
     used only for shot-mode seed derivation.
     """
 
-    def __init__(self, dataset: Dataset, cfg: VqcConfig, data_map: DataMap | None = None):
+    def __init__(self, dataset: Dataset, cfg: VqcConfig):
         if len(dataset) == 0:
             raise ConfigError("dataset must be non-empty")
         bad = set(np.unique(dataset.labels)) - {0, 1}
         if bad:
             raise ConfigError(f"labels must be 0 (NON_AD) or 1 (AD), got extras {sorted(bad)}")
-        self._encoded = encode(dataset.features, cfg.feature_map, data_map)
+        self._encoded = encode(dataset.features, cfg.feature_map)
         self._labels = np.asarray(dataset.labels, dtype=np.float64)
         self._cfg = cfg
         self.eval_counter = 0
@@ -162,44 +172,31 @@ class _LossEvaluator:
         return binary_cross_entropy(self._labels, p, self._cfg.loss_clip_epsilon)
 
 
-def loss(
-    dataset: Dataset,
-    params: Sequence[float],
-    cfg: VqcConfig,
-    data_map: DataMap | None = None,
-) -> float:
+def loss(dataset: Dataset, params: Sequence[float], cfg: VqcConfig) -> float:
     """Mean binary cross-entropy of the classifier over the dataset."""
-    evaluator = _LossEvaluator(dataset, cfg, data_map)
+    evaluator = _LossEvaluator(dataset, cfg)
     return evaluator(np.asarray(params, dtype=np.float64))
 
 
-def train(
-    train_set: Dataset,
-    cfg: VqcConfig,
-    spsa_cfg: SpsaConfig,
-    data_map: DataMap | None = None,
-) -> TrainingRun:
+def train(train_set: Dataset, cfg: VqcConfig, spsa_cfg: SpsaConfig) -> TrainingRun:
     """Minimize the training loss with the perturbation optimizer.
 
     Initial parameters are drawn from ``cfg.seed``; the optimizer's own
     draws come from ``spsa_cfg.seed``. Fully deterministic given both.
     """
     theta0 = init_params(cfg.ansatz, cfg.seed)
-    evaluator = _LossEvaluator(train_set, cfg, data_map)
+    evaluator = _LossEvaluator(train_set, cfg)
     run = spsa_minimize(evaluator, theta0, spsa_cfg)
     return replace(run, seeds_used={"init": cfg.seed, **run.seeds_used})
 
 
 def predict_batch(
-    samples: Sequence[Sequence[float]],
-    params: Sequence[float],
-    cfg: VqcConfig,
-    data_map: DataMap | None = None,
+    samples: Sequence[Sequence[float]], params: Sequence[float], cfg: VqcConfig
 ) -> list[Prediction]:
     """Predictions for a batch of normalized feature vectors, order
     preserved. In shot mode row i samples with ``shot_seed(cfg.seed, i, 0)``."""
     if len(samples) == 0:
         return []
-    states = encode(samples, cfg.feature_map, data_map)
+    states = encode(samples, cfg.feature_map)
     probs = p_ad(states, params, cfg)
     return [Prediction(float(p), Label.AD if p >= 0.5 else Label.NON_AD) for p in probs]

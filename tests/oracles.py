@@ -96,21 +96,19 @@ def run_circuit_dense(circuit) -> np.ndarray:
     return circuit_unitary(circuit) @ e0
 
 
-def feature_map_circuit(x, spec, data_map=None):
+def feature_map_circuit(x, spec):
     """Gate-level feature map of one sample, every angle bound: per
-    repetition an H layer, P(2*phi_j) per qubit, then CX-P-CX per pair.
+    repetition an H layer, P(2*phi_j) per qubit, then CX-P-CX per pair,
+    with phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k).
 
-    Pairs and the default angle maps are written out here rather than
-    taken from the package, so the closed-form encoder is checked against
-    an independent statement of the circuit.
+    Pairs and the angle maps are written out here rather than taken from
+    the package, so the closed-form encoder is checked against an
+    independent statement of the circuit.
     """
     from vqclass.statevec import Circuit, GateOp
 
     n = spec.n_qubits
-    if data_map is None:
-        phi_single, phi_pair = (lambda a: a), (lambda a, b: (np.pi - a) * (np.pi - b))
-    else:
-        phi_single, phi_pair = data_map.phi_single, data_map.phi_pair
+    phi_single, phi_pair = (lambda a: a), (lambda a, b: (np.pi - a) * (np.pi - b))
     if spec.entanglement == "linear":
         pairs = [(j, j + 1) for j in range(n - 1)]
     else:
@@ -129,9 +127,8 @@ def feature_map_circuit(x, spec, data_map=None):
 def ansatz_circuit(spec, params):
     """Gate-level ansatz, every angle bound from ``params``: per repetition
     an RY layer, an RZ layer, then the entangling links, CY on even link
-    positions and CZ on odd unless ``spec.entanglers`` overrides them; a
-    final RY and RZ layer closes it. Angles are read layer-major,
-    qubit-minor.
+    positions and CZ on odd; a final RY and RZ layer closes it. Angles
+    are read layer-major, qubit-minor.
 
     Links and their gate kinds are written out here rather than taken from
     the package, so the production ansatz is checked against an
@@ -144,7 +141,7 @@ def ansatz_circuit(spec, params):
         pairs = [(j, j + 1) for j in range(n - 1)]
     else:
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    kinds = spec.entanglers or ["CY" if i % 2 == 0 else "CZ" for i in range(len(pairs))]
+    kinds = ["CY" if i % 2 == 0 else "CZ" for i in range(len(pairs))]
     angles = iter(float(a) for a in params)
     ops = []
     for layer in range(spec.reps + 1):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, entangling_links, init_params
-from vqclass.errors import BindingError, ConfigError
+from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.statevec import GateOp, apply_gate, zero_state
 from vqclass.vqc import VqcConfig, p_ad, predict_batch
@@ -54,16 +54,6 @@ class TestStructure:
         links = entangling_links(AnsatzSpec(3, reps=1, entanglement="full"))
         assert links == [("CY", (0, 1)), ("CZ", (0, 2)), ("CY", (1, 2))]
 
-    def test_entangler_override(self):
-        spec = AnsatzSpec(3, reps=1, entanglement="linear", entanglers=("CZ", "CZ"))
-        assert entangling_links(spec) == [("CZ", (0, 1)), ("CZ", (1, 2))]
-
-    def test_entangler_override_validation(self):
-        with pytest.raises(ConfigError):
-            AnsatzSpec(3, reps=1, entanglement="linear", entanglers=("CZ",))
-        with pytest.raises(ConfigError):
-            AnsatzSpec(3, reps=1, entanglement="linear", entanglers=("CZ", "CX"))
-
 
 class TestApplication:
     def test_zero_params_identity_on_zero_state(self):
@@ -108,13 +98,6 @@ class TestApplication:
         apply_ansatz(got, spec, params)
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
-
-    def test_overridden_entanglers_match_dense_oracle(self):
-        kinds = ("CZ", "CZ", "CY", "CY", "CZ", "CY")
-        spec = AnsatzSpec(4, reps=2, entanglement="full", entanglers=kinds)
-        params = np.random.default_rng(12).uniform(-np.pi, np.pi, spec.n_params)
-        expect = oracles.run_circuit_dense(oracles.ansatz_circuit(spec, params))
-        np.testing.assert_allclose(run_ansatz(spec, params), expect, atol=1e-12)
 
     def test_param_length_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))

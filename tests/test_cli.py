@@ -251,8 +251,17 @@ class TestProvenance:
 
         cfg_path = small_config(tmp_path)
         monkeypatch.setattr(os, "replace", fail)
-        assert main(["prep", "--config", str(cfg_path)]) == 2
+        assert main(["prep", "--config", str(cfg_path)]) == 1
         assert list((tmp_path / "run").iterdir()) == []  # no artifact, no temp file
+
+    def test_unmakeable_output_dir_exits_1(self, tmp_path, monkeypatch, capsys):
+        def fail(self, *args, **kwargs):
+            raise PermissionError("simulated denial")
+
+        cfg_path = small_config(tmp_path)
+        monkeypatch.setattr(Path, "mkdir", fail)
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        assert "simulated denial" in capsys.readouterr().err
 
     def test_config_echo_is_the_resolved_schema(self, tmp_path):
         cfg_path = small_config(tmp_path)

@@ -1,13 +1,11 @@
-"""Feature map tests: structure, the default angle functions, encoding."""
-
-import math
+"""Feature map tests: structure and encoding."""
 
 import numpy as np
 import pytest
 
 import oracles
 from vqclass.errors import ConfigError, EncodingError
-from vqclass.featmap import DataMap, FeatureMapSpec, default_data_map, encode, entangled_pairs
+from vqclass.featmap import FeatureMapSpec, encode, entangled_pairs
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -55,27 +53,15 @@ class TestStructure:
             FeatureMapSpec(2, 1, "ring")
 
 
-class TestDefaultDataMap:
-    def test_single_is_identity(self):
-        assert default_data_map().phi_single(0.5) == 0.5
-
-    def test_pair_vanishes_at_pi(self):
-        assert default_data_map().phi_pair(math.pi, math.pi) == 0.0
-
-    def test_pair_at_origin(self):
-        assert default_data_map().phi_pair(0.0, 0.0) == pytest.approx(math.pi**2, rel=1e-15)
-
-
 class TestEncode:
     def test_zero_vector_is_hadamard_only(self):
         amps = encode([[0.0]], FeatureMapSpec(1))
         np.testing.assert_allclose(amps, [[INV_SQRT2, INV_SQRT2]], atol=1e-15)
 
-    def test_half_pi_slot_value_flips_phase(self):
-        # a pi/2 angle-map value: P(pi) flips the sign of |1>
-        dm = DataMap(phi_single=lambda v: 0.5 * math.pi * v, phi_pair=lambda a, b: 0.0)
-        amps = encode([[1.0]], FeatureMapSpec(1), dm)
-        np.testing.assert_allclose(amps, [[INV_SQRT2, -INV_SQRT2]], atol=1e-12)
+    def test_quarter_pi_feature_gives_i_phase(self):
+        # x = pi/4: P(2x) = P(pi/2) turns |1> into i|1>
+        amps = encode([[np.pi / 4]], FeatureMapSpec(1))
+        np.testing.assert_allclose(amps, [[INV_SQRT2, 1j * INV_SQRT2]], atol=1e-12)
 
     def test_matches_dense_oracle(self):
         spec = FeatureMapSpec(2, 1, "full")
@@ -132,22 +118,6 @@ class TestEncode:
             encode([[0.2, 0.3], [-0.1, 0.5]], FeatureMapSpec(2))
         with pytest.raises(EncodingError):
             encode([[0.2, float("nan")]], FeatureMapSpec(2))
-
-    def test_custom_data_map_used(self):
-        dm = DataMap(phi_single=lambda x: 0.0, phi_pair=lambda a, b: 0.0)
-        amps = encode([[0.4]], FeatureMapSpec(1), dm)
-        np.testing.assert_allclose(amps, [[INV_SQRT2, INV_SQRT2]], atol=1e-15)
-
-    def test_non_finite_angles_rejected(self):
-        # log(0) = -inf: the angle map, not the features, is at fault
-        dm = DataMap(phi_single=np.log, phi_pair=lambda a, b: a * b)
-        with np.errstate(divide="ignore"), pytest.raises(EncodingError, match="non-finite"):
-            encode([[0.5, 0.0]], FeatureMapSpec(2), dm)
-
-    def test_angle_map_output_shape_checked(self):
-        dm = DataMap(phi_single=lambda v: v[:, None], phi_pair=lambda a, b: 0.0)
-        with pytest.raises(EncodingError):
-            encode([[0.5, 0.2], [0.1, 0.3]], FeatureMapSpec(2), dm)
 
 
 class TestPermutationConsistency:

@@ -206,6 +206,13 @@ class TestMinMax:
         out = minmax_transform(model, np.array([[15.0], [-3.0]]))
         np.testing.assert_array_equal(out.ravel(), [1.0, 0.0])
 
+    def test_tiny_span_does_not_overflow(self):
+        # a subnormal span once made (1.0 - 0.0) / 2.2e-311 overflow before the clip
+        model = minmax_fit(np.array([[0.0], [2.2e-311]]))
+        with np.errstate(all="raise"):
+            out = minmax_transform(model, np.array([[1.0], [-1.0], [2.2e-311]]))
+        np.testing.assert_array_equal(out.ravel(), [1.0, 0.0, 1.0])
+
     def test_models_immutable_after_fit(self):
         train = np.array([[0.0, 1.0], [4.0, 3.0]])
         model = minmax_fit(train)

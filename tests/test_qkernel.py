@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from vqclass.errors import EncodingError
-from vqclass.featmap import DataMap, FeatureMapSpec
+from vqclass.featmap import FeatureMapSpec
 from vqclass.qkernel import kernel_matrix, kernel_to_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
 
 
-def kernel_entry(x, x_other, spec, data_map=None):
+def kernel_entry(x, x_other, spec):
     """One fidelity, computed as a 1 x 1 kernel matrix."""
-    return kernel_matrix(np.array([x]), np.array([x_other]), spec, data_map).values[0, 0]
+    return kernel_matrix(np.array([x]), np.array([x_other]), spec).values[0, 0]
 
 
 class TestKernelEntry:
@@ -22,11 +22,10 @@ class TestKernelEntry:
         x = [0.2, 0.4, 0.6, 0.8, 0.5]
         assert kernel_entry(x, x, SPEC5) == pytest.approx(1.0, abs=1e-12)
 
-    def test_orthogonal_single_qubit_case(self):
-        # phi(x) = (pi/2) * x turns x=1 into a pi phase: (1,1) vs (1,-1)
-        dm = DataMap(phi_single=lambda v: 0.5 * math.pi * v, phi_pair=lambda a, b: 0.0)
+    def test_single_qubit_closed_form(self):
+        # x=1 puts phase e^{2i} on |1>: |(1 + e^{2i}) / 2|^2 = cos^2(1)
         spec = FeatureMapSpec(1)
-        assert kernel_entry([0.0], [1.0], spec, dm) == pytest.approx(0.0, abs=1e-12)
+        assert kernel_entry([0.0], [1.0], spec) == pytest.approx(math.cos(1.0) ** 2, abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)

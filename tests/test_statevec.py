@@ -1,6 +1,6 @@
 """Simulator tests: gate semantics, norm/unitarity properties, and the
 outcome probabilities and shot sampling that the parity readout
-(``vqc.p_ad``) takes from a state."""
+(``vqc.readout``) takes from a state."""
 
 import numpy as np
 import pytest
@@ -12,23 +12,23 @@ from vqclass.ansatz import AnsatzSpec
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec
 from vqclass.statevec import Circuit, GateOp, apply_gate, run_circuit, zero_state
-from vqclass.vqc import VqcConfig, p_ad
+from vqclass.vqc import VqcConfig, readout as vqc_readout
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def readout_cfg(n, measured, shots=None, seed=0):
-    # zero angles and CZ links only: the ansatz leaves every outcome probability as it is
-    ansatz = AnsatzSpec(n, reps=1, entanglers=("CZ",) * (n - 1))
-    return VqcConfig(FeatureMapSpec(n), ansatz, measured_qubits=measured, shots=shots, seed=seed)
+    return VqcConfig(
+        FeatureMapSpec(n), AnsatzSpec(n), measured_qubits=measured, shots=shots, seed=seed
+    )
 
 
 def readout(amps, measured, shots=None, seed=0):
     """Even-parity mass on ``measured`` of each state (row of ``amps``),
     exact or as the frequency of ``shots`` seeded samples."""
     amps = np.atleast_2d(np.asarray(amps, dtype=np.complex128))
-    cfg = readout_cfg(int(amps.shape[1]).bit_length() - 1, measured, shots, seed)
-    return p_ad(amps, np.zeros(cfg.ansatz.n_params), cfg)
+    n = int(amps.shape[1]).bit_length() - 1
+    return vqc_readout(amps, readout_cfg(n, measured, shots, seed))
 
 
 def parity_masses(amps, measured):
