@@ -11,14 +11,21 @@ and layer, on a whole batch of states.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
-on odd.
+on odd. A block sends each basis state to one basis state times a phase
+in {1, -1, i, -i}, so it runs as one gather (an index array and a phase
+vector, built once per block), bit-identical to the gate list.
+
+Given the measured qubits, only gates in the readout's light cone run:
+walking backward from them, gates whose qubits all lie outside the cone
+and the final RZ layer (diagonal before a Z-basis readout) are dropped.
+So 2n - |measured| or more parameters are dead for the readout; the
+vector keeps them and its layout.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,9 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BindingError, ConfigError
-from .statevec import GateOp, apply_ops, apply_single
+from .featmap import ENTANGLEMENTS, entangled_pairs
+from .statevec import apply_single
 
-ENTANGLEMENTS = ("linear", "full")
+_GATHER_BYTES = 1 << 18  # a gather runs over row blocks this big; its temporary stays in cache
 
 
 @dataclass(frozen=True)
@@ -54,33 +62,71 @@ class AnsatzSpec:
 
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
     """(gate kind, qubit pair) for each link of one entangling block."""
+    return [("CY" if i % 2 == 0 else "CZ", p) for i, p in enumerate(entangled_pairs(spec))]
+
+
+@functools.lru_cache(maxsize=16)
+def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, phase) such that applying ``links`` in order to states of n
+    qubits, shape (..., 2^n), gives ``states[..., inv] * phase``."""
+    image = np.arange(1 << n)  # where each basis state is sent
+    gain = np.ones(1 << n, dtype=np.complex128)  # and the phase it picks up
+    for kind, (control, target) in links:
+        on = (image >> (n - 1 - control)) & 1 == 1
+        hit = (image >> (n - 1 - target)) & 1 == 1
+        if kind == "CY":  # Y|0> = i|1>, Y|1> = -i|0>
+            gain[on] *= np.where(hit[on], -1j, 1j)
+            image[on] ^= 1 << (n - 1 - target)
+        else:  # CZ
+            gain[on & hit] *= -1.0
+    inv = np.argsort(image)
+    phase = gain[inv]
+    inv.flags.writeable = phase.flags.writeable = False
+    return inv, phase
+
+
+@functools.lru_cache(maxsize=16)
+def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
+    """Per layer, the gather of the live links of the block before it
+    (None in layer 0 or with no live link), then the live rotations as
+    (qubit, whether its RZ is live). ``measured`` None keeps every gate."""
     n = spec.n_qubits
-    if spec.entanglement == "linear":
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    else:
-        pairs = list(itertools.combinations(range(n), 2))
-    return [("CY" if i % 2 == 0 else "CZ", pair) for i, pair in enumerate(pairs)]
+    cone = set(range(n) if measured is None else measured)
+    layers = []
+    for layer in range(spec.reps, -1, -1):
+        rotations = [(q, measured is None or layer < spec.reps) for q in sorted(cone)]
+        live = []
+        for kind, (a, b) in reversed(entangling_links(spec) if layer else []):
+            if a in cone or b in cone:
+                live.append((kind, (a, b)))
+                cone.update((a, b))
+        layers.append((block_gather(n, tuple(live[::-1])) if live else None, rotations))
+    return layers[::-1]
 
 
-@functools.lru_cache(maxsize=8)
-def _entangler_block(spec: AnsatzSpec) -> tuple[GateOp, ...]:
-    return tuple(GateOp(kind, pair) for kind, pair in entangling_links(spec))
-
-
-def apply_ansatz(states: np.ndarray, spec: AnsatzSpec, params: Sequence[float]) -> None:
+def apply_ansatz(
+    states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None
+) -> None:
     """Advance a batch of states, shape (N, 2^n), in place through the ansatz
-    with parameter vector ``params``."""
+    with parameter vector ``params``. Given ``measured_qubits``, only the
+    gates in their light cone run: the result then holds the right
+    probabilities on those qubits, not the full final state."""
     n = spec.n_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
-    for layer, (thetas, phis) in enumerate(params.reshape(spec.reps + 1, 2, n)):
-        if layer:
-            apply_ops(states, n, _entangler_block(spec))
-        for q, (theta, phi) in enumerate(zip(thetas.tolist(), phis.tolist())):
+    measured = None if measured_qubits is None else tuple(measured_qubits)
+    angles = params.reshape(spec.reps + 1, 2, n).tolist()
+    for (thetas, phis), (gather, rotations) in zip(angles, _light_cone(spec, measured)):
+        if gather is not None:
+            inv, phase = gather
+            rows = max(1, _GATHER_BYTES >> (n + 4))  # 16 B per amplitude
+            for block in (states[i : i + rows] for i in range(0, len(states), rows)):
+                np.multiply(np.take(block, inv, axis=-1), phase, out=block)
+        for q, with_rz in rotations:
             # RZ(phi) RY(theta) = [[e^-i phi/2 c, -e^-i phi/2 s], [e^i phi/2 s, e^i phi/2 c]]
-            c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-            z = cmath.exp(-0.5j * phi)
+            c, s = math.cos(0.5 * thetas[q]), math.sin(0.5 * thetas[q])
+            z = cmath.exp(-0.5j * phis[q]) if with_rz else 1.0
             apply_single(states, n, q, ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c)))
 
 
@@ -88,4 +134,3 @@ def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:
     """I.i.d. uniform angles on (-pi, pi], seeded and reproducible."""
     rng = np.random.default_rng(seed)
     return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=spec.n_params)
-

@@ -348,10 +348,6 @@ def cmd_train(cfg: RunConfig, data: Input, force: bool = False) -> None:
     _write_json(cfg.out / MODEL_FILE, model)
 
 
-def _label_name(value: int) -> str:
-    return vqc_mod.Label(value).name
-
-
 def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
     """Score the held-out split and write metrics, predictions, scatter."""
     model, train, test = _load_stage(cfg, data)
@@ -378,9 +374,8 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
 
     pred_lines = ["sample_id,p_ad,predicted,true"]
     for sid, pred, true in zip(test.ids, test_preds, test.labels):
-        pred_lines.append(
-            f"{int(sid)},{float(pred.p_ad)!r},{pred.label.name},{_label_name(int(true))}"
-        )
+        true_name = vqc_mod.Label(int(true)).name
+        pred_lines.append(f"{int(sid)},{float(pred.p_ad)!r},{pred.label.name},{true_name}")
     _write_text(pred_path, "\n".join(pred_lines) + "\n")
 
     # 2-D scatter source: first two principal coordinates of every sample
@@ -392,7 +387,7 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
             pc2 = float(part.pcs[i, 1]) if part.pcs.shape[1] > 1 else 0.0
             scatter_lines.append(
                 f"{int(sid)},{split_name},{pc1!r},{pc2!r},"
-                f"{_label_name(int(part.labels[i]))},{preds[i].label.name}"
+                f"{vqc_mod.Label(int(part.labels[i])).name},{preds[i].label.name}"
             )
     _write_text(scatter_path, "\n".join(scatter_lines) + "\n")
 

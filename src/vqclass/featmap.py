@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EncodingError
-from .statevec import MAX_QUBITS, GateOp, apply_ops
+from .statevec import HADAMARD, MAX_QUBITS, apply_single
 
-ENTANGLEMENTS = ("full", "linear")
+ENTANGLEMENTS = ("linear", "full")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class FeatureMapSpec:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
 
-def entangled_pairs(spec: FeatureMapSpec) -> list[tuple[int, int]]:
-    """Qubit pairs receiving a pairwise phase term, in application order."""
+def entangled_pairs(spec) -> list[tuple[int, int]]:
+    """Entangled qubit pairs of a feature map's or an ansatz's spec, in order."""
     if spec.entanglement == "linear":
         return [(j, j + 1) for j in range(spec.n_qubits - 1)]
     return list(itertools.combinations(range(spec.n_qubits), 2))
@@ -77,13 +77,15 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
-    # the encoded batch plus the working copy p_ad evolves: two complex arrays
-    need = 2 * arr.shape[0] * (1 << n) * 16
+    # the encoded batch, the working copy p_ad evolves, and the temporaries
+    # of one gate on that copy (up to one batch more): three complex arrays
+    need = 3 * arr.shape[0] * (1 << n) * 16
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
             f"{arr.shape[0]} samples at n={n} qubits need about {need / 2**30:.1f} GiB of "
-            f"state memory, more than the {have / 2**30:.1f} GiB of physical memory"
+            "state memory (the batch, its working copy and one gate's temporaries), more "
+            f"than the {have / 2**30:.1f} GiB of physical memory"
         )
     outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN included
     if np.any(outside):
@@ -97,8 +99,8 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     # the first H layer maps |0...0> to the uniform superposition
     amps = diag.copy() if spec.reps > 1 else diag
     amps *= 2.0 ** (-0.5 * n)
-    h_layer = [GateOp("H", (q,)) for q in range(n)]
     for _ in range(spec.reps - 1):
-        apply_ops(amps, n, h_layer)
+        for q in range(n):
+            apply_single(amps, n, q, HADAMARD)
         amps *= diag
     return amps

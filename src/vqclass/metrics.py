@@ -3,6 +3,7 @@ scores, and rank-based AUROC, reported for both choices of positive class."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,17 +87,9 @@ def scores_from_confusion(cm: ConfusionMatrix) -> ConfusionScores:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each group's last member
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def auroc(y_true: Sequence[int], scores: Sequence[float]) -> float:
@@ -108,8 +101,8 @@ def auroc(y_true: Sequence[int], scores: Sequence[float]) -> float:
     """
     y = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
-    if y.shape != s.shape or y.ndim != 1:
-        raise DataError(f"labels and scores must be equal-length vectors, got {y.shape} vs {s.shape}")
+    if y.shape != s.shape or y.ndim != 1 or not np.isfinite(s).all():
+        raise DataError(f"need equal-length labels and finite scores, got {y.shape} and {s.shape}")
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = y.size - n_pos
@@ -154,22 +147,10 @@ def full_report(
     """
     cm_ad = confusion(y_true, y_pred, positive_class=1)
     cm_non = cm_ad.swapped()
-    try:
-        auc: float | None = auroc(y_true, p_ad)
-    except DataError:
-        auc = None
+    auc = auroc(y_true, p_ad) if np.unique(y_true).size > 1 else None
 
     def row(cm: ConfusionMatrix) -> CohortMetrics:
-        s = scores_from_confusion(cm)
-        return CohortMetrics(
-            accuracy=s.accuracy,
-            sensitivity=s.sensitivity,
-            specificity=s.specificity,
-            f1=s.f1,
-            auroc=auc,
-            confusion=cm,
-            undefined=s.undefined,
-        )
+        return CohortMetrics(**vars(scores_from_confusion(cm)), auroc=auc, confusion=cm)
 
     return MetricsReport(ad=row(cm_ad), non_ad=row(cm_non))
 
@@ -177,16 +158,7 @@ def full_report(
 def report_to_dict(report: MetricsReport) -> dict:
     """JSON-ready form of the report."""
 
-    def row(m: CohortMetrics) -> dict:
-        return {
-            "accuracy": m.accuracy,
-            "sensitivity": m.sensitivity,
-            "specificity": m.specificity,
-            "f1": m.f1,
-            "auroc": m.auroc,
-            "confusion": {"tp": m.confusion.tp, "tn": m.confusion.tn,
-                          "fp": m.confusion.fp, "fn": m.confusion.fn},
-            "undefined": sorted(m.undefined),
-        }
+    def row(m: CohortMetrics) -> dict:  # keys in field order, confusion as tp/tn/fp/fn
+        return {**dataclasses.asdict(m), "undefined": sorted(m.undefined)}
 
     return {"ad_cohort": row(report.ad), "non_ad_cohort": row(report.non_ad)}

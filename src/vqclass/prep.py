@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -147,9 +147,7 @@ def one_hot_encode(table: RawTable) -> Dataset:
                 f"(> {MAX_CATEGORIES}); is it a misdeclared numeric column?"
             )
         for cat in categories:
-            feature_cols.append(
-                np.array([1.0 if v == cat else 0.0 for v in values], dtype=np.float64)
-            )
+            feature_cols.append(np.array([v == cat for v in values], dtype=np.float64))
             feature_names.append(f"{name}={cat}")
     features = np.column_stack(feature_cols) if feature_cols else np.zeros((len(table.rows), 0))
     return Dataset(features, labels, feature_names, np.arange(len(table.rows)))
@@ -254,19 +252,12 @@ def subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
 
 
 def pca_to_dict(model: PcaModel) -> dict:
-    return {
-        "mean": model.mean.tolist(),
-        "components": model.components.tolist(),
-        "explained_variance": model.explained_variance.tolist(),
-    }
+    return {f.name: getattr(model, f.name).tolist() for f in fields(PcaModel)}
 
 
 def pca_from_dict(data: dict) -> PcaModel:
-    return PcaModel(
-        np.asarray(data["mean"], dtype=np.float64),
-        np.asarray(data["components"], dtype=np.float64),
-        np.asarray(data["explained_variance"], dtype=np.float64),
-    )
+    arrays = {f.name: np.asarray(data[f.name], dtype=np.float64) for f in fields(PcaModel)}
+    return PcaModel(**arrays)
 
 
 def minmax_to_dict(model: MinMaxModel) -> dict:

@@ -80,25 +80,13 @@ def make_handwriting_table(
     return header, rows
 
 
-def write_labeled_csv(
-    path: str,
-    features: np.ndarray,
-    labels: np.ndarray,
-    label_column: str = "class",
-    positive_label: str = "pos",
-    negative_label: str = "neg",
-    feature_prefix: str = "f",
-) -> None:
-    """Write a numeric feature matrix plus labels as a headered CSV."""
-    header = [f"{feature_prefix}{j}" for j in range(features.shape[1])] + [label_column]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row, lab in zip(features, labels):
-            writer.writerow(
-                [repr(float(v)) for v in row]
-                + [positive_label if lab == 1 else negative_label]
-            )
+def write_labeled_csv(path: str, features: np.ndarray, labels: np.ndarray) -> None:
+    """Write a numeric feature matrix as columns f0, f1, ... plus a
+    ``class`` column holding ``pos`` for label 1 and ``neg`` otherwise."""
+    header = [f"f{j}" for j in range(features.shape[1])] + ["class"]
+    rows = [[*(repr(float(v)) for v in row), "pos" if lab == 1 else "neg"]
+            for row, lab in zip(features, labels)]
+    write_table_csv(path, header, rows)
 
 
 def write_table_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence[str]]) -> None:

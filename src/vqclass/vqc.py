@@ -2,7 +2,8 @@
 cross-entropy loss, training, and batch prediction. Training and
 prediction share one batched path: one ``encode`` call per batch, then
 ``p_ad`` runs the ansatz on all states at once and hands them to
-``readout``.
+``readout``; only the ansatz gates in the measured qubits' light cone
+run, each entangling block as one gather (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -114,7 +115,7 @@ def p_ad(
     states = np.array(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
-    apply_ansatz(states, cfg.ansatz, params)
+    apply_ansatz(states, cfg.ansatz, params, cfg.measured_qubits)
     return readout(states, cfg, eval_counter)
 
 

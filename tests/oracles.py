@@ -2,15 +2,35 @@
 
 Everything here rebuilds expected results from first principles — dense
 Kronecker-product unitaries, explicit 2x2/4x4 gate matrices, brute-force
-enumeration — and never calls the production strided kernels.
+enumeration — and imports nothing from the package, so no production
+kernel, table or cone can leak into the reference. Circuits and states
+are plain records with the same field names as the package's, so the
+production simulator can run them too.
 """
 
 from __future__ import annotations
 
 import functools
 from math import cos, sin
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Op(NamedTuple):
+    kind: str
+    qubits: tuple[int, ...]
+    angle: float | None = None
+
+
+class Circuit(NamedTuple):
+    n_qubits: int
+    ops: tuple[Op, ...]
+
+
+class State(NamedTuple):
+    n_qubits: int
+    amplitudes: np.ndarray
 
 I2 = np.eye(2, dtype=np.complex128)
 P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -105,8 +125,6 @@ def feature_map_circuit(x, spec):
     the package, so the closed-form encoder is checked against an
     independent statement of the circuit.
     """
-    from vqclass.statevec import Circuit, GateOp
-
     n = spec.n_qubits
     phi_single, phi_pair = (lambda a: a), (lambda a, b: (np.pi - a) * (np.pi - b))
     if spec.entanglement == "linear":
@@ -115,12 +133,12 @@ def feature_map_circuit(x, spec):
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     ops = []
     for _ in range(spec.reps):
-        ops.extend(GateOp("H", (q,)) for q in range(n))
-        ops.extend(GateOp("P", (q,), 2.0 * float(phi_single(x[q]))) for q in range(n))
+        ops.extend(Op("H", (q,)) for q in range(n))
+        ops.extend(Op("P", (q,), 2.0 * float(phi_single(x[q]))) for q in range(n))
         for j, k in pairs:
-            ops.append(GateOp("CX", (j, k)))
-            ops.append(GateOp("P", (k,), 2.0 * float(phi_pair(x[j], x[k]))))
-            ops.append(GateOp("CX", (j, k)))
+            ops.append(Op("CX", (j, k)))
+            ops.append(Op("P", (k,), 2.0 * float(phi_pair(x[j], x[k]))))
+            ops.append(Op("CX", (j, k)))
     return Circuit(n, tuple(ops))
 
 
@@ -134,8 +152,6 @@ def ansatz_circuit(spec, params):
     the package, so the production ansatz is checked against an
     independent statement of the circuit.
     """
-    from vqclass.statevec import Circuit, GateOp
-
     n = spec.n_qubits
     if spec.entanglement == "linear":
         pairs = [(j, j + 1) for j in range(n - 1)]
@@ -146,16 +162,14 @@ def ansatz_circuit(spec, params):
     ops = []
     for layer in range(spec.reps + 1):
         if layer:
-            ops.extend(GateOp(kind, pair) for kind, pair in zip(kinds, pairs))
+            ops.extend(Op(kind, pair) for kind, pair in zip(kinds, pairs))
         for kind in ("RY", "RZ"):
-            ops.extend(GateOp(kind, (q,), next(angles)) for q in range(n))
+            ops.extend(Op(kind, (q,), next(angles)) for q in range(n))
     return Circuit(n, tuple(ops))
 
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int):
     """Random gate list over the full gate set, bound angles."""
-    from vqclass.statevec import Circuit, GateOp
-
     single = ["H", "RY", "RZ", "P"]
     pair = ["CX", "CY", "CZ"]
     ops = []
@@ -163,24 +177,22 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int):
         if n_qubits >= 2 and rng.random() < 0.4:
             kind = pair[rng.integers(len(pair))]
             q = rng.choice(n_qubits, size=2, replace=False)
-            ops.append(GateOp(kind, (int(q[0]), int(q[1]))))
+            ops.append(Op(kind, (int(q[0]), int(q[1]))))
         else:
             kind = single[rng.integers(len(single))]
             q = int(rng.integers(n_qubits))
             if kind == "H":
-                ops.append(GateOp(kind, (q,)))
+                ops.append(Op(kind, (q,)))
             else:
-                ops.append(GateOp(kind, (q,), float(rng.uniform(-2 * np.pi, 2 * np.pi))))
+                ops.append(Op(kind, (q,), float(rng.uniform(-2 * np.pi, 2 * np.pi))))
     return Circuit(n_qubits, tuple(ops))
 
 
 def random_state(rng: np.random.Generator, n_qubits: int):
     """Haar-ish random normalized state for property tests."""
-    from vqclass.statevec import StateVector
-
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     amps /= np.linalg.norm(amps)
-    return StateVector(n_qubits, amps.astype(np.complex128))
+    return State(n_qubits, amps.astype(np.complex128))
 
 
 def auroc_bruteforce(y_true, scores) -> float:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, entangling_links, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.statevec import GateOp, apply_gate, zero_state
-from vqclass.vqc import VqcConfig, p_ad, predict_batch
+from vqclass.statevec import GateOp, apply_gate, apply_ops, zero_state
+from vqclass.vqc import VqcConfig, p_ad, predict_batch, readout
 
 
 def run_ansatz(spec, params, state=None):
@@ -17,6 +17,41 @@ def run_ansatz(spec, params, state=None):
     state = zero_state(spec.n_qubits) if state is None else state
     apply_ansatz(state.amplitudes[None, :], spec, params)
     return state.amplitudes
+
+
+def live_links(links, measured):
+    """The links of a circuit's last block that can reach ``measured``,
+    found by walking the block backward; written out here, apart from the
+    package's own cone."""
+    cone, live = set(measured), []
+    for kind, (a, b) in reversed(links):
+        if cone & {a, b}:
+            cone |= {a, b}
+            live.append((kind, (a, b)))
+    return live[::-1]
+
+
+def dead_slots(spec, measured):
+    """Parameter slots that cannot change the readout on ``measured``: a
+    gate whose qubits all lie outside the backward light cone, or an RZ
+    with no live gate after it on its qubit (diagonal before a Z-basis
+    measurement)."""
+    cone, touched, dead = set(measured), set(), set()
+    for op in reversed(oracles.ansatz_circuit(spec, np.arange(spec.n_params)).ops):
+        if not cone & set(op.qubits) or (op.kind == "RZ" and op.qubits[0] not in touched):
+            if op.angle is not None:
+                dead.add(int(op.angle))
+            continue
+        cone |= set(op.qubits)
+        touched |= set(op.qubits)
+    return dead
+
+
+def full_circuit_p(states, params, cfg):
+    """Readout after every gate of the ansatz, no light cone."""
+    states = states.copy()
+    apply_ansatz(states, cfg.ansatz, params)
+    return readout(states, cfg)
 
 
 def op_shape(op):
@@ -114,6 +149,67 @@ class TestApplication:
         states = encode([[0.1, 0.2, 0.3]], FeatureMapSpec(3))
         with pytest.raises(BindingError):
             p_ad(states, np.zeros(8), cfg)
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_block_gather_equals_gate_list_exactly(self, n, entanglement):
+        links = entangling_links(AnsatzSpec(n, entanglement=entanglement))
+        rng = np.random.default_rng(10 * n + len(entanglement))
+        states = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        for subset in (links, live_links(links, (0, 1) if n > 1 else (0,))):
+            inv, phase = block_gather(n, tuple(subset))
+            expect = states.copy()
+            apply_ops(expect, n, [GateOp(kind, pair) for kind, pair in subset])
+            assert np.array_equal(states[:, inv] * phase, expect)
+
+    def test_full_last_block_keeps_links_touching_the_readout(self):
+        links = entangling_links(AnsatzSpec(12, entanglement="full"))
+        assert len(links) - len(live_links(links, (0, 1))) == 45
+
+    CASES = [(5, (0,)), (5, (0, 1)), (6, (1, 3)), (6, (0, 2, 4))]
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("n, measured", CASES)
+    def test_dead_parameters_do_not_move_p_ad(self, n, measured, entanglement):
+        cfg = VqcConfig(
+            feature_map=FeatureMapSpec(n, 1, "full"),
+            ansatz=AnsatzSpec(n, reps=2, entanglement=entanglement),
+            measured_qubits=measured,
+        )
+        rng = np.random.default_rng(n + sum(measured) + len(entanglement))
+        states = encode(rng.uniform(0, 1, size=(4, n)), cfg.feature_map)
+        params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
+        dead = dead_slots(cfg.ansatz, measured)
+        assert len(dead) >= 2 * n - len(measured)
+        base, base_full = p_ad(states, params, cfg), full_circuit_p(states, params, cfg)
+        final_ry = [cfg.ansatz.n_params - 2 * n + q for q in measured]
+        for i in sorted(dead) + final_ry:
+            shifted = params.copy()
+            shifted[i] += 1.3
+            moved = np.max(np.abs(p_ad(states, shifted, cfg) - base))
+            if i in dead:
+                assert moved <= 1e-14, i
+                full_moved = np.max(np.abs(full_circuit_p(states, shifted, cfg) - base_full))
+                assert full_moved <= 1e-14, i
+            else:  # the last rotation before a measured qubit's readout is live
+                assert moved > 1e-3, i
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("n, measured", CASES)
+    def test_light_cone_matches_full_circuit(self, n, measured, entanglement):
+        cfg = VqcConfig(
+            feature_map=FeatureMapSpec(n, 2, entanglement),
+            ansatz=AnsatzSpec(n, reps=3, entanglement=entanglement),
+            measured_qubits=measured,
+        )
+        rng = np.random.default_rng(7 * n + len(measured))
+        states = encode(rng.uniform(0, 1, size=(5, n)), cfg.feature_map)
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
+            got = p_ad(states, params, cfg)
+            np.testing.assert_allclose(got, full_circuit_p(states, params, cfg), rtol=0, atol=1e-12)
 
 
 class TestInitParams:

@@ -105,10 +105,10 @@ class TestEncode:
             encode([[0.5] * 25], FeatureMapSpec(25))
 
     def test_state_memory_checked_before_allocation(self):
-        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 16 B * 2 = 512 TiB of states; the
+        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 16 B * 3 = 768 TiB of states; the
         # zero-stride batch holds one row, and the check runs before anything batch-sized
         x = np.broadcast_to(np.full(24, 0.5), (1 << 20, 24))
-        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 524288\.0 GiB"):
+        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 786432\.0 GiB"):
             encode(x, FeatureMapSpec(24))
 
     def test_out_of_range_rejected(self):

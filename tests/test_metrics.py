@@ -104,6 +104,11 @@ class TestAuroc:
         with pytest.raises(DataError):
             auroc([1, 1, 1], [0.1, 0.2, 0.3])
 
+    def test_non_finite_scores_rejected(self):
+        # a NaN score has no rank, so any pair statistic over it is meaningless
+        with pytest.raises(DataError, match="finite"):
+            auroc([1, 0, 1, 0], [np.nan, 0.2, 0.5, 0.1])
+
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -149,6 +154,10 @@ class TestFullReport:
         assert report.ad.auroc is None
         d = report_to_dict(report)
         assert d["ad_cohort"]["auroc"] is None
+
+    def test_non_finite_score_is_not_reported_as_single_class(self):
+        with pytest.raises(DataError, match="finite"):
+            full_report([1, 0, 1, 0], [1, 0, 1, 0], [np.nan, 0.2, 0.6, 0.1])
 
     def test_dict_shape(self):
         d = report_to_dict(full_report([1, 0], [1, 0], [0.8, 0.1]))
