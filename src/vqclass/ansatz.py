@@ -13,7 +13,8 @@ The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
 on odd. A block sends each basis state to one basis state times a phase
 in {1, -1, i, -i}, so it runs as one gather (an index array and a phase
-vector, built once per block), bit-identical to the gate list.
+vector, built once per block), bit-identical to applying its links
+one by one.
 
 Given the measured qubits, only gates in the readout's light cone run:
 walking backward from them, gates whose qubits all lie outside the cone
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import BindingError, ConfigError
 from .featmap import ENTANGLEMENTS, entangled_pairs
-from .statevec import apply_single
+from .statevec import MAX_QUBITS, apply_single
 
 _GATHER_BYTES = 1 << 18  # a gather runs over row blocks this big; its temporary stays in cache
 
@@ -48,8 +49,8 @@ class AnsatzSpec:
     entanglement: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ConfigError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.entanglement not in ENTANGLEMENTS:

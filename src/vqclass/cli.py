@@ -358,7 +358,13 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
     metrics_path = _artifact_path(cfg, METRICS_FILE, force)
     pred_path = _artifact_path(cfg, PREDICTIONS_FILE, force)
     scatter_path = _artifact_path(cfg, SCATTER_FILE, force)
-    params = np.asarray(model["params"], dtype=np.float64)
+    raw, n_params = model["params"], cfg.vqc.ansatz.n_params
+    try:
+        if not isinstance(raw, list) or len(raw) != n_params:
+            raise ConfigError(f"must be a list of {n_params} numbers")
+        params = np.array([_float(v, "each parameter") for v in raw], dtype=np.float64)
+    except ConfigError as exc:
+        raise DataError(f"{cfg.out / MODEL_FILE} params: {exc}; rerun train --force") from None
 
     test_preds = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
     y_pred = [int(p.label) for p in test_preds]

@@ -32,8 +32,8 @@ class FeatureMapSpec:
     entanglement: str = "full"
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ConfigError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.entanglement not in ENTANGLEMENTS:
@@ -72,8 +72,6 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     Features must already be min-max normalized: every entry in [0, 1].
     """
     n = spec.n_qubits
-    if n > MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")

@@ -86,6 +86,9 @@ def load_csv(path: str, label_column: str, positive_label: str) -> RawTable:
         raise DataError(f"{path}: file is empty (no header row)") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
     if label_column not in columns:
         raise DataError(f"{path}: label column {label_column!r} not among {columns}")
     width = len(columns)

@@ -4,8 +4,8 @@ Everything here rebuilds expected results from first principles — dense
 Kronecker-product unitaries, explicit 2x2/4x4 gate matrices, brute-force
 enumeration — and imports nothing from the package, so no production
 kernel, table or cone can leak into the reference. Circuits and states
-are plain records with the same field names as the package's, so the
-production simulator can run them too.
+are plain records; specs are read by duck typing (``n_qubits``,
+``reps``, ``entanglement``).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ CY_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]], dtype=np.complex128
 )
 CZ_MAT = np.diag([1, 1, 1, -1]).astype(np.complex128)
-CX_MAT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
 
 
 def ry_mat(theta: float) -> np.ndarray:
@@ -101,6 +98,15 @@ def op_unitary(op, n: int) -> np.ndarray:
     raise ValueError(op.kind)
 
 
+def apply_pair(states: np.ndarray, n: int, u4: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``states``, shape (..., 2^n), with the 4x4 matrix ``u4`` applied to
+    qubits (a, b), qubit a indexing its rows' more significant bit."""
+    k = states.ndim - 1
+    view = states.reshape(states.shape[:-1] + (2,) * n)
+    out = np.tensordot(u4.reshape(2, 2, 2, 2), view, axes=([2, 3], [k + a, k + b]))
+    return np.moveaxis(out, [0, 1], [k + a, k + b]).reshape(states.shape)
+
+
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a whole circuit: plain matrix products."""
     u = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
@@ -109,11 +115,16 @@ def circuit_unitary(circuit) -> np.ndarray:
     return u
 
 
+def basis_state(n_qubits: int, index: int = 0):
+    """Computational basis state |index>; qubit 0 is the leftmost bit."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return State(n_qubits, amps)
+
+
 def run_circuit_dense(circuit) -> np.ndarray:
     """Final state from the dense-unitary product applied to |0...0>."""
-    e0 = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
-    e0[0] = 1.0
-    return circuit_unitary(circuit) @ e0
+    return circuit_unitary(circuit) @ basis_state(circuit.n_qubits).amplitudes
 
 
 def feature_map_circuit(x, spec):
@@ -168,24 +179,11 @@ def ansatz_circuit(spec, params):
     return Circuit(n, tuple(ops))
 
 
-def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int):
-    """Random gate list over the full gate set, bound angles."""
-    single = ["H", "RY", "RZ", "P"]
-    pair = ["CX", "CY", "CZ"]
-    ops = []
-    for _ in range(depth):
-        if n_qubits >= 2 and rng.random() < 0.4:
-            kind = pair[rng.integers(len(pair))]
-            q = rng.choice(n_qubits, size=2, replace=False)
-            ops.append(Op(kind, (int(q[0]), int(q[1]))))
-        else:
-            kind = single[rng.integers(len(single))]
-            q = int(rng.integers(n_qubits))
-            if kind == "H":
-                ops.append(Op(kind, (q,)))
-            else:
-                ops.append(Op(kind, (q,), float(rng.uniform(-2 * np.pi, 2 * np.pi))))
-    return Circuit(n_qubits, tuple(ops))
+def classifier_states(xs, fmap_spec, ansatz_spec, params) -> np.ndarray:
+    """Final states of the samples ``xs`` through the whole classifier
+    circuit: the dense ansatz unitary applied to each dense feature-map state."""
+    fmap = np.array([run_circuit_dense(feature_map_circuit(x, fmap_spec)) for x in xs])
+    return fmap @ circuit_unitary(ansatz_circuit(ansatz_spec, params)).T
 
 
 def random_state(rng: np.random.Generator, n_qubits: int):

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass.ansatz import AnsatzSpec, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, init_params
 from vqclass.cli import main
-from vqclass.featmap import FeatureMapSpec
+from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.metrics import ConfusionMatrix, auroc, scores_from_confusion
 from vqclass.prep import pca_fit
 from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
-from vqclass.statevec import GateOp, apply_gate, run_circuit, zero_state
+from vqclass.statevec import HADAMARD, apply_single
 from vqclass.synth import make_blobs, make_handwriting_table, write_labeled_csv, write_table_csv
 from vqclass.vqc import VqcConfig, predict_batch
 
@@ -35,44 +35,43 @@ def _report(criterion: str, elapsed: float, limit: float, detail: str) -> None:
     assert elapsed < limit
 
 
-def _single_gate_matrix(kind, angle=None):
-    got = np.zeros((2, 2), dtype=np.complex128)
-    for col in range(2):
-        s = zero_state(1)
-        s.amplitudes[:] = 0
-        s.amplitudes[col] = 1
-        apply_gate(s, GateOp(kind, (0,), angle))
-        got[:, col] = s.amplitudes
-    return got
+def _matrix(gate, dim):
+    """The matrix of ``gate`` (a batch of states in, a batch out), rebuilt
+    from its action on the basis states."""
+    return gate(np.eye(dim, dtype=np.complex128)).T
 
 
-def _pair_gate_matrix(kind):
-    got = np.zeros((4, 4), dtype=np.complex128)
-    for col in range(4):
-        s = zero_state(2)
-        s.amplitudes[:] = 0
-        s.amplitudes[col] = 1
-        apply_gate(s, GateOp(kind, (0, 1)))
-        got[:, col] = s.amplitudes
-    return got
+def _rotation(ry, rz):
+    """RY(ry) then RZ(rz) as the ansatz runs them: its first layer on one
+    qubit, its closing layer at angle zero."""
+    def gate(states):
+        apply_ansatz(states, AnsatzSpec(1, reps=1), [ry, rz, 0.0, 0.0])
+        return states
+    return gate
+
+
+def _hadamard(states):
+    apply_single(states, 1, 0, HADAMARD)
+    return states
 
 
 def test_criterion_01_gate_fidelity():
     t0 = time.perf_counter()
-    worst = 0.0
-    worst = max(worst, np.max(np.abs(_single_gate_matrix("H") - oracles.H_MAT)))
-    for kind, mat in (
-        ("CX", oracles.CX_MAT), ("CY", oracles.CY_MAT), ("CZ", oracles.CZ_MAT)
-    ):
-        worst = max(worst, np.max(np.abs(_pair_gate_matrix(kind) - mat)))
+    worst = np.max(np.abs(_matrix(_hadamard, 2) - oracles.H_MAT))
+    for kind, mat in (("CY", oracles.CY_MAT), ("CZ", oracles.CZ_MAT)):
+        inv, phase = block_gather(2, ((kind, (0, 1)),))
+        worst = max(worst, np.max(np.abs(_matrix(lambda s: s[:, inv] * phase, 4) - mat)))
     rng = np.random.default_rng(2024)
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=50):
-        for kind, mat in (
-            ("RY", oracles.ry_mat(theta)),
-            ("RZ", oracles.rz_mat(theta)),
-            ("P", oracles.p_mat(theta)),
+        for gate, mat in (
+            (_rotation(theta, 0.0), oracles.ry_mat(theta)),
+            (_rotation(0.0, theta), oracles.rz_mat(theta)),
         ):
-            worst = max(worst, np.max(np.abs(_single_gate_matrix(kind, theta) - mat)))
+            worst = max(worst, np.max(np.abs(_matrix(gate, 2) - mat)))
+        # P runs only inside the encoder, after H, at twice a feature in [0, 1]
+        x = (theta + 2 * np.pi) / (4 * np.pi)
+        expect = oracles.p_mat(2 * x) @ oracles.H_MAT[:, 0]
+        worst = max(worst, np.max(np.abs(encode([[x]], FeatureMapSpec(1))[0] - expect)))
     assert worst < 1e-15
     _report("criterion 1 (gate fidelity)", time.perf_counter() - t0, 1.0,
             f"max entrywise error {worst:.2e} < 1e-15 over 50 angles")
@@ -84,9 +83,13 @@ def test_criterion_02_simulator_oracle_equivalence():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
-        circuit = oracles.random_circuit(rng, n, int(rng.integers(1, 21)))
-        got = run_circuit(circuit).amplitudes
-        expect = oracles.run_circuit_dense(circuit)
+        fmap = FeatureMapSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
+        spec = AnsatzSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
+        x = rng.uniform(0, 1, size=(1, n))
+        params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        got = encode(x, fmap)
+        apply_ansatz(got, spec, params)
+        expect = oracles.classifier_states(x, fmap, spec, params)
         worst = max(worst, float(np.max(np.abs(got - expect))))
     assert worst < 1e-12
     _report("criterion 2 (simulator vs dense oracle)", time.perf_counter() - t0, 10.0,

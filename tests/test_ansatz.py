@@ -7,14 +7,13 @@ import oracles
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.statevec import GateOp, apply_gate, apply_ops, zero_state
 from vqclass.vqc import VqcConfig, p_ad, predict_batch, readout
 
 
 def run_ansatz(spec, params, state=None):
     """``state`` (default |0...0>) advanced in place through the production
     ansatz; returns its amplitudes."""
-    state = zero_state(spec.n_qubits) if state is None else state
+    state = oracles.basis_state(spec.n_qubits) if state is None else state
     apply_ansatz(state.amplitudes[None, :], spec, params)
     return state.amplitudes
 
@@ -127,7 +126,8 @@ class TestApplication:
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         circuit = oracles.ansatz_circuit(spec, params)
         starts = np.stack(
-            [zero_state(n).amplitudes] + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
+            [oracles.basis_state(n).amplitudes]
+            + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
         )
         got = starts.copy()
         apply_ansatz(got, spec, params)
@@ -160,8 +160,11 @@ class TestFastPath:
         states = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         for subset in (links, live_links(links, (0, 1) if n > 1 else (0,))):
             inv, phase = block_gather(n, tuple(subset))
-            expect = states.copy()
-            apply_ops(expect, n, [GateOp(kind, pair) for kind, pair in subset])
+            expect = states
+            for kind, (a, b) in subset:
+                u4 = {"CY": oracles.CY_MAT, "CZ": oracles.CZ_MAT}[kind]
+                expect = oracles.apply_pair(expect, n, u4, a, b)
+            # exact: each link only permutes entries and multiplies them by 1, -1 or +-i
             assert np.array_equal(states[:, inv] * phase, expect)
 
     def test_full_last_block_keeps_links_touching_the_readout(self):
@@ -253,12 +256,8 @@ class TestUnitaryProperties:
         s = oracles.random_state(rng, 3)
         before = s.amplitudes.copy()
         run_ansatz(spec, params, s)
-        for op in reversed(circuit.ops):
-            if op.angle is not None:
-                apply_gate(s, GateOp(op.kind, op.qubits, -op.angle))
-            else:
-                apply_gate(s, op)  # CY/CZ are self-inverse
-        np.testing.assert_allclose(s.amplitudes, before, atol=1e-10)
+        undone = oracles.circuit_unitary(circuit).conj().T @ s.amplitudes
+        np.testing.assert_allclose(undone, before, atol=1e-10)
 
     def test_parameter_shift_identity(self):
         # rotation-gate shift rule: dE/dt = (E(t + pi/2) - E(t - pi/2)) / 2

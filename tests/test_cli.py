@@ -171,6 +171,7 @@ class TestGuards:
             ("prep", {"pca_k": 2, "seed": -1}, "prep.seed"),  # exited 2 in numpy's seeding
             ("spsa", {"maxiter": 3, "seed": -1}, "spsa.seed"),  # same, after prep had written
             ("prep", {"pca_k": 2, "test_fraction": 1.5}, "prep.test_fraction"),
+            ("prep", {"pca_k": 25}, "n_qubits must be in"),  # failed in train, after prep wrote
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):
@@ -244,6 +245,32 @@ class TestProvenance:
             assert main([verb, "--config", str(cfg_path)]) == 1
             err = capsys.readouterr().err
             assert str(model_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [float("nan")] * 8,  # surfaced as a length/finiteness error inside auroc
+            ["0.5"] * 8,  # numpy read the strings as floats
+            [True] * 8,  # and the bools as 1.0
+            [0.5] * 7,  # one short of the 8 parameters
+            "0.5",
+        ],
+        ids=["nan", "strings", "bools", "short", "not-a-list"],
+    )
+    def test_eval_rejects_bad_params(self, tmp_path, capsys, params):
+        cfg_path = small_config(tmp_path)
+        assert main(["prep", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        model_path = tmp_path / "run" / "model.json"
+        model = json.loads(model_path.read_text())
+        assert len(model["params"]) == 8
+        model["params"] = params
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{model_path} params" in err and "rerun train --force" in err
+        assert not (tmp_path / "run" / "metrics.json").exists()
 
     def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         def fail(src, dst):

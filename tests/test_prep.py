@@ -62,6 +62,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label"):
             load_csv(path, "class", "P")
 
+    def test_repeated_column_names_rejected(self, tmp_path):
+        # a second label column would otherwise be one-hot encoded into the features
+        path = write_csv(tmp_path, "f0,class,f1,class,f0\n1,P,2,P,3\n4,H,5,H,6\n")
+        with pytest.raises(DataError, match=r"repeated column names \['class', 'f0'\]"):
+            load_csv(path, "class", "P")
+
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path, "")
         with pytest.raises(DataError, match="empty"):

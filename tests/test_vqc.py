@@ -15,7 +15,6 @@ from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.prep import Dataset
 from vqclass.spsa import SpsaConfig
-from vqclass.statevec import StateVector
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
     Label,
@@ -32,10 +31,10 @@ from vqclass.vqc import (
 
 
 def final_state(x, params, cfg):
-    """Encoded state of one sample after the ansatz, as a StateVector."""
+    """Encoded state of one sample after the ansatz, as an oracle State."""
     amps = encode([x], cfg.feature_map)
     apply_ansatz(amps, cfg.ansatz, params)
-    return StateVector(cfg.n_qubits, amps[0])
+    return oracles.State(cfg.n_qubits, amps[0])
 
 
 def parity_mass(state, measured_qubits, even=True):
@@ -320,11 +319,9 @@ class TestPredictBatch:
         xs = rng.uniform(0, 1, size=(6, n))
         params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
         preds = predict_batch(xs, params, cfg)
-        ansatz = oracles.circuit_unitary(oracles.ansatz_circuit(cfg.ansatz, params))
-        for pred, x in zip(preds, xs):
-            fmap = oracles.circuit_unitary(oracles.feature_map_circuit(x, cfg.feature_map))
-            amps = ansatz @ fmap[:, 0]
-            expect = oracles.p_even_bruteforce(StateVector(n, amps), measured)
+        states = oracles.classifier_states(xs, cfg.feature_map, cfg.ansatz, params)
+        for pred, amps in zip(preds, states):
+            expect = oracles.p_even_bruteforce(oracles.State(n, amps), measured)
             assert pred.p_ad == pytest.approx(expect, abs=1e-12)
 
     def test_shot_rows_use_their_own_seeds(self):
