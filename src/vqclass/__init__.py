@@ -22,7 +22,7 @@ from .metrics import ConfusionMatrix, MetricsReport, auroc, confusion, full_repo
 from .prep import Dataset, load_csv, one_hot_encode, stratified_split
 from .qkernel import KernelMatrix, kernel_matrix
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
-from .vqc import Label, Prediction, VqcConfig, p_ad, predict_batch, train
+from .vqc import Label, VqcConfig, p_ad, predict_batch, train
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "Label",
     "MetricsReport",
     "OptimizerError",
-    "Prediction",
     "SpsaConfig",
     "TrainingRun",
     "VqcConfig",

@@ -189,21 +189,23 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"config missing required key {name!r}")
         v[name] = parse(value(v) if callable(value) else value, name)
 
-    k = v["prep.pca_k"]
-    vqc = vqc_mod.VqcConfig(
-        feature_map=FeatureMapSpec(k, v["feature_map.reps"], v["feature_map.entanglement"]),
-        ansatz=AnsatzSpec(k, v["ansatz.reps"], v["ansatz.entanglement"]),
-        measured_qubits=tuple(v["vqc.measured_qubits"]),
-        shots=v["vqc.shots"],
-        seed=v["vqc.seed"],
-        loss_clip_epsilon=v["vqc.loss_clip_epsilon"],
-    )
+    k, section = v["prep.pca_k"], _nested(v)
+    vqc = _build("vqc", vqc_mod.VqcConfig,
+                 feature_map=_build("feature_map", FeatureMapSpec, k, **section["feature_map"]),
+                 ansatz=_build("ansatz", AnsatzSpec, k, **section["ansatz"]),
+                 **{key: x for key, x in section["vqc"].items() if key != "eval_shots"})
+    eval_vqc = _build("vqc.eval_shots", dataclasses.replace, vqc, shots=v["vqc.eval_shots"])
+    return RunConfig(v, vqc, eval_vqc, _build("spsa", SpsaConfig, **section["spsa"]))
+
+
+def _build(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ConfigError prefixed with the config
+    key at fault: ``key``, or prep.pca_k for the qubit count."""
     try:
-        eval_vqc = dataclasses.replace(vqc, shots=v["vqc.eval_shots"])
+        return make(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"vqc.eval_shots: {exc}") from None
-    spsa = SpsaConfig(**{n.split(".")[1]: x for n, x in v.items() if n.startswith("spsa.")})
-    return RunConfig(v, vqc, eval_vqc, spsa)
+        key = "prep.pca_k" if str(exc).startswith("n_qubits") else key
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _artifact_path(cfg: RunConfig, name: str, force: bool) -> Path:
@@ -260,8 +262,9 @@ class _Split(NamedTuple):
 
 def _load_stage(cfg: RunConfig, data: Input) -> tuple[dict, _Split, _Split]:
     """The load stage of train, eval and kernel: model.json, checked against
-    the config and input it was prepared from, and its train and test
-    splits with the stored PCA and min-max applied."""
+    the config and input it was prepared from and for shapes, finite values
+    and disjoint, unique row ids, and its train and test splits with the
+    stored PCA and min-max applied."""
     path = cfg.out / MODEL_FILE
     if not path.exists():
         raise DataError(f"missing {path}; run the prep command first")
@@ -270,7 +273,7 @@ def _load_stage(cfg: RunConfig, data: Input) -> tuple[dict, _Split, _Split]:
         stored, digest = dict(model["config"]), model["input_sha256"]
         pca = prep_mod.pca_from_dict(model["prep"]["pca"])
         mm = prep_mod.minmax_from_dict(model["prep"]["minmax"])
-        ids = [np.asarray(model["split"][key], dtype=np.int64) for key in ("train_ids", "test_ids")]
+        ids = [model["split"][key] for key in ("train_ids", "test_ids")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a model file written by prep ({exc!r}); "
                         "rerun prep --force") from None
@@ -284,12 +287,24 @@ def _load_stage(cfg: RunConfig, data: Input) -> tuple[dict, _Split, _Split]:
                 f"config key {name!r} is {record.get(name)!r} but {path} was prepared "
                 f"with {stored.get(name)!r}; rerun prep --force"
             )
-    n = len(data.dataset)
-    if any(((rows < 0) | (rows >= n)).any() for rows in ids):
-        raise DataError(f"{path} has split ids outside the input's {n} rows; rerun prep --force")
+    n, d = data.dataset.features.shape
+    k = cfg.values["prep.pca_k"]
+    shapes = {"PCA mean": (pca.mean, (d,)), "PCA components": (pca.components, (k, d)),
+              "PCA explained_variance": (pca.explained_variance, (k,)),
+              "min-max min": (mm.minimum, (k,)), "min-max max": (mm.maximum, (k,))}
+    for name, (values, shape) in shapes.items():
+        if values.shape != shape or not np.isfinite(values).all():
+            raise DataError(f"{path} {name} must hold {shape} finite numbers, got shape "
+                            f"{values.shape}; rerun prep --force")
+    if not all(isinstance(rows, list) and all(type(i) is int and 0 <= i < n for i in rows)
+               for rows in ids):
+        raise DataError(f"{path} split ids must be integers in [0, {n}); rerun prep --force")
+    if len(set(ids[0]) | set(ids[1])) != len(ids[0]) + len(ids[1]):
+        raise DataError(f"{path} has a split id twice, within or across train and test; "
+                        "rerun prep --force")
     splits = []
     for rows in ids:
-        part = prep_mod.subset(data.dataset, rows)
+        part = prep_mod.subset(data.dataset, np.array(rows, dtype=np.int64))
         pcs = prep_mod.pca_transform(pca, part.features)
         splits.append(_Split(part.sample_ids, part.labels, pcs, prep_mod.minmax_transform(mm, pcs)))
     return model, splits[0], splits[1]
@@ -339,13 +354,17 @@ def cmd_train(cfg: RunConfig, data: Input, force: bool = False) -> None:
             f"{cfg.out / MODEL_FILE} already holds trained parameters; pass --force to retrain"
         )
     loss_path = _artifact_path(cfg, LOSS_FILE, force)
-    names = [f"pc{j}" for j in range(train.x.shape[1])]
-    run = vqc_mod.train(prep_mod.Dataset(train.x, train.labels, names, train.ids), cfg.vqc, cfg.spsa)
+    run = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
     model["params"] = [float(v) for v in run.final_params]
     lines = ["iteration,loss"]
     lines.extend(f"{k},{float(v)!r}" for k, v in enumerate(run.loss_history))
     _write_text(loss_path, "\n".join(lines) + "\n")
     _write_json(cfg.out / MODEL_FILE, model)
+
+
+def _label(value) -> str:
+    """The class name of a 0/1 label."""
+    return vqc_mod.Label(int(value)).name
 
 
 def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
@@ -366,10 +385,9 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
     except ConfigError as exc:
         raise DataError(f"{cfg.out / MODEL_FILE} params: {exc}; rerun train --force") from None
 
-    test_preds = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
-    y_pred = [int(p.label) for p in test_preds]
-    p_ad = [p.p_ad for p in test_preds]
-    report = metrics_mod.full_report(test.labels.tolist(), y_pred, p_ad)
+    test_p = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
+    test_pred = vqc_mod.classify(test_p)
+    report = metrics_mod.full_report(test.labels.tolist(), test_pred.tolist(), test_p.tolist())
     if report.ad.auroc is None:
         print(
             "warning: held-out split contains a single class; AUROC is undefined "
@@ -379,21 +397,20 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
     _write_json(metrics_path, metrics_mod.report_to_dict(report))
 
     pred_lines = ["sample_id,p_ad,predicted,true"]
-    for sid, pred, true in zip(test.ids, test_preds, test.labels):
-        true_name = vqc_mod.Label(int(true)).name
-        pred_lines.append(f"{int(sid)},{float(pred.p_ad)!r},{pred.label.name},{true_name}")
+    for sid, p, pred, true in zip(test.ids, test_p.tolist(), test_pred, test.labels):
+        pred_lines.append(f"{int(sid)},{p!r},{_label(pred)},{_label(true)}")
     _write_text(pred_path, "\n".join(pred_lines) + "\n")
 
     # 2-D scatter source: first two principal coordinates of every sample
-    train_preds = vqc_mod.predict_batch(train.x, params, cfg.eval_vqc)
+    train_pred = vqc_mod.classify(vqc_mod.predict_batch(train.x, params, cfg.eval_vqc))
     scatter_lines = ["sample_id,split,pc1,pc2,true,predicted"]
-    for split_name, part, preds in (("train", train, train_preds), ("test", test, test_preds)):
+    for split_name, part, preds in (("train", train, train_pred), ("test", test, test_pred)):
         for i, sid in enumerate(part.ids):
             pc1 = float(part.pcs[i, 0])
             pc2 = float(part.pcs[i, 1]) if part.pcs.shape[1] > 1 else 0.0
             scatter_lines.append(
                 f"{int(sid)},{split_name},{pc1!r},{pc2!r},"
-                f"{vqc_mod.Label(int(part.labels[i])).name},{preds[i].label.name}"
+                f"{_label(part.labels[i])},{_label(preds[i])}"
             )
     _write_text(scatter_path, "\n".join(scatter_lines) + "\n")
 

@@ -1,5 +1,8 @@
 """Binary-classification evaluation: confusion matrix, the four derived
-scores, and rank-based AUROC, reported for both choices of positive class."""
+scores, and rank-based AUROC, reported for both choices of positive class.
+``CohortMetrics`` is the one score record: ``scores_from_confusion`` fills
+it from a confusion matrix and an AUROC, and ``full_report`` makes one
+per positive class."""
 
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-
-_SCORE_NAMES = ("accuracy", "sensitivity", "specificity", "f1")
 
 
 @dataclass(frozen=True)
@@ -28,21 +29,6 @@ class ConfusionMatrix:
     def swapped(self) -> "ConfusionMatrix":
         """The same predictions counted with the opposite positive class."""
         return ConfusionMatrix(tp=self.tn, tn=self.tp, fp=self.fn, fn=self.fp)
-
-
-@dataclass(frozen=True)
-class ConfusionScores:
-    """Accuracy, sensitivity, specificity, and F1 from one confusion matrix.
-
-    A metric whose denominator is zero is reported as 0.0 and its name
-    added to ``undefined`` instead of raising.
-    """
-
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    undefined: frozenset[str] = frozenset()
 
 
 def confusion(
@@ -65,6 +51,19 @@ def confusion(
     )
 
 
+@dataclass(frozen=True)
+class CohortMetrics:
+    """One row of the evaluation report, for a fixed positive class."""
+
+    accuracy: float
+    sensitivity: float
+    specificity: float
+    f1: float
+    auroc: float | None
+    confusion: ConfusionMatrix
+    undefined: frozenset[str] = frozenset()
+
+
 def _ratio(num: int, den: int, name: str, undefined: set[str]) -> float:
     if den == 0:
         undefined.add(name)
@@ -72,15 +71,18 @@ def _ratio(num: int, den: int, name: str, undefined: set[str]) -> float:
     return num / den
 
 
-def scores_from_confusion(cm: ConfusionMatrix) -> ConfusionScores:
+def scores_from_confusion(cm: ConfusionMatrix, auroc: float | None) -> CohortMetrics:
     """Accuracy = (TP+TN)/total, sensitivity = TP/(TP+FN),
-    specificity = TN/(TN+FP), F1 = 2TP/(2TP+FP+FN)."""
+    specificity = TN/(TN+FP), F1 = 2TP/(2TP+FP+FN), with ``auroc`` passed
+    through."""
     undefined: set[str] = set()
-    return ConfusionScores(
+    return CohortMetrics(
         accuracy=_ratio(cm.tp + cm.tn, cm.total, "accuracy", undefined),
         sensitivity=_ratio(cm.tp, cm.tp + cm.fn, "sensitivity", undefined),
         specificity=_ratio(cm.tn, cm.tn + cm.fp, "specificity", undefined),
         f1=_ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn, "f1", undefined),
+        auroc=auroc,
+        confusion=cm,
         undefined=frozenset(undefined),
     )
 
@@ -114,19 +116,6 @@ def auroc(y_true: Sequence[int], scores: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class CohortMetrics:
-    """One row of the evaluation report, for a fixed positive class."""
-
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    auroc: float | None
-    confusion: ConfusionMatrix
-    undefined: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Evaluation viewed with each class as the positive one in turn."""
 
@@ -145,14 +134,9 @@ def full_report(
     two rows (pair ordering is symmetric under swapping roles); it is
     None when the true labels contain a single class.
     """
-    cm_ad = confusion(y_true, y_pred, positive_class=1)
-    cm_non = cm_ad.swapped()
+    cm = confusion(y_true, y_pred, positive_class=1)
     auc = auroc(y_true, p_ad) if np.unique(y_true).size > 1 else None
-
-    def row(cm: ConfusionMatrix) -> CohortMetrics:
-        return CohortMetrics(**vars(scores_from_confusion(cm)), auroc=auc, confusion=cm)
-
-    return MetricsReport(ad=row(cm_ad), non_ad=row(cm_non))
+    return MetricsReport(scores_from_confusion(cm, auc), scores_from_confusion(cm.swapped(), auc))
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -9,7 +9,7 @@ decay a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ class TrainingRun:
 
     final_params: np.ndarray
     loss_history: np.ndarray
-    seeds_used: dict[str, int] = field(default_factory=dict)
 
 
 def gain_sequences(cfg: SpsaConfig, k: int) -> tuple[float, float]:
@@ -116,4 +115,4 @@ def spsa_minimize(
         if not math.isfinite(value):
             raise OptimizerError(f"iteration {k}: non-finite objective value {value}")
         history[k] = value
-    return TrainingRun(theta, history, {"spsa": cfg.seed})
+    return TrainingRun(theta, history)

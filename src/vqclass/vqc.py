@@ -1,5 +1,7 @@
 """The classifier: feature map + ansatz composition, parity readout,
-cross-entropy loss, training, and batch prediction. Training and
+cross-entropy loss, training, and batch prediction, on plain arrays:
+``train`` takes the normalized feature matrix and its 0/1 labels, and
+``predict_batch`` returns one class-1 probability per row. Training and
 prediction share one batched path: one ``encode`` call per batch, then
 ``p_ad`` runs the ansatz on all states at once and hands them to
 ``readout``; only the ansatz gates in the measured qubits' light cone
@@ -16,7 +18,8 @@ is one seeded Binomial(shots, mass) draw, and its frequency is returned.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
@@ -25,7 +28,6 @@ import numpy as np
 from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
-from .prep import Dataset
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 
 
@@ -75,12 +77,6 @@ class VqcConfig:
     @property
     def n_qubits(self) -> int:
         return self.feature_map.n_qubits
-
-
-@dataclass(frozen=True)
-class Prediction:
-    p_ad: float
-    label: Label
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,57 +143,44 @@ def binary_cross_entropy(
     return float(-np.mean(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr)))
 
 
-class _LossEvaluator:
-    """Loss over a dataset as a function of the parameter vector.
+def train(
+    x: np.ndarray, y: Sequence[int], cfg: VqcConfig, spsa_cfg: SpsaConfig
+) -> TrainingRun:
+    """Minimize the cross-entropy of the classifier on normalized features
+    ``x`` (N, n) and 0/1 labels ``y`` with the perturbation optimizer.
 
-    Encodes every sample once up front (the feature-map states never
-    change during training). Each call increments an evaluation counter
-    used only for shot-mode seed derivation.
-    """
-
-    def __init__(self, dataset: Dataset, cfg: VqcConfig):
-        if len(dataset) == 0:
-            raise ConfigError("dataset must be non-empty")
-        bad = set(np.unique(dataset.labels)) - {0, 1}
-        if bad:
-            raise ConfigError(f"labels must be 0 (NON_AD) or 1 (AD), got extras {sorted(bad)}")
-        self._encoded = encode(dataset.features, cfg.feature_map)
-        self._labels = np.asarray(dataset.labels, dtype=np.float64)
-        self._cfg = cfg
-        self.eval_counter = 0
-
-    def __call__(self, params: np.ndarray) -> float:
-        counter = self.eval_counter
-        self.eval_counter += 1
-        p = p_ad(self._encoded, params, self._cfg, counter)
-        return binary_cross_entropy(self._labels, p, self._cfg.loss_clip_epsilon)
-
-
-def loss(dataset: Dataset, params: Sequence[float], cfg: VqcConfig) -> float:
-    """Mean binary cross-entropy of the classifier over the dataset."""
-    evaluator = _LossEvaluator(dataset, cfg)
-    return evaluator(np.asarray(params, dtype=np.float64))
-
-
-def train(train_set: Dataset, cfg: VqcConfig, spsa_cfg: SpsaConfig) -> TrainingRun:
-    """Minimize the training loss with the perturbation optimizer.
-
+    The samples are encoded once; every loss evaluation reuses the states.
+    Evaluation k (from 0) seeds its shot readout with eval counter k.
     Initial parameters are drawn from ``cfg.seed``; the optimizer's own
     draws come from ``spsa_cfg.seed``. Fully deterministic given both.
     """
-    theta0 = init_params(cfg.ansatz, cfg.seed)
-    evaluator = _LossEvaluator(train_set, cfg)
-    run = spsa_minimize(evaluator, theta0, spsa_cfg)
-    return replace(run, seeds_used={"init": cfg.seed, **run.seeds_used})
+    y = np.asarray(y)
+    if y.size == 0 or y.shape != (len(x),):
+        raise ConfigError(f"need a non-empty training set with one label per row, got "
+                          f"{len(x)} rows and labels of shape {y.shape}")
+    bad = set(np.unique(y)) - {0, 1}
+    if bad:
+        raise ConfigError(f"labels must be 0 (NON_AD) or 1 (AD), got extras {sorted(bad)}")
+    states = encode(x, cfg.feature_map)
+    counter = itertools.count()
+
+    def objective(params: np.ndarray) -> float:
+        p = p_ad(states, params, cfg, next(counter))
+        return binary_cross_entropy(y, p, cfg.loss_clip_epsilon)
+
+    return spsa_minimize(objective, init_params(cfg.ansatz, cfg.seed), spsa_cfg)
 
 
 def predict_batch(
     samples: Sequence[Sequence[float]], params: Sequence[float], cfg: VqcConfig
-) -> list[Prediction]:
-    """Predictions for a batch of normalized feature vectors, order
-    preserved. In shot mode row i samples with ``shot_seed(cfg.seed, i, 0)``."""
+) -> np.ndarray:
+    """Class-1 probability of each normalized feature vector, shape (N,),
+    order preserved. In shot mode row i samples with ``shot_seed(cfg.seed, i, 0)``."""
     if len(samples) == 0:
-        return []
-    states = encode(samples, cfg.feature_map)
-    probs = p_ad(states, params, cfg)
-    return [Prediction(float(p), Label.AD if p >= 0.5 else Label.NON_AD) for p in probs]
+        return np.empty(0)
+    return p_ad(encode(samples, cfg.feature_map), params, cfg)
+
+
+def classify(p: np.ndarray) -> np.ndarray:
+    """0/1 class of each class-1 probability: AD where ``p >= 0.5``."""
+    return (np.asarray(p) >= 0.5).astype(int)

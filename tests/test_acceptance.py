@@ -138,7 +138,7 @@ def test_criterion_04_spsa_convergence():
 
 def test_criterion_05_metrics_exactness():
     t0 = time.perf_counter()
-    s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1))
+    s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1), None)
     assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (0.75, 0.75, 0.75, 0.75)
     assert auroc([1, 0, 1, 0], [0.9, 0.8, 0.3, 0.1]) == 0.75
     rng = np.random.default_rng(55)
@@ -179,7 +179,7 @@ def test_criterion_07_shot_convergence():
     x = [0.15, 0.4, 0.65, 0.9, 0.3]
     params = init_params(ansatz, 7)
     exact_cfg = VqcConfig(feature_map=fmap, ansatz=ansatz, measured_qubits=(0, 1))
-    p_exact = predict_batch([x], params, exact_cfg)[0].p_ad
+    p_exact = predict_batch([x], params, exact_cfg)[0]
     details = []
     for shots in (256, 1024, 4096):
         diffs = []
@@ -188,7 +188,7 @@ def test_criterion_07_shot_convergence():
                 feature_map=fmap, ansatz=ansatz, measured_qubits=(0, 1),
                 shots=shots, seed=seed,
             )
-            diffs.append(abs(predict_batch([x], params, cfg)[0].p_ad - p_exact))
+            diffs.append(abs(predict_batch([x], params, cfg)[0] - p_exact))
         mean_diff = float(np.mean(diffs))
         assert mean_diff <= 5.0 / np.sqrt(shots), (shots, mean_diff)
         details.append(f"{shots}: {mean_diff:.4f} <= {5.0 / np.sqrt(shots):.4f}")

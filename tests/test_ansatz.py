@@ -269,7 +269,7 @@ class TestUnitaryProperties:
         x = [0.35, 0.6]
 
         def expectation(params):
-            p = predict_batch([x], params, cfg)[0].p_ad
+            p = predict_batch([x], params, cfg)[0]
             return 2.0 * p - 1.0  # parity observable expectation
 
         h = 1e-5

@@ -76,6 +76,7 @@ class TestPipeline:
             _, p_ad, predicted, true = line.split(",")
             assert 0.0 <= float(p_ad) <= 1.0
             assert predicted in ("AD", "NON_AD")
+            assert (predicted == "AD") == (float(p_ad) >= 0.5)
             assert true in ("AD", "NON_AD")
 
     def test_kernel_shapes_and_unit_diagonal(self, tmp_path):
@@ -172,6 +173,11 @@ class TestGuards:
             ("spsa", {"maxiter": 3, "seed": -1}, "spsa.seed"),  # same, after prep had written
             ("prep", {"pca_k": 2, "test_fraction": 1.5}, "prep.test_fraction"),
             ("prep", {"pca_k": 25}, "n_qubits must be in"),  # failed in train, after prep wrote
+            # each message names the config key at fault
+            ("ansatz", {"reps": 0}, "ansatz: reps must be >= 1"),
+            ("feature_map", {"reps": 0}, "feature_map: reps must be >= 1"),
+            ("prep", {"pca_k": 25}, "prep.pca_k: n_qubits must be in"),
+            ("spsa", {"alpha": 2.0}, "spsa: need 0 < gamma < alpha"),
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):
@@ -227,7 +233,11 @@ class TestProvenance:
             assert main([verb[0], "--config", str(cfg_path), *verb[1:]]) == rc, verb
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["unparsable", "split", "prep", "ids"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["unparsable", "split", "prep", "ids", "float-id", "bool-id", "leaked-id",
+         "short-component", "short-minmax", "nan-mean"],
+    )
     def test_bad_model_file(self, tmp_path, capsys, damage):
         cfg_path = small_config(tmp_path)
         assert main(["prep", "--config", str(cfg_path)]) == 0
@@ -236,8 +246,21 @@ class TestProvenance:
             model_path.write_text("{not json", encoding="utf-8")
         else:
             model = json.loads(model_path.read_text())
+            split, pca = model["split"], model["prep"]["pca"]
             if damage == "ids":  # a negative id would silently index from the end
-                model["split"]["test_ids"][0] = -1
+                split["test_ids"][0] = -1
+            elif damage == "float-id":  # was truncated to 1
+                split["test_ids"][0] = 1.7
+            elif damage == "bool-id":  # was read as 1
+                split["test_ids"][0] = True
+            elif damage == "leaked-id":  # a test row also trained on
+                split["test_ids"][0] = split["train_ids"][0]
+            elif damage == "short-component":  # exited 2 in a numpy broadcast
+                pca["components"] = [row[:-1] for row in pca["components"]]
+            elif damage == "short-minmax":  # same
+                model["prep"]["minmax"]["min"].pop()
+            elif damage == "nan-mean":  # was blamed on the encoder's input range
+                pca["mean"][0] = float("nan")
             else:
                 del model[damage]
             model_path.write_text(json.dumps(model), encoding="utf-8")

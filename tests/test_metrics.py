@@ -54,22 +54,22 @@ class TestConfusion:
 
 class TestScores:
     def test_all_correct(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=1, tn=1, fp=0, fn=0))
+        s = scores_from_confusion(ConfusionMatrix(tp=1, tn=1, fp=0, fn=0), None)
         assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (1.0, 1.0, 1.0, 1.0)
         assert not s.undefined
 
     def test_hand_arithmetic(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1))
+        s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1), None)
         assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (0.75, 0.75, 0.75, 0.75)
 
     def test_no_positives_flags_sensitivity(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0))
+        s = scores_from_confusion(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0), None)
         assert s.sensitivity == 0.0
         assert "sensitivity" in s.undefined
         assert "f1" in s.undefined
 
     def test_no_negatives_flags_specificity(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=4, tn=0, fp=0, fn=1))
+        s = scores_from_confusion(ConfusionMatrix(tp=4, tn=0, fp=0, fn=1), None)
         assert s.specificity == 0.0
         assert s.undefined == frozenset({"specificity"})
 
@@ -80,7 +80,7 @@ class TestScores:
         cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
         if cm.total == 0:
             return
-        s = scores_from_confusion(cm)
+        s = scores_from_confusion(cm, None)
         assert s.accuracy == float(Fraction(tp + tn, cm.total))
         if tp + fn:
             assert s.sensitivity == float(Fraction(tp, tp + fn))
@@ -141,7 +141,7 @@ class TestFullReport:
         y_pred = [1, 0, 1, 0, 1, 1, 0, 0]
         p = [0.9, 0.4, 0.8, 0.2, 0.7, 0.6, 0.1, 0.3]
         report = full_report(y_true, y_pred, p)
-        swapped = scores_from_confusion(confusion(y_true, y_pred, positive_class=0))
+        swapped = scores_from_confusion(confusion(y_true, y_pred, positive_class=0), None)
         assert report.non_ad.accuracy == swapped.accuracy
         assert report.non_ad.sensitivity == swapped.sensitivity
         assert report.non_ad.specificity == swapped.specificity

@@ -13,16 +13,14 @@ import vqclass
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.prep import Dataset
 from vqclass.spsa import SpsaConfig
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
     Label,
-    Prediction,
     VqcConfig,
     _even_parity_mask,
     binary_cross_entropy,
-    loss,
+    classify,
     p_ad,
     predict_batch,
     shot_seed,
@@ -85,8 +83,7 @@ class TestForward:
             ansatz=AnsatzSpec(1, reps=1),
             measured_qubits=(0,),
         )
-        pred = predict_batch([[0.0]], np.zeros(4), cfg)[0]
-        assert pred.p_ad == pytest.approx(0.5, abs=1e-15)
+        assert predict_batch([[0.0]], np.zeros(4), cfg)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_probabilities_partition(self):
         rng = np.random.default_rng(0)
@@ -95,7 +92,7 @@ class TestForward:
             x = rng.uniform(0, 1, 3)
             params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
             state = final_state(x, params, cfg)
-            p_even = predict_batch([x], params, cfg)[0].p_ad
+            p_even = predict_batch([x], params, cfg)[0]
             p_odd = parity_mass(state, cfg.measured_qubits, even=False)
             assert 0.0 <= p_even <= 1.0
             assert p_even + p_odd == pytest.approx(1.0, abs=1e-12)
@@ -108,7 +105,7 @@ class TestForward:
             params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
             state = final_state(x, params, cfg)
             expect = oracles.p_even_bruteforce(state, measured)
-            got = predict_batch([x], params, cfg)[0].p_ad
+            got = predict_batch([x], params, cfg)[0]
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_parity_convention_flip_swaps_labels(self):
@@ -130,12 +127,12 @@ class TestForward:
         cfg_exact = small_cfg(3)
         x = [0.3, 0.6, 0.8]
         params = init_params(cfg_exact.ansatz, 5)
-        p_exact = predict_batch([x], params, cfg_exact)[0].p_ad
+        p_exact = predict_batch([x], params, cfg_exact)[0]
         shots = 4096
         diffs = []
         for seed in range(20):
             cfg_shot = small_cfg(3, shots=shots, seed=seed)
-            diffs.append(abs(predict_batch([x], params, cfg_shot)[0].p_ad - p_exact))
+            diffs.append(abs(predict_batch([x], params, cfg_shot)[0] - p_exact))
         assert np.mean(diffs) <= 5.0 / np.sqrt(shots)
 
     def test_shot_mode_deterministic(self):
@@ -165,8 +162,10 @@ class TestForward:
         cfg = small_cfg(2)
         x = [0.4, 0.7]
         params = init_params(cfg.ansatz, 8)
-        pred = predict_batch([x], params, cfg)[0]
-        assert pred.label is (Label.AD if pred.p_ad >= 0.5 else Label.NON_AD)
+        p = predict_batch([x], params, cfg)
+        assert classify(p)[0] == (Label.AD if p[0] >= 0.5 else Label.NON_AD)
+        edges = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0])
+        np.testing.assert_array_equal(classify(edges), [0, 0, 1, 1])
 
 
 class TestConfigValidation:
@@ -208,34 +207,33 @@ class TestLoss:
             ansatz=AnsatzSpec(1, reps=1),
             measured_qubits=(0,),
         )
-        ds = Dataset(
-            np.zeros((4, 1)), np.array([1, 0, 1, 0]), ["f0"], np.arange(4)
+        y = np.array([1, 0, 1, 0])
+        p = predict_batch(np.zeros((4, 1)), np.zeros(4), cfg)
+        assert binary_cross_entropy(y, p, cfg.loss_clip_epsilon) == pytest.approx(
+            math.log(2), rel=1e-12
         )
-        assert loss(ds, np.zeros(4), cfg) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         cfg = small_cfg(2)
         feats = rng.uniform(0, 1, size=(8, 2))
         labels = rng.integers(0, 2, 8)
-        ds = Dataset(feats, labels, ["a", "b"], np.arange(8))
         params = init_params(cfg.ansatz, 0)
-        base = loss(ds, params, cfg)
+        eps = cfg.loss_clip_epsilon
+        base = binary_cross_entropy(labels, predict_batch(feats, params, cfg), eps)
         perm = rng.permutation(8)
-        ds_perm = Dataset(feats[perm], labels[perm], ["a", "b"], np.arange(8))
-        assert loss(ds_perm, params, cfg) == pytest.approx(base, abs=1e-12)
+        permuted = binary_cross_entropy(labels[perm], predict_batch(feats[perm], params, cfg), eps)
+        assert permuted == pytest.approx(base, abs=1e-12)
 
+    # train checks the data its loss is taken over
     def test_empty_dataset_rejected(self):
-        cfg = small_cfg(2)
-        ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ["a", "b"], np.zeros(0, int))
         with pytest.raises(ConfigError):
-            loss(ds, init_params(cfg.ansatz, 0), cfg)
+            train(np.zeros((0, 2)), np.zeros(0, dtype=int), small_cfg(2), SpsaConfig(maxiter=1))
 
     def test_bad_labels_rejected(self):
-        cfg = small_cfg(2)
-        ds = Dataset(np.zeros((2, 2)), np.array([1, 2]), ["a", "b"], np.arange(2))
-        with pytest.raises(ConfigError):
-            loss(ds, init_params(cfg.ansatz, 0), cfg)
+        for y in ([1, 2], [1], [[1, 0]]):  # a value outside {0, 1}; not one label per row
+            with pytest.raises(ConfigError):
+                train(np.zeros((2, 2)), np.array(y), small_cfg(2), SpsaConfig(maxiter=1))
 
 
 def _normalized_blobs(n_samples, n_features, seed):
@@ -248,54 +246,58 @@ class TestTrain:
     def test_zero_budget_returns_init(self):
         cfg = small_cfg(2, seed=6)
         x, y = _normalized_blobs(6, 2, seed=0)
-        ds = Dataset(x, y, ["a", "b"], np.arange(6))
-        run = train(ds, cfg, SpsaConfig(maxiter=0, seed=1))
+        run = train(x, y, cfg, SpsaConfig(maxiter=0, seed=1))
         assert np.array_equal(run.final_params, init_params(cfg.ansatz, 6))
         assert run.loss_history.size == 0
-        assert run.seeds_used == {"init": 6, "spsa": 1}
 
     def test_deterministic(self):
         cfg = small_cfg(2, seed=2)
         x, y = _normalized_blobs(8, 2, seed=1)
-        ds = Dataset(x, y, ["a", "b"], np.arange(8))
         spsa_cfg = SpsaConfig(maxiter=15, seed=3)
-        r1 = train(ds, cfg, spsa_cfg)
-        r2 = train(ds, cfg, spsa_cfg)
+        r1 = train(x, y, cfg, spsa_cfg)
+        r2 = train(x, y, cfg, spsa_cfg)
         assert np.array_equal(r1.final_params, r2.final_params)
         assert np.array_equal(r1.loss_history, r2.loss_history)
 
     def test_separable_blobs_reach_high_train_accuracy(self):
         cfg = small_cfg(2, seed=1)
         x, y = _normalized_blobs(24, 2, seed=3)
-        ds = Dataset(x, y, ["a", "b"], np.arange(24))
-        run = train(ds, cfg, SpsaConfig(maxiter=150, seed=1))
-        preds = predict_batch(x, run.final_params, cfg)
-        accuracy = np.mean([int(p.label) == t for p, t in zip(preds, y)])
+        run = train(x, y, cfg, SpsaConfig(maxiter=150, seed=1))
+        accuracy = np.mean((predict_batch(x, run.final_params, cfg) >= 0.5) == y)
         assert accuracy >= 0.9
 
     def test_loss_matches_evaluator_history(self):
-        # the recorded history entry equals an independent loss() call
+        # the recorded history entry equals the loss of an independent prediction
         cfg = small_cfg(2, seed=4)
         x, y = _normalized_blobs(6, 2, seed=3)
-        ds = Dataset(x, y, ["a", "b"], np.arange(6))
-        run = train(ds, cfg, SpsaConfig(maxiter=5, seed=2))
+        run = train(x, y, cfg, SpsaConfig(maxiter=5, seed=2))
+        p = predict_batch(x, run.final_params, cfg)
         assert run.loss_history[-1] == pytest.approx(
-            loss(ds, run.final_params, cfg), abs=1e-12
+            binary_cross_entropy(y, p, cfg.loss_clip_epsilon), abs=1e-12
         )
+
+    def test_shot_loss_uses_evaluation_counter(self):
+        # one iteration evaluates the loss three times, with counters 0, 1, 2;
+        # the recorded value is the third, at the updated parameters
+        cfg = small_cfg(2, shots=64, seed=4)
+        x, y = _normalized_blobs(6, 2, seed=3)
+        run = train(x, y, cfg, SpsaConfig(maxiter=1, seed=2))
+        p = p_ad(encode(x, cfg.feature_map), run.final_params, cfg, eval_counter=2)
+        assert run.loss_history[0] == binary_cross_entropy(y, p, cfg.loss_clip_epsilon)
 
 
 class TestPredictBatch:
     def test_empty(self):
         cfg = small_cfg(2)
-        assert predict_batch([], init_params(cfg.ansatz, 0), cfg) == []
+        p = predict_batch([], init_params(cfg.ansatz, 0), cfg)
+        assert p.shape == (0,)
 
     def test_single_matches_forward(self):
         cfg = small_cfg(2)
         params = init_params(cfg.ansatz, 0)
         x = [0.3, 0.8]
-        p = float(p_ad(encode([x], cfg.feature_map), params, cfg)[0])
-        label = Label.AD if p >= 0.5 else Label.NON_AD
-        assert predict_batch([x], params, cfg) == [Prediction(p, label)]
+        expect = p_ad(encode([x], cfg.feature_map), params, cfg)
+        assert np.array_equal(predict_batch([x], params, cfg), expect)
 
     def test_order_preserved(self):
         for n in (2, 5):  # n = 5 shows batch-dependent rounding that n = 2 can miss
@@ -306,7 +308,7 @@ class TestPredictBatch:
             preds = predict_batch(xs, params, cfg)
             assert len(preds) == 21
             for i, x in enumerate(xs):
-                assert preds[i].p_ad == predict_batch([x], params, cfg)[0].p_ad
+                assert preds[i] == predict_batch([x], params, cfg)[0]
 
     @pytest.mark.parametrize("n, measured", [(2, (0, 1)), (3, (0, 2)), (5, (0, 1)), (4, (1, 2, 3))])
     def test_exact_matches_oracle_state(self, n, measured):
@@ -322,7 +324,7 @@ class TestPredictBatch:
         states = oracles.classifier_states(xs, cfg.feature_map, cfg.ansatz, params)
         for pred, amps in zip(preds, states):
             expect = oracles.p_even_bruteforce(oracles.State(n, amps), measured)
-            assert pred.p_ad == pytest.approx(expect, abs=1e-12)
+            assert pred == pytest.approx(expect, abs=1e-12)
 
     def test_shot_rows_use_their_own_seeds(self):
         cfg = small_cfg(3, shots=128, seed=9)
@@ -333,7 +335,7 @@ class TestPredictBatch:
         for i, pred in enumerate(preds):
             rng = np.random.default_rng(shot_seed(cfg.seed, i, 0))
             even = rng.binomial(cfg.shots, np.clip(exact[i], 0.0, 1.0))
-            assert pred.p_ad == even / cfg.shots
+            assert pred == even / cfg.shots
 
 
 def test_public_names_resolve():
