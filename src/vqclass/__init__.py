@@ -19,7 +19,7 @@ from .errors import (
 )
 from .featmap import FeatureMapSpec, encode
 from .metrics import ConfusionMatrix, MetricsReport, auroc, confusion, full_report
-from .prep import Dataset, load_csv, one_hot_encode, stratified_split
+from .prep import Table, load_csv, one_hot_encode, stratified_split
 from .qkernel import KernelMatrix, kernel_matrix
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 from .vqc import Label, VqcConfig, p_ad, predict_batch, train
@@ -32,7 +32,6 @@ __all__ = [
     "ConfigError",
     "ConfusionMatrix",
     "DataError",
-    "Dataset",
     "EncodingError",
     "FeatureMapSpec",
     "KernelMatrix",
@@ -40,6 +39,7 @@ __all__ = [
     "MetricsReport",
     "OptimizerError",
     "SpsaConfig",
+    "Table",
     "TrainingRun",
     "VqcConfig",
     "VqclassError",

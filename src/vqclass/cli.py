@@ -240,39 +240,26 @@ def _write_json(path: Path, obj: dict) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-class Input(NamedTuple):
-    """The one-hot encoded input table and the sha256 of its file's bytes."""
-
-    dataset: prep_mod.Dataset
-    sha256: str
-
-
-def _load_input(cfg: RunConfig) -> Input:
-    v = cfg.values
-    table = prep_mod.load_csv(v["data.path"], v["data.label_column"], v["data.positive_label"])
-    return Input(prep_mod.one_hot_encode(table), table.sha256)
-
-
 class _Split(NamedTuple):
-    ids: np.ndarray
+    ids: np.ndarray  # row indices into the input table
     labels: np.ndarray
     pcs: np.ndarray  # principal coordinates
     x: np.ndarray  # pcs min-max scaled into [0, 1]: the encoder's input
 
 
-def _load_stage(cfg: RunConfig, data: Input) -> tuple[dict, _Split, _Split]:
+def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
     """The load stage of train, eval and kernel: model.json, checked against
     the config and input it was prepared from and for shapes, finite values
-    and disjoint, unique row ids, and its train and test splits with the
-    stored PCA and min-max applied."""
+    and non-empty, disjoint, unique row ids, and its train and test splits
+    with the stored PCA and min-max applied."""
     path = cfg.out / MODEL_FILE
     if not path.exists():
         raise DataError(f"missing {path}; run the prep command first")
     try:
         model = json.loads(path.read_text(encoding="utf-8"))
         stored, digest = dict(model["config"]), model["input_sha256"]
-        pca = prep_mod.pca_from_dict(model["prep"]["pca"])
-        mm = prep_mod.minmax_from_dict(model["prep"]["minmax"])
+        pca = prep_mod.model_from_dict(prep_mod.PcaModel, model["prep"]["pca"])
+        mm = prep_mod.model_from_dict(prep_mod.MinMaxModel, model["prep"]["minmax"])
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a model file written by prep ({exc!r}); "
@@ -287,26 +274,26 @@ def _load_stage(cfg: RunConfig, data: Input) -> tuple[dict, _Split, _Split]:
                 f"config key {name!r} is {record.get(name)!r} but {path} was prepared "
                 f"with {stored.get(name)!r}; rerun prep --force"
             )
-    n, d = data.dataset.features.shape
+    n, d = data.features.shape
     k = cfg.values["prep.pca_k"]
     shapes = {"PCA mean": (pca.mean, (d,)), "PCA components": (pca.components, (k, d)),
               "PCA explained_variance": (pca.explained_variance, (k,)),
-              "min-max min": (mm.minimum, (k,)), "min-max max": (mm.maximum, (k,))}
+              "min-max min": (mm.min, (k,)), "min-max max": (mm.max, (k,))}
     for name, (values, shape) in shapes.items():
         if values.shape != shape or not np.isfinite(values).all():
             raise DataError(f"{path} {name} must hold {shape} finite numbers, got shape "
                             f"{values.shape}; rerun prep --force")
-    if not all(isinstance(rows, list) and all(type(i) is int and 0 <= i < n for i in rows)
+    if not all(isinstance(rows, list) and rows and all(type(i) is int and 0 <= i < n for i in rows)
                for rows in ids):
-        raise DataError(f"{path} split ids must be integers in [0, {n}); rerun prep --force")
+        raise DataError(f"{path} split ids must be non-empty lists of integers in [0, {n}); "
+                        "rerun prep --force")
     if len(set(ids[0]) | set(ids[1])) != len(ids[0]) + len(ids[1]):
         raise DataError(f"{path} has a split id twice, within or across train and test; "
                         "rerun prep --force")
     splits = []
-    for rows in ids:
-        part = prep_mod.subset(data.dataset, np.array(rows, dtype=np.int64))
-        pcs = prep_mod.pca_transform(pca, part.features)
-        splits.append(_Split(part.sample_ids, part.labels, pcs, prep_mod.minmax_transform(mm, pcs)))
+    for rows in map(np.array, ids):
+        pcs = prep_mod.pca_transform(pca, data.features[rows])
+        splits.append(_Split(rows, data.labels[rows], pcs, prep_mod.minmax_transform(mm, pcs)))
     return model, splits[0], splits[1]
 
 
@@ -314,39 +301,37 @@ def _id_csv(ids: np.ndarray) -> str:
     return "sample_id\n" + "".join(f"{int(i)}\n" for i in ids)
 
 
-def cmd_prep(cfg: RunConfig, data: Input, force: bool = False) -> None:
+def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Fit the preprocessing models on the training split and persist them."""
-    v, dataset = cfg.values, data.dataset
-    if v["prep.pca_k"] > dataset.features.shape[1]:
+    v = cfg.values
+    if v["prep.pca_k"] > data.features.shape[1]:
         raise ConfigError(
-            f"pca_k = {v['prep.pca_k']} exceeds the {dataset.features.shape[1]} encoded "
+            f"pca_k = {v['prep.pca_k']} exceeds the {data.features.shape[1]} encoded "
             f"feature columns of {v['data.path']}"
         )
     model_path = _artifact_path(cfg, MODEL_FILE, force)
     train_path = _artifact_path(cfg, SPLIT_TRAIN_FILE, force)
     test_path = _artifact_path(cfg, SPLIT_TEST_FILE, force)
-    train, test = prep_mod.stratified_split(dataset, v["prep.test_fraction"], v["prep.seed"])
-    pca = prep_mod.pca_fit(train.features, v["prep.pca_k"])
-    mm = prep_mod.minmax_fit(prep_mod.pca_transform(pca, train.features))
+    train, test = prep_mod.stratified_split(data.labels, v["prep.test_fraction"], v["prep.seed"])
+    x_train = data.features[train]
+    pca = prep_mod.pca_fit(x_train, v["prep.pca_k"])
+    mm = prep_mod.minmax_fit(prep_mod.pca_transform(pca, x_train))
     model = {
         "prep": {
-            "pca": prep_mod.pca_to_dict(pca),
-            "minmax": prep_mod.minmax_to_dict(mm),
-            "feature_names": dataset.feature_names,
+            "pca": prep_mod.model_to_dict(pca),
+            "minmax": prep_mod.model_to_dict(mm),
+            "feature_names": data.feature_names,
         },
-        "split": {
-            "train_ids": [int(i) for i in train.sample_ids],
-            "test_ids": [int(i) for i in test.sample_ids],
-        },
+        "split": {"train_ids": train.tolist(), "test_ids": test.tolist()},
         "config": cfg.record,
         "input_sha256": data.sha256,
     }
     _write_json(model_path, model)
-    _write_text(train_path, _id_csv(train.sample_ids))
-    _write_text(test_path, _id_csv(test.sample_ids))
+    _write_text(train_path, _id_csv(train))
+    _write_text(test_path, _id_csv(test))
 
 
-def cmd_train(cfg: RunConfig, data: Input, force: bool = False) -> None:
+def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Train the classifier on the persisted split and record the run."""
     model, train, _ = _load_stage(cfg, data)
     if "params" in model and not force:
@@ -367,7 +352,7 @@ def _label(value) -> str:
     return vqc_mod.Label(int(value)).name
 
 
-def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
+def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Score the held-out split and write metrics, predictions, scatter."""
     model, train, test = _load_stage(cfg, data)
     if "params" not in model:
@@ -415,13 +400,12 @@ def cmd_eval(cfg: RunConfig, data: Input, force: bool = False) -> None:
     _write_text(scatter_path, "\n".join(scatter_lines) + "\n")
 
 
-def cmd_kernel(cfg: RunConfig, data: Input, force: bool = False) -> None:
+def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Export train x train and test x train fidelity kernel matrices."""
     _, train, test = _load_stage(cfg, data)
     train_path = _artifact_path(cfg, KERNEL_TRAIN_FILE, force)
     test_path = _artifact_path(cfg, KERNEL_TEST_FILE, force)
-    train_ids = [int(i) for i in train.ids]
-    test_ids = [int(i) for i in test.ids]
+    train_ids, test_ids = train.ids.tolist(), test.ids.tolist()
     fmap = cfg.vqc.feature_map
     k_train = kernel_matrix(train.x, train.x, fmap, row_ids=train_ids, col_ids=train_ids)
     k_test = kernel_matrix(test.x, train.x, fmap, row_ids=test_ids, col_ids=train_ids)
@@ -429,7 +413,7 @@ def cmd_kernel(cfg: RunConfig, data: Input, force: bool = False) -> None:
     _write_text(test_path, kernel_to_csv(k_test))
 
 
-def cmd_report(cfg: RunConfig, data: Input, force: bool = False) -> None:
+def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Full pipeline into one directory, plus an echo of the config."""
     cmd_prep(cfg, data, force)
     cmd_train(cfg, data, force)
@@ -467,8 +451,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config)
+        v = cfg.values
         # the input is read once per invocation; report shares it among its verbs
-        _COMMANDS[args.command](cfg, _load_input(cfg), force=args.force)
+        data = prep_mod.load_csv(v["data.path"], v["data.label_column"], v["data.positive_label"])
+        _COMMANDS[args.command](cfg, data, force=args.force)
     except VqclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,11 @@
 """Tabular ingestion and preprocessing: CSV loading, one-hot encoding,
 PCA down to the qubit count, min-max normalization, stratified splitting.
 
+``load_csv`` returns one ``Table``: the one-hot encoded features, the 0/1
+labels, the feature names and the sha256 of the file's bytes. A split is
+a pair of sorted row-index arrays into that table; a row's index is its
+sample id in every artifact.
+
 PCA and min-max models are fit on training rows only and are immutable
 afterwards, so applying them to test rows cannot leak information back.
 """
@@ -11,6 +16,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,32 +25,13 @@ from .errors import ConfigError, DataError
 MAX_CATEGORIES = 64
 
 
-@dataclass
-class RawTable:
-    """Rectangular string table with a designated two-valued label column."""
-
-    columns: list[str]
-    rows: list[list[str]]
-    label_column: str
-    positive_label: str
-    sha256: str = ""  # of the file's bytes; empty for a table not read from a file
-
-
-@dataclass
-class Dataset:
-    """Numeric feature matrix with binary labels (positive class = 1).
-
-    ``sample_ids`` carry each row's index in the originating table so
-    splits and predictions stay traceable to the input file.
-    """
+class Table(NamedTuple):
+    """A one-hot encoded input table with binary labels (positive class = 1)."""
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: list[str]
-    sample_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
+    sha256: str  # of the file's bytes
 
 
 @dataclass(frozen=True)
@@ -60,13 +47,13 @@ class PcaModel:
 class MinMaxModel:
     """Per-feature training minimum and maximum."""
 
-    minimum: np.ndarray
-    maximum: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
 
 
-def load_csv(path: str, label_column: str, positive_label: str) -> RawTable:
-    """Read a comma-delimited UTF-8 table with a header row, and the
-    sha256 of the bytes it was parsed from.
+def load_csv(path: str, label_column: str, positive_label: str) -> Table:
+    """Read a comma-delimited UTF-8 table with a header row, one-hot
+    encode it and hash the bytes it was parsed from.
 
     The label column must exist and hold exactly two distinct values,
     one of which is ``positive_label``. The first structural defect is
@@ -108,8 +95,8 @@ def load_csv(path: str, label_column: str, positive_label: str) -> RawTable:
         raise DataError(
             f"{path}: positive label {positive_label!r} not among {label_values}"
         )
-    return RawTable(columns, rows, label_column, positive_label,
-                    hashlib.sha256(raw).hexdigest())
+    return Table(*one_hot_encode(columns, rows, label_column, positive_label),
+                 hashlib.sha256(raw).hexdigest())
 
 
 def _try_numeric(values: list[str]) -> np.ndarray | None:
@@ -119,20 +106,22 @@ def _try_numeric(values: list[str]) -> np.ndarray | None:
         return None
 
 
-def one_hot_encode(table: RawTable) -> Dataset:
-    """Numeric columns pass through; each non-numeric column expands
-    into one 0/1 indicator column per distinct value, lexicographic order."""
-    label_idx = table.columns.index(table.label_column)
+def one_hot_encode(
+    columns: list[str], rows: list[list[str]], label_column: str, positive_label: str
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Features, 0/1 labels and feature names of a string table. Numeric
+    columns pass through; each non-numeric column expands into one 0/1
+    indicator column per distinct value, lexicographic order."""
+    label_idx = columns.index(label_column)
     labels = np.array(
-        [1 if row[label_idx] == table.positive_label else 0 for row in table.rows],
-        dtype=np.int64,
+        [1 if row[label_idx] == positive_label else 0 for row in rows], dtype=np.int64
     )
     feature_cols: list[np.ndarray] = []
     feature_names: list[str] = []
-    for j, name in enumerate(table.columns):
+    for j, name in enumerate(columns):
         if j == label_idx:
             continue
-        values = [row[j] for row in table.rows]
+        values = [row[j] for row in rows]
         numeric = _try_numeric(values)
         if numeric is not None:
             if not np.all(np.isfinite(numeric)):
@@ -152,8 +141,8 @@ def one_hot_encode(table: RawTable) -> Dataset:
         for cat in categories:
             feature_cols.append(np.array([v == cat for v in values], dtype=np.float64))
             feature_names.append(f"{name}={cat}")
-    features = np.column_stack(feature_cols) if feature_cols else np.zeros((len(table.rows), 0))
-    return Dataset(features, labels, feature_names, np.arange(len(table.rows)))
+    features = np.column_stack(feature_cols) if feature_cols else np.zeros((len(rows), 0))
+    return features, labels, feature_names
 
 
 def pca_fit(train_features: np.ndarray, k: int) -> PcaModel:
@@ -203,25 +192,23 @@ def minmax_transform(model: MinMaxModel, features: np.ndarray) -> np.ndarray:
     angle encodings stay bounded. Clipping before the division keeps a
     tiny span from overflowing the quotient.
     """
-    x = np.clip(np.asarray(features, dtype=np.float64), model.minimum, model.maximum)
-    span = model.maximum - model.minimum
+    x = np.clip(np.asarray(features, dtype=np.float64), model.min, model.max)
+    span = model.max - model.min
     safe = np.where(span > 0.0, span, 1.0)
-    return np.where(span > 0.0, (x - model.minimum) / safe, 0.0)
+    return np.where(span > 0.0, (x - model.min) / safe, 0.0)
 
 
 def stratified_split(
-    dataset: Dataset,
-    test_fraction: float,
-    seed: int,
-) -> tuple[Dataset, Dataset]:
-    """Per-class shuffle then proportional allocation to the test split.
+    labels: np.ndarray, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and test row indices: per-class shuffle then
+    proportional allocation to the test split.
 
     Test size per class is round(count * fraction) (half rounds up) and
     at least 1; every class must keep at least one training sample.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    labels = dataset.labels
     classes = np.unique(labels)
     if classes.size != 2:
         raise DataError(f"need exactly 2 classes to split, got {classes.tolist()}")
@@ -239,36 +226,14 @@ def stratified_split(
         perm = rng.permutation(members)
         test_idx.append(perm[:n_test])
         train_idx.append(perm[n_test:])
-    test = np.sort(np.concatenate(test_idx))
-    train = np.sort(np.concatenate(train_idx))
-    return subset(dataset, train), subset(dataset, test)
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
-def subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
-    """Row-select a dataset by positional indices."""
-    return Dataset(
-        dataset.features[indices],
-        dataset.labels[indices],
-        list(dataset.feature_names),
-        dataset.sample_ids[indices],
-    )
+def model_to_dict(model) -> dict:
+    """A fitted PCA or min-max model as JSON lists, keyed by field name."""
+    return {f.name: getattr(model, f.name).tolist() for f in fields(model)}
 
 
-def pca_to_dict(model: PcaModel) -> dict:
-    return {f.name: getattr(model, f.name).tolist() for f in fields(PcaModel)}
-
-
-def pca_from_dict(data: dict) -> PcaModel:
-    arrays = {f.name: np.asarray(data[f.name], dtype=np.float64) for f in fields(PcaModel)}
-    return PcaModel(**arrays)
-
-
-def minmax_to_dict(model: MinMaxModel) -> dict:
-    return {"min": model.minimum.tolist(), "max": model.maximum.tolist()}
-
-
-def minmax_from_dict(data: dict) -> MinMaxModel:
-    return MinMaxModel(
-        np.asarray(data["min"], dtype=np.float64),
-        np.asarray(data["max"], dtype=np.float64),
-    )
+def model_from_dict(cls, data: dict):
+    """The ``cls`` model (PcaModel or MinMaxModel) that ``model_to_dict`` wrote."""
+    return cls(**{f.name: np.asarray(data[f.name], dtype=np.float64) for f in fields(cls)})

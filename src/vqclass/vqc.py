@@ -65,8 +65,9 @@ class VqcConfig:
             raise ConfigError(f"measured_qubits must be distinct, got {self.measured_qubits}")
         if any(q < 0 or q >= n for q in self.measured_qubits):
             raise ConfigError(f"measured_qubits {self.measured_qubits} out of range for n={n}")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError(f"shots must be >= 1 or None, got {self.shots}")
+        if self.shots is not None and not 1 <= self.shots <= np.iinfo(np.int64).max:
+            # numpy draws the binomial count as a C long
+            raise ConfigError(f"shots must be in [1, 2**63 - 1] or None, got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.loss_clip_epsilon < 0.5:

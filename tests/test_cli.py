@@ -178,6 +178,9 @@ class TestGuards:
             ("feature_map", {"reps": 0}, "feature_map: reps must be >= 1"),
             ("prep", {"pca_k": 25}, "prep.pca_k: n_qubits must be in"),
             ("spsa", {"alpha": 2.0}, "spsa: need 0 < gamma < alpha"),
+            # beyond a C long: numpy's binomial draw raised OverflowError, exit 2
+            ("vqc", {"shots": 2**63}, "vqc: shots"),
+            ("vqc", {"eval_shots": 2**63}, "vqc.eval_shots"),  # and only after training
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):
@@ -236,7 +239,7 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "damage",
         ["unparsable", "split", "prep", "ids", "float-id", "bool-id", "leaked-id",
-         "short-component", "short-minmax", "nan-mean"],
+         "short-component", "short-minmax", "nan-mean", "empty-train", "empty-test"],
     )
     def test_bad_model_file(self, tmp_path, capsys, damage):
         cfg_path = small_config(tmp_path)
@@ -261,6 +264,10 @@ class TestProvenance:
                 model["prep"]["minmax"]["min"].pop()
             elif damage == "nan-mean":  # was blamed on the encoder's input range
                 pca["mean"][0] = float("nan")
+            elif damage == "empty-train":
+                split["train_ids"] = []
+            elif damage == "empty-test":  # kernel wrote a header-only kernel_test.csv
+                split["test_ids"] = []
             else:
                 del model[damage]
             model_path.write_text(json.dumps(model), encoding="utf-8")

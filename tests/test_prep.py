@@ -11,17 +11,15 @@ from hypothesis.extra.numpy import arrays
 
 from vqclass.errors import ConfigError, DataError
 from vqclass.prep import (
-    Dataset,
-    RawTable,
+    MinMaxModel,
+    PcaModel,
     load_csv,
     minmax_fit,
-    minmax_from_dict,
-    minmax_to_dict,
     minmax_transform,
+    model_from_dict,
+    model_to_dict,
     one_hot_encode,
     pca_fit,
-    pca_from_dict,
-    pca_to_dict,
     pca_transform,
     stratified_split,
 )
@@ -37,8 +35,9 @@ class TestLoadCsv:
     def test_basic_load(self, tmp_path):
         path = write_csv(tmp_path, "a,b,class\n1,2,P\n3,4,H\n5,6,P\n")
         table = load_csv(path, "class", "P")
-        assert table.columns == ["a", "b", "class"]
-        assert len(table.rows) == 3
+        assert table.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(table.features, [[1, 2], [3, 4], [5, 6]])
+        assert table.labels.tolist() == [1, 0, 1]
 
     def test_sha256_of_file_bytes(self, tmp_path):
         path = write_csv(tmp_path, "a,class\r\n1,P\r\n2,H\r\n")
@@ -89,46 +88,37 @@ class TestLoadCsv:
 
 
 class TestOneHot:
-    def _table(self, columns, rows):
-        return RawTable(columns, rows, "class", "P")
+    def _encode(self, columns, rows):
+        return one_hot_encode(columns, rows, "class", "P")
 
     def test_label_mapping(self):
-        t = self._table(["class"], [["P"], ["H"], ["P"]])
-        ds = one_hot_encode(t)
-        assert ds.labels.tolist() == [1, 0, 1]
+        _, labels, _ = self._encode(["class"], [["P"], ["H"], ["P"]])
+        assert labels.tolist() == [1, 0, 1]
 
     def test_categorical_expansion(self):
-        t = self._table(["col", "class"], [["a", "P"], ["b", "H"], ["a", "P"]])
-        ds = one_hot_encode(t)
-        assert ds.feature_names == ["col=a", "col=b"]
-        np.testing.assert_array_equal(ds.features, [[1, 0], [0, 1], [1, 0]])
+        features, _, names = self._encode(["col", "class"], [["a", "P"], ["b", "H"], ["a", "P"]])
+        assert names == ["col=a", "col=b"]
+        np.testing.assert_array_equal(features, [[1, 0], [0, 1], [1, 0]])
 
     def test_numeric_passthrough(self):
-        t = self._table(["x", "class"], [["1.5", "P"], ["2.0", "H"]])
-        ds = one_hot_encode(t)
-        np.testing.assert_array_equal(ds.features, [[1.5], [2.0]])
+        features, _, _ = self._encode(["x", "class"], [["1.5", "P"], ["2.0", "H"]])
+        np.testing.assert_array_equal(features, [[1.5], [2.0]])
 
     def test_idempotent_on_numeric_tables(self):
-        t = self._table(
+        features, _, names = self._encode(
             ["x", "y", "class"], [["1", "2", "P"], ["3", "4.5", "H"], ["-1", "0", "P"]]
         )
-        ds = one_hot_encode(t)
-        np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4.5], [-1, 0]])
-        assert ds.feature_names == ["x", "y"]
+        np.testing.assert_array_equal(features, [[1, 2], [3, 4.5], [-1, 0]])
+        assert names == ["x", "y"]
 
     def test_too_many_categories_rejected(self):
         rows = [[f"cat{i}", "P" if i % 2 else "H"] for i in range(65)]
         with pytest.raises(DataError, match="65 distinct"):
-            one_hot_encode(self._table(["col", "class"], rows))
+            self._encode(["col", "class"], rows)
 
     def test_nonfinite_numeric_rejected(self):
-        t = self._table(["x", "class"], [["1.0", "P"], ["nan", "H"]])
         with pytest.raises(DataError, match="non-finite"):
-            one_hot_encode(t)
-
-    def test_sample_ids_assigned(self):
-        ds = one_hot_encode(self._table(["class"], [["P"], ["H"]]))
-        assert ds.sample_ids.tolist() == [0, 1]
+            self._encode(["x", "class"], [["1.0", "P"], ["nan", "H"]])
 
 
 class TestPca:
@@ -190,7 +180,7 @@ class TestPca:
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(5)
         model = pca_fit(rng.normal(size=(10, 4)), 2)
-        back = pca_from_dict(pca_to_dict(model))
+        back = model_from_dict(PcaModel, model_to_dict(model))
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.components, model.components)
         np.testing.assert_array_equal(back.explained_variance, model.explained_variance)
@@ -222,16 +212,16 @@ class TestMinMax:
     def test_models_immutable_after_fit(self):
         train = np.array([[0.0, 1.0], [4.0, 3.0]])
         model = minmax_fit(train)
-        lo, hi = model.minimum.copy(), model.maximum.copy()
+        lo, hi = model.min.copy(), model.max.copy()
         minmax_transform(model, np.array([[99.0, -99.0]]))
-        np.testing.assert_array_equal(model.minimum, lo)
-        np.testing.assert_array_equal(model.maximum, hi)
+        np.testing.assert_array_equal(model.min, lo)
+        np.testing.assert_array_equal(model.max, hi)
 
     def test_serialization_round_trip(self):
         model = minmax_fit(np.array([[0.0, -2.0], [1.0, 5.0]]))
-        back = minmax_from_dict(minmax_to_dict(model))
-        np.testing.assert_array_equal(back.minimum, model.minimum)
-        np.testing.assert_array_equal(back.maximum, model.maximum)
+        back = model_from_dict(MinMaxModel, model_to_dict(model))
+        np.testing.assert_array_equal(back.min, model.min)
+        np.testing.assert_array_equal(back.max, model.max)
 
     @given(
         arrays(np.float64, (6, 3), elements=st.floats(-1e6, 1e6)),
@@ -245,61 +235,59 @@ class TestMinMax:
         assert np.all(out <= 1.0)
 
 
-def _dataset(labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
-    rng = np.random.default_rng(0)
-    return Dataset(rng.normal(size=(n, 3)), labels, ["a", "b", "c"], np.arange(n))
+def _labels(labels):
+    return np.asarray(labels, dtype=np.int64)
 
 
 class TestStratifiedSplit:
     def test_balanced_ten_samples(self):
-        ds = _dataset([0] * 5 + [1] * 5)
-        train, test = stratified_split(ds, 0.2, seed=0)
-        assert len(train) == 8 and len(test) == 2
-        assert sorted(np.unique(test.labels).tolist()) == [0, 1]
+        labels = _labels([0] * 5 + [1] * 5)
+        train, test = stratified_split(labels, 0.2, seed=0)
+        assert train.size == 8 and test.size == 2
+        assert sorted(np.unique(labels[test]).tolist()) == [0, 1]
 
     def test_rounding_rule(self):
-        ds = _dataset([0] * 2 + [1] * 4)
-        train, test = stratified_split(ds, 0.5, seed=3)
-        assert int(np.sum(test.labels == 1)) == 2
-        assert int(np.sum(test.labels == 0)) == 1
+        labels = _labels([0] * 2 + [1] * 4)
+        train, test = stratified_split(labels, 0.5, seed=3)
+        assert int(np.sum(labels[test] == 1)) == 2
+        assert int(np.sum(labels[test] == 0)) == 1
 
     def test_deterministic(self):
-        ds = _dataset([0] * 6 + [1] * 6)
-        a = stratified_split(ds, 0.25, seed=5)
-        b = stratified_split(ds, 0.25, seed=5)
-        assert np.array_equal(a[0].sample_ids, b[0].sample_ids)
-        assert np.array_equal(a[1].sample_ids, b[1].sample_ids)
+        labels = _labels([0] * 6 + [1] * 6)
+        a = stratified_split(labels, 0.25, seed=5)
+        b = stratified_split(labels, 0.25, seed=5)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_partition_is_disjoint_and_complete(self):
-        ds = _dataset([0] * 7 + [1] * 9)
-        train, test = stratified_split(ds, 0.3, seed=1)
-        merged = sorted(train.sample_ids.tolist() + test.sample_ids.tolist())
+        labels = _labels([0] * 7 + [1] * 9)
+        train, test = stratified_split(labels, 0.3, seed=1)
+        merged = sorted(train.tolist() + test.tolist())
         assert merged == list(range(16))
 
     def test_single_sample_class_rejected(self):
-        ds = _dataset([0, 1, 1, 1])
+        labels = _labels([0, 1, 1, 1])
         with pytest.raises(DataError):
-            stratified_split(ds, 0.25, seed=0)
+            stratified_split(labels, 0.25, seed=0)
 
     def test_fraction_validation(self):
-        ds = _dataset([0, 0, 1, 1])
+        labels = _labels([0, 0, 1, 1])
         with pytest.raises(ConfigError):
-            stratified_split(ds, 0.0, seed=0)
+            stratified_split(labels, 0.0, seed=0)
         with pytest.raises(ConfigError):
-            stratified_split(ds, 1.0, seed=0)
+            stratified_split(labels, 1.0, seed=0)
 
     def test_models_fit_on_train_only_no_leakage(self):
         # classic guard: transforming test rows must not move the models
-        ds = _dataset([0] * 10 + [1] * 10)
-        train, test = stratified_split(ds, 0.2, seed=2)
-        pca = pca_fit(train.features, 2)
+        labels = _labels([0] * 10 + [1] * 10)
+        features = np.random.default_rng(0).normal(size=(labels.size, 3))
+        train, test = stratified_split(labels, 0.2, seed=2)
+        pca = pca_fit(features[train], 2)
         mean_before = pca.mean.copy()
-        z_train = pca_transform(pca, train.features)
+        z_train = pca_transform(pca, features[train])
         mm = minmax_fit(z_train)
-        lo_before = mm.minimum.copy()
-        pca_transform(pca, test.features)
-        minmax_transform(mm, pca_transform(pca, test.features))
+        lo_before = mm.min.copy()
+        pca_transform(pca, features[test])
+        minmax_transform(mm, pca_transform(pca, features[test]))
         np.testing.assert_array_equal(pca.mean, mean_before)
-        np.testing.assert_array_equal(mm.minimum, lo_before)
+        np.testing.assert_array_equal(mm.min, lo_before)

@@ -100,6 +100,17 @@ class TestCsvExport:
         )
         np.testing.assert_array_equal(parsed, km.values)
 
+    def test_rectangular_ids(self):
+        # test x train layout: the header holds the column ids, each row starts with its id
+        rng = np.random.default_rng(7)
+        rows, cols = rng.uniform(0, 1, size=(2, 2)), rng.uniform(0, 1, size=(3, 2))
+        km = kernel_matrix(rows, cols, FeatureMapSpec(2), row_ids=[3, 4], col_ids=[7, 8, 9])
+        lines = kernel_to_csv(km).strip().split("\n")
+        assert lines[0] == "id,7,8,9"
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+        parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        np.testing.assert_array_equal(parsed, km.values)
+
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(0, 1, size=(4, 2))
