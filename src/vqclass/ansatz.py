@@ -7,7 +7,8 @@ giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
 the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
 straight from that vector, one fused RZ(phi) RY(theta) matrix per qubit
-and layer, on a whole batch of states.
+and layer, on whatever batch of states it is given; ``vqc.p_ad`` gives
+it one row block at a time.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -36,8 +37,6 @@ import numpy as np
 from .errors import BindingError, ConfigError
 from .featmap import ENTANGLEMENTS, entangled_pairs
 from .statevec import MAX_QUBITS, apply_single
-
-_GATHER_BYTES = 1 << 18  # a gather runs over row blocks this big; its temporary stays in cache
 
 
 @dataclass(frozen=True)
@@ -106,29 +105,33 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
 
 
 def apply_ansatz(
-    states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None
+    states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """Advance a batch of states, shape (N, 2^n), in place through the ansatz
     with parameter vector ``params``. Given ``measured_qubits``, only the
     gates in their light cone run: the result then holds the right
-    probabilities on those qubits, not the full final state."""
+    probabilities on those qubits, not the full final state. ``scratch``
+    is as in ``apply_single``, shared by every gate."""
     n = spec.n_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
     measured = None if measured_qubits is None else tuple(measured_qubits)
     angles = params.reshape(spec.reps + 1, 2, n).tolist()
+    if scratch is None:
+        scratch = np.empty(states.shape, dtype=np.complex128)
     for (thetas, phis), (gather, rotations) in zip(angles, _light_cone(spec, measured)):
         if gather is not None:
             inv, phase = gather
-            rows = max(1, _GATHER_BYTES >> (n + 4))  # 16 B per amplitude
-            for block in (states[i : i + rows] for i in range(0, len(states), rows)):
-                np.multiply(np.take(block, inv, axis=-1), phase, out=block)
+            np.take(states, inv, axis=-1, out=scratch, mode="clip")  # "raise" would buffer
+            np.multiply(scratch, phase, out=states)
         for q, with_rz in rotations:
             # RZ(phi) RY(theta) = [[e^-i phi/2 c, -e^-i phi/2 s], [e^i phi/2 s, e^i phi/2 c]]
             c, s = math.cos(0.5 * thetas[q]), math.sin(0.5 * thetas[q])
             z = cmath.exp(-0.5j * phis[q]) if with_rz else 1.0
-            apply_single(states, n, q, ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c)))
+            u = ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c))
+            apply_single(states, n, q, u, scratch)
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

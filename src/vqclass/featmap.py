@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EncodingError
-from .statevec import HADAMARD, MAX_QUBITS, apply_single
+from .statevec import BLOCK_BYTES, HADAMARD, MAX_QUBITS, apply_single
 
 ENTANGLEMENTS = ("linear", "full")
 
@@ -65,6 +65,20 @@ def _diagonal(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     return out
 
 
+def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
+    """Bytes a batch of ``n_rows`` states needs at its peak: ``encode``'s
+    allocations, then those of ``vqc.p_ad`` beside the encoded batch."""
+    n = spec.n_qubits
+    # per amplitude: the states (16 B) and the real phase (8 B) at reps 1; the
+    # phase factors, the states and one H layer's scratch (48 B) from reps 2 on
+    states = n_rows * (24 if spec.reps == 1 else 48) << n
+    # per basis state: the bit table while it is built from int64 shifts, or
+    # later its n bool rows and one bool mask per entangled pair
+    masks = max(9 * n + 8, n + len(entangled_pairs(spec))) << n
+    # p_ad's row block, its gates' scratch and the readout's temporaries
+    return states + masks + 3 * max(16 << n, BLOCK_BYTES)
+
+
 def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """Encode a batch of normalized feature vectors, shape (N, n), into
     the (N, 2^n) amplitudes of the states they map to.
@@ -75,15 +89,14 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
-    # the encoded batch, the working copy p_ad evolves, and the temporaries
-    # of one gate on that copy (up to one batch more): three complex arrays
-    need = 3 * arr.shape[0] * (1 << n) * 16
+    need = state_memory(arr.shape[0], spec)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
             f"{arr.shape[0]} samples at n={n} qubits need about {need / 2**30:.1f} GiB of "
-            "state memory (the batch, its working copy and one gate's temporaries), more "
-            f"than the {have / 2**30:.1f} GiB of physical memory"
+            "state memory (the batch, its phase and gate temporaries, the bit masks and "
+            f"the classifier's row blocks), more than the {have / 2**30:.1f} GiB of "
+            "physical memory"
         )
     outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN included
     if np.any(outside):

@@ -95,8 +95,11 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
         raise DataError(
             f"{path}: positive label {positive_label!r} not among {label_values}"
         )
-    return Table(*one_hot_encode(columns, rows, label_column, positive_label),
-                 hashlib.sha256(raw).hexdigest())
+    try:
+        encoded = one_hot_encode(columns, rows, label_column, positive_label)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return Table(*encoded, hashlib.sha256(raw).hexdigest())
 
 
 def _try_numeric(values: list[str]) -> np.ndarray | None:

@@ -3,9 +3,10 @@ cross-entropy loss, training, and batch prediction, on plain arrays:
 ``train`` takes the normalized feature matrix and its 0/1 labels, and
 ``predict_batch`` returns one class-1 probability per row. Training and
 prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` runs the ansatz on all states at once and hands them to
-``readout``; only the ansatz gates in the measured qubits' light cone
-run, each entangling block as one gather (see ``ansatz``).
+``p_ad`` takes the states one row block of about ``BLOCK_BYTES`` at a
+time and runs the whole ansatz and the parity mass on it while it stays
+in cache; only the ansatz gates in the measured qubits' light cone run,
+each entangling block as one gather (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -29,6 +30,7 @@ from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
+from .statevec import BLOCK_BYTES
 
 
 class Label(IntEnum):
@@ -106,14 +108,26 @@ def p_ad(
     """AD-class probability of each encoded state after the ansatz.
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
-    unchanged. The ansatz runs on a copy, which ``readout`` then reads.
+    unchanged. The rows run in blocks of about ``BLOCK_BYTES``: a block is
+    copied into a working buffer, advanced through the whole ansatz and
+    reduced to its even-parity mass while it is still in cache. Every step
+    acts on each row alone, so a row's result does not depend on its block.
+    Shot counts are then drawn as in ``readout``, i being the row in ``states``.
     """
     n = cfg.n_qubits
-    states = np.array(states, dtype=np.complex128)
+    states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
-    apply_ansatz(states, cfg.ansatz, params, cfg.measured_qubits)
-    return readout(states, cfg, eval_counter)
+    rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
+    # allocated once; the gates would otherwise allocate temporaries per block
+    work, scratch = np.empty((2, min(rows, len(states)), 1 << n), dtype=np.complex128)
+    mass = np.empty(len(states))
+    for start in range(0, len(states), rows):
+        block, tmp = work[: len(states) - start], scratch[: len(states) - start]
+        block[...] = states[start : start + len(block)]
+        apply_ansatz(block, cfg.ansatz, params, cfg.measured_qubits, tmp)
+        mass[start : start + len(block)] = _parity_mass(block, cfg)
+    return _draw(mass, cfg, eval_counter)
 
 
 def readout(states: np.ndarray, cfg: VqcConfig, eval_counter: int = 0) -> np.ndarray:
@@ -124,8 +138,15 @@ def readout(states: np.ndarray, cfg: VqcConfig, eval_counter: int = 0) -> np.nda
     the batch it comes in. In shot mode row i draws its count with seed
     ``shot_seed(cfg.seed, i, eval_counter)``.
     """
+    return _draw(_parity_mass(states, cfg), cfg, eval_counter)
+
+
+def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
     even = _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)
-    mass = ((states.real**2 + states.imag**2) * even).sum(axis=1)
+    return ((states.real**2 + states.imag**2) * even).sum(axis=1)
+
+
+def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:
     if cfg.shots is None:
         return mass
     counts = [

@@ -1,11 +1,15 @@
 """Feature map tests: structure and encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from vqclass.ansatz import AnsatzSpec, init_params
 from vqclass.errors import ConfigError, EncodingError
-from vqclass.featmap import FeatureMapSpec, encode, entangled_pairs
+from vqclass.featmap import FeatureMapSpec, encode, entangled_pairs, state_memory
+from vqclass.vqc import VqcConfig, p_ad
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -105,11 +109,26 @@ class TestEncode:
             encode([[0.5] * 25], FeatureMapSpec(25))
 
     def test_state_memory_checked_before_allocation(self):
-        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 16 B * 3 = 768 TiB of states; the
-        # zero-stride batch holds one row, and the check runs before anything batch-sized
+        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 24 B = 384 TiB of states and phases,
+        # plus 4.7 GiB of bit masks and 0.75 GiB of row blocks; the zero-stride batch holds
+        # one row, and the check runs before anything batch-sized
         x = np.broadcast_to(np.full(24, 0.5), (1 << 20, 24))
-        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 786432\.0 GiB"):
+        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 393221\.4 GiB"):
             encode(x, FeatureMapSpec(24))
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_state_memory_covers_encode_and_p_ad(self, reps):
+        # traced peak of a 32-row batch at n = 12 (2 MiB of states) through encode then p_ad
+        cfg = VqcConfig(FeatureMapSpec(12, reps), AnsatzSpec(12, reps=2, entanglement="full"))
+        x = np.random.default_rng(reps).uniform(0, 1, size=(32, 12))
+        params = init_params(cfg.ansatz, 0)
+        tracemalloc.start()
+        try:
+            p_ad(encode(x, cfg.feature_map), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state_memory(32, cfg.feature_map)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(EncodingError):

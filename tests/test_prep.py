@@ -86,6 +86,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="positive"):
             load_csv(path, "class", "Q")
 
+    def test_nonfinite_value_names_file(self, tmp_path):
+        path = write_csv(tmp_path, "a,class\n1,P\ninf,H\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, "class", "P")
+        assert str(info.value) == f"{path}: column 'a' row 2: non-finite value 'inf'"
+
+    def test_too_many_categories_names_file(self, tmp_path):
+        rows = "".join(f"cat{i},{'P' if i % 2 else 'H'}\n" for i in range(65))
+        path = write_csv(tmp_path, "col,class\n" + rows)
+        with pytest.raises(DataError) as info:
+            load_csv(path, "class", "P")
+        assert str(info.value).startswith(f"{path}: column 'col' has 65 distinct categories")
+
 
 class TestOneHot:
     def _encode(self, columns, rows):

@@ -1,6 +1,7 @@
 """Classifier tests: parity readout, batched forward pass, loss, training."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.spsa import SpsaConfig
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
+    BLOCK_BYTES,
     Label,
     VqcConfig,
     _even_parity_mask,
@@ -153,6 +155,35 @@ class TestForward:
         first = p_ad(states, params, cfg)
         np.testing.assert_array_equal(states, before)
         np.testing.assert_array_equal(p_ad(states, params, cfg), first)
+
+    def test_row_blocks_at_production_size(self):
+        # 2.5 blocks' rows at n = 12, so the last block is short
+        cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
+        rows = 5 * max(1, BLOCK_BYTES >> (12 + 4)) // 2
+        states = encode(np.random.default_rng(8).uniform(0, 1, size=(rows, 12)), cfg.feature_map)
+        params = init_params(cfg.ansatz, 8)
+        exact = p_ad(states, params, cfg)
+        by_row = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(rows)])
+        assert np.array_equal(exact, by_row)
+        shot_cfg = replace(cfg, shots=1000, seed=4)
+        got = p_ad(states, params, shot_cfg, eval_counter=3)
+        for i, mass in enumerate(exact):
+            rng = np.random.default_rng(shot_seed(shot_cfg.seed, i, 3))
+            assert got[i] == rng.binomial(shot_cfg.shots, mass) / shot_cfg.shots
+
+    def test_p_ad_holds_no_batch_sized_buffer(self):
+        cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
+        rows = 16 * max(1, BLOCK_BYTES >> (12 + 4))
+        states = encode(np.random.default_rng(9).uniform(0, 1, size=(rows, 12)), cfg.feature_map)
+        params = init_params(cfg.ansatz, 9)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p_ad(states, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < states.nbytes / 4
 
     def test_shot_seed_mixing_is_stable(self):
         assert shot_seed(1, 2, 3) == shot_seed(1, 2, 3)
