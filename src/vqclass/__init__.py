@@ -18,9 +18,9 @@ from .errors import (
     VqclassError,
 )
 from .featmap import FeatureMapSpec, encode
-from .metrics import ConfusionMatrix, MetricsReport, auroc, confusion, full_report
+from .metrics import auroc, confusion, full_report
 from .prep import Table, load_csv, one_hot_encode, stratified_split
-from .qkernel import KernelMatrix, kernel_matrix
+from .qkernel import kernel_matrix
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
 from .vqc import Label, VqcConfig, p_ad, predict_batch, train
 
@@ -30,13 +30,10 @@ __all__ = [
     "AnsatzSpec",
     "BindingError",
     "ConfigError",
-    "ConfusionMatrix",
     "DataError",
     "EncodingError",
     "FeatureMapSpec",
-    "KernelMatrix",
     "Label",
-    "MetricsReport",
     "OptimizerError",
     "SpsaConfig",
     "Table",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BindingError, ConfigError
 from .featmap import ENTANGLEMENTS, entangled_pairs
-from .statevec import MAX_QUBITS, apply_single
+from .statevec import COUNT_BYTES, MAX_QUBITS, apply_single, physical_memory
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class AnsatzSpec:
             raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if self.n_params * COUNT_BYTES > physical_memory():
+            raise ConfigError(f"reps = {self.reps} needs more than the physical memory "
+                              f"at {COUNT_BYTES} B per parameter")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 

@@ -29,7 +29,7 @@ from . import prep as prep_mod
 from . import vqc as vqc_mod
 from .ansatz import AnsatzSpec
 from .errors import ConfigError, DataError, VqclassError
-from .featmap import FeatureMapSpec
+from .featmap import FeatureMapSpec, encode
 from .qkernel import kernel_matrix, kernel_to_csv
 from .spsa import SpsaConfig
 
@@ -373,13 +373,13 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     test_p = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
     test_pred = vqc_mod.classify(test_p)
     report = metrics_mod.full_report(test.labels.tolist(), test_pred.tolist(), test_p.tolist())
-    if report.ad.auroc is None:
+    if report["ad_cohort"]["auroc"] is None:
         print(
             "warning: held-out split contains a single class; AUROC is undefined "
             "and reported as null",
             file=sys.stderr,
         )
-    _write_json(metrics_path, metrics_mod.report_to_dict(report))
+    _write_json(metrics_path, report)
 
     pred_lines = ["sample_id,p_ad,predicted,true"]
     for sid, p, pred, true in zip(test.ids, test_p.tolist(), test_pred, test.labels):
@@ -401,16 +401,19 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
 
 
 def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
-    """Export train x train and test x train fidelity kernel matrices."""
+    """Export train x train and test x train fidelity kernel matrices,
+    encoding each split once."""
     _, train, test = _load_stage(cfg, data)
     train_path = _artifact_path(cfg, KERNEL_TRAIN_FILE, force)
     test_path = _artifact_path(cfg, KERNEL_TEST_FILE, force)
+    train_states = encode(train.x, cfg.vqc.feature_map)
+    test_states = encode(test.x, cfg.vqc.feature_map)
+    k_train = kernel_matrix(train_states, train_states)
+    k_test = kernel_matrix(test_states, train_states)
+    del train_states, test_states  # freed before the CSV text is built
     train_ids, test_ids = train.ids.tolist(), test.ids.tolist()
-    fmap = cfg.vqc.feature_map
-    k_train = kernel_matrix(train.x, train.x, fmap, row_ids=train_ids, col_ids=train_ids)
-    k_test = kernel_matrix(test.x, train.x, fmap, row_ids=test_ids, col_ids=train_ids)
-    _write_text(train_path, kernel_to_csv(k_train))
-    _write_text(test_path, kernel_to_csv(k_test))
+    _write_text(train_path, kernel_to_csv(k_train, train_ids, train_ids))
+    _write_text(test_path, kernel_to_csv(k_test, test_ids, train_ids))
 
 
 def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:

@@ -12,15 +12,19 @@ basis state |b_0 ... b_(n-1)>, computed for a whole batch at once.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EncodingError
-from .statevec import BLOCK_BYTES, HADAMARD, MAX_QUBITS, apply_single
+from .statevec import BLOCK_BYTES, HADAMARD, MAX_QUBITS, apply_single, physical_memory
 
 ENTANGLEMENTS = ("linear", "full")
+# Each H gate scales |psi|^2 by 2 fl(1/sqrt 2)^2 = 1 - 1.8e-16, every state
+# alike. At 2^-52 per gate, this many H gates (n per repetition after the
+# first) keep the kernel's unit diagonal |psi|^4 within 1e-12 of 1, the
+# tolerance the benchmark's gate checks kernel_train.csv to:
+MAX_H_GATES = int(1e-12 / (2 * 2.0**-52))
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,9 @@ class FeatureMapSpec:
             raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if (self.reps - 1) * self.n_qubits > MAX_H_GATES:
+            raise ConfigError(f"reps must be <= {1 + MAX_H_GATES // self.n_qubits} at "
+                              f"n={self.n_qubits} ({MAX_H_GATES} H gates), got {self.reps}")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
@@ -90,7 +97,7 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
     need = state_memory(arr.shape[0], spec)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have = physical_memory()
     if need > have:
         raise ConfigError(
             f"{arr.shape[0]} samples at n={n} qubits need about {need / 2**30:.1f} GiB of "

@@ -1,13 +1,11 @@
-"""Binary-classification evaluation: confusion matrix, the four derived
+"""Binary-classification evaluation: confusion counts, the four derived
 scores, and rank-based AUROC, reported for both choices of positive class.
-``CohortMetrics`` is the one score record: ``scores_from_confusion`` fills
-it from a confusion matrix and an AUROC, and ``full_report`` makes one
-per positive class."""
+Everything is a plain dict: ``confusion`` counts, ``scores_from_confusion``
+makes one report row from the counts and an AUROC, and ``full_report``
+returns the ``metrics.json`` record itself, one row per positive class."""
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,76 +13,43 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    def swapped(self) -> "ConfusionMatrix":
-        """The same predictions counted with the opposite positive class."""
-        return ConfusionMatrix(tp=self.tn, tn=self.tp, fp=self.fn, fn=self.fp)
-
-
 def confusion(
     y_true: Sequence[int],
     y_pred: Sequence[int],
     positive_class: int = 1,
-) -> ConfusionMatrix:
-    """Count TP/TN/FP/FN with the given label treated as positive."""
+) -> dict:
+    """TP/TN/FP/FN counts, as {"tp", "tn", "fp", "fn"}, with the given
+    label treated as positive."""
     t = np.asarray(y_true)
     p = np.asarray(y_pred)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise DataError(f"need equal-length non-empty label vectors, got {t.shape} vs {p.shape}")
     tpos = t == positive_class
     ppos = p == positive_class
-    return ConfusionMatrix(
-        tp=int(np.sum(tpos & ppos)),
-        tn=int(np.sum(~tpos & ~ppos)),
-        fp=int(np.sum(~tpos & ppos)),
-        fn=int(np.sum(tpos & ~ppos)),
-    )
+    return {
+        "tp": int(np.sum(tpos & ppos)),
+        "tn": int(np.sum(~tpos & ~ppos)),
+        "fp": int(np.sum(~tpos & ppos)),
+        "fn": int(np.sum(tpos & ~ppos)),
+    }
 
 
-@dataclass(frozen=True)
-class CohortMetrics:
-    """One row of the evaluation report, for a fixed positive class."""
-
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    auroc: float | None
-    confusion: ConfusionMatrix
-    undefined: frozenset[str] = frozenset()
-
-
-def _ratio(num: int, den: int, name: str, undefined: set[str]) -> float:
-    if den == 0:
-        undefined.add(name)
-        return 0.0
-    return num / den
-
-
-def scores_from_confusion(cm: ConfusionMatrix, auroc: float | None) -> CohortMetrics:
-    """Accuracy = (TP+TN)/total, sensitivity = TP/(TP+FN),
-    specificity = TN/(TN+FP), F1 = 2TP/(2TP+FP+FN), with ``auroc`` passed
-    through."""
-    undefined: set[str] = set()
-    return CohortMetrics(
-        accuracy=_ratio(cm.tp + cm.tn, cm.total, "accuracy", undefined),
-        sensitivity=_ratio(cm.tp, cm.tp + cm.fn, "sensitivity", undefined),
-        specificity=_ratio(cm.tn, cm.tn + cm.fp, "specificity", undefined),
-        f1=_ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn, "f1", undefined),
-        auroc=auroc,
-        confusion=cm,
-        undefined=frozenset(undefined),
-    )
+def scores_from_confusion(counts: dict, auroc: float | None) -> dict:
+    """One report row: accuracy = (TP+TN)/total, sensitivity = TP/(TP+FN),
+    specificity = TN/(TN+FP) and F1 = 2TP/(2TP+FP+FN), then ``auroc``, the
+    counts, and the sorted names of the scores whose denominator is 0
+    (reported as 0.0)."""
+    tp, tn, fp, fn = counts["tp"], counts["tn"], counts["fp"], counts["fn"]
+    ratios = {
+        "accuracy": (tp + tn, tp + tn + fp + fn),
+        "sensitivity": (tp, tp + fn),
+        "specificity": (tn, tn + fp),
+        "f1": (2 * tp, 2 * tp + fp + fn),
+    }
+    row: dict = {name: num / den if den else 0.0 for name, (num, den) in ratios.items()}
+    row.update(auroc=auroc, confusion=counts,
+               undefined=sorted(name for name, (_, den) in ratios.items() if not den))
+    return row
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -115,34 +80,20 @@ def auroc(y_true: Sequence[int], scores: Sequence[float]) -> float:
     return u / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Evaluation viewed with each class as the positive one in turn."""
-
-    ad: CohortMetrics
-    non_ad: CohortMetrics
-
-
 def full_report(
     y_true: Sequence[int],
     y_pred: Sequence[int],
     p_ad: Sequence[float],
-) -> MetricsReport:
-    """Both cohort rows from hard labels plus the class-1 scores.
+) -> dict:
+    """The ``metrics.json`` record, {"ad_cohort": row, "non_ad_cohort": row},
+    from 0/1 labels, hard predictions and the class-1 scores.
 
     AUROC uses the raw class-1 probabilities and is identical for the
     two rows (pair ordering is symmetric under swapping roles); it is
     None when the true labels contain a single class.
     """
-    cm = confusion(y_true, y_pred, positive_class=1)
+    ad = confusion(y_true, y_pred, positive_class=1)
+    non_ad = confusion(y_true, y_pred, positive_class=0)
     auc = auroc(y_true, p_ad) if np.unique(y_true).size > 1 else None
-    return MetricsReport(scores_from_confusion(cm, auc), scores_from_confusion(cm.swapped(), auc))
-
-
-def report_to_dict(report: MetricsReport) -> dict:
-    """JSON-ready form of the report."""
-
-    def row(m: CohortMetrics) -> dict:  # keys in field order, confusion as tp/tn/fp/fn
-        return {**dataclasses.asdict(m), "undefined": sorted(m.undefined)}
-
-    return {"ad_cohort": row(report.ad), "non_ad_cohort": row(report.non_ad)}
+    return {"ad_cohort": scores_from_confusion(ad, auc),
+            "non_ad_cohort": scores_from_confusion(non_ad, auc)}

@@ -53,7 +53,8 @@ class MinMaxModel:
 
 def load_csv(path: str, label_column: str, positive_label: str) -> Table:
     """Read a comma-delimited UTF-8 table with a header row, one-hot
-    encode it and hash the bytes it was parsed from.
+    encode it and hash the bytes it was parsed from, a leading byte-order
+    mark included; the mark itself is not part of the first column's name.
 
     The label column must exist and hold exactly two distinct values,
     one of which is ``positive_label``. The first structural defect is
@@ -65,7 +66,7 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
     # decoded in chunks, as a text-mode open would, so no decoded copy of the file is held
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     try:
         columns = next(reader)
         rows = list(reader)

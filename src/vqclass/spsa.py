@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, OptimizerError
+from .statevec import COUNT_BYTES, physical_memory
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,9 @@ class SpsaConfig:
     def __post_init__(self) -> None:
         if self.maxiter < 0:
             raise ConfigError(f"maxiter must be >= 0, got {self.maxiter}")
+        if self.maxiter * COUNT_BYTES > physical_memory():
+            raise ConfigError(f"maxiter = {self.maxiter} needs more than the physical "
+                              f"memory at {COUNT_BYTES} B per iteration")
         if self.a <= 0 or self.c <= 0:
             raise ConfigError(f"a and c must be positive, got a={self.a}, c={self.c}")
         if not 0 < self.gamma < self.alpha <= 1:

@@ -11,11 +11,14 @@ alone; ``vqc.p_ad`` relies on that to run a batch in row blocks of
 ``BLOCK_BYTES``. The feature map's H layers and the ansatz's fused RZ RY
 rotations run through it; the ansatz's CY/CZ blocks are gathers
 (``ansatz.block_gather``) and the feature map's phases a closed form.
+The module also holds the package's size limits: the qubit cap, the
+row-block size and the physical-memory ceiling with its per-count charge.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -25,10 +28,22 @@ MAX_QUBITS = 24
 # sizes timed (64 KiB to 1 MiB, n = 8 and 12), 256 KiB was fastest at n = 12
 BLOCK_BYTES = 1 << 18
 
+# A run holds about 145 B per SPSA iteration (the loss history, then
+# loss_history.csv's lines and text) and 190-215 B per ansatz parameter (the
+# vector, its Python floats, the light cone's cached layers, model.json's list
+# and text) at its peak, by tracemalloc; spsa.maxiter and the parameter count
+# are each charged this much a unit against physical_memory()
+COUNT_BYTES = 256
+
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _H = 1.0 / math.sqrt(2.0)
 HADAMARD: Matrix2 = ((_H, _H), (_H, -_H))
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: the ceiling of every size the package checks."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _single_views(amps: np.ndarray, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -112,7 +112,8 @@ def p_ad(
     copied into a working buffer, advanced through the whole ansatz and
     reduced to its even-parity mass while it is still in cache. Every step
     acts on each row alone, so a row's result does not depend on its block.
-    Shot counts are then drawn as in ``readout``, i being the row in ``states``.
+    In shot mode the ``cfg.shots`` counts are then drawn once over all rows,
+    row i of ``states`` seeded with ``shot_seed(cfg.seed, i, eval_counter)``.
     """
     n = cfg.n_qubits
     states = np.asarray(states, dtype=np.complex128)
@@ -130,18 +131,8 @@ def p_ad(
     return _draw(mass, cfg, eval_counter)
 
 
-def readout(states: np.ndarray, cfg: VqcConfig, eval_counter: int = 0) -> np.ndarray:
-    """Even-parity mass on ``cfg.measured_qubits`` of each state, shape
-    (N, 2^n): exact, or the frequency of ``cfg.shots`` seeded samples.
-
-    Each row is read out on its own, so its probability does not depend on
-    the batch it comes in. In shot mode row i draws its count with seed
-    ``shot_seed(cfg.seed, i, eval_counter)``.
-    """
-    return _draw(_parity_mass(states, cfg), cfg, eval_counter)
-
-
 def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
+    """Even-parity mass on ``cfg.measured_qubits`` of each state, shape (N, 2^n)."""
     even = _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)
     return ((states.real**2 + states.imag**2) * even).sum(axis=1)
 

@@ -15,7 +15,7 @@ import oracles
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, init_params
 from vqclass.cli import main
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
-from vqclass.metrics import ConfusionMatrix, auroc, scores_from_confusion
+from vqclass.metrics import auroc, scores_from_confusion
 from vqclass.prep import pca_fit
 from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
@@ -100,10 +100,11 @@ def test_criterion_03_kernel_properties():
     t0 = time.perf_counter()
     rng = np.random.default_rng(31)
     samples = rng.uniform(0, 1, size=(20, 5))
-    km = kernel_matrix(samples, samples, FeatureMapSpec(5, 1, "full"))
-    asym = float(np.max(np.abs(km.values - km.values.T)))
-    diag = float(np.max(np.abs(np.diag(km.values) - 1.0)))
-    min_eig = float(np.linalg.eigvalsh(km.values).min())
+    states = encode(samples, FeatureMapSpec(5, 1, "full"))
+    km = kernel_matrix(states, states)
+    asym = float(np.max(np.abs(km - km.T)))
+    diag = float(np.max(np.abs(np.diag(km) - 1.0)))
+    min_eig = float(np.linalg.eigvalsh(km).min())
     assert asym < 1e-10
     assert diag < 1e-10
     assert min_eig >= -1e-8
@@ -138,8 +139,8 @@ def test_criterion_04_spsa_convergence():
 
 def test_criterion_05_metrics_exactness():
     t0 = time.perf_counter()
-    s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1), None)
-    assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (0.75, 0.75, 0.75, 0.75)
+    s = scores_from_confusion({"tp": 3, "tn": 3, "fp": 1, "fn": 1}, None)
+    assert (s["accuracy"], s["sensitivity"], s["specificity"], s["f1"]) == (0.75,) * 4
     assert auroc([1, 0, 1, 0], [0.9, 0.8, 0.3, 0.1]) == 0.75
     rng = np.random.default_rng(55)
     for _ in range(100):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.vqc import VqcConfig, p_ad, predict_batch, readout
+from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 
 def run_ansatz(spec, params, state=None):
@@ -47,10 +48,11 @@ def dead_slots(spec, measured):
 
 
 def full_circuit_p(states, params, cfg):
-    """Readout after every gate of the ansatz, no light cone."""
+    """Readout after every gate of the ansatz, no light cone: the parity
+    mass and the shot draw that ``p_ad`` runs after its ansatz."""
     states = states.copy()
     apply_ansatz(states, cfg.ansatz, params)
-    return readout(states, cfg)
+    return vqc._draw(vqc._parity_mass(states, cfg), cfg, 0)
 
 
 def op_shape(op):

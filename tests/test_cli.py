@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqclass import cli, featmap, qkernel
 from vqclass.cli import SCHEMA, load_config, main
 from vqclass.errors import ConfigError
 from vqclass.synth import make_blobs, write_labeled_csv
@@ -93,6 +94,21 @@ class TestPipeline:
         for i, line in enumerate(train_lines[1:]):
             values = [float(v) for v in line.split(",")[1:]]
             assert values[i] == pytest.approx(1.0, abs=1e-10)
+
+    def test_kernel_encodes_each_split_once(self, tmp_path, monkeypatch):
+        cfg_path = small_config(tmp_path)
+        assert main(["prep", "--config", str(cfg_path)]) == 0
+        rows = []
+
+        def counting_encode(x, spec):
+            rows.append(len(x))
+            return featmap.encode(x, spec)
+
+        for module in (cli, qkernel):  # wherever the kernel verb may look encode up
+            if getattr(module, "encode", None) is featmap.encode:
+                monkeypatch.setattr(module, "encode", counting_encode)
+        assert main(["kernel", "--config", str(cfg_path)]) == 0
+        assert sorted(rows) == [4, 12]  # the test split and the train split, once each
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = small_config(tmp_path, out_name="a", maxiter=4)
@@ -181,6 +197,10 @@ class TestGuards:
             # beyond a C long: numpy's binomial draw raised OverflowError, exit 2
             ("vqc", {"shots": 2**63}, "vqc: shots"),
             ("vqc", {"eval_shots": 2**63}, "vqc.eval_shots"),  # and only after training
+            # exited 2 in numpy's allocation, or never finished, after prep had written
+            ("spsa", {"maxiter": 2**70, "seed": 3}, "spsa: maxiter = 1180591620717411303424"),
+            ("ansatz", {"reps": 2**70}, "ansatz: reps = 1180591620717411303424"),
+            ("feature_map", {"reps": 2**70}, "feature_map: reps must be <= 1126 at n=2"),
         ],
     )
     def test_non_strict_numbers_rejected(self, tmp_path, capsys, section, value, message):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from vqclass.ansatz import AnsatzSpec, init_params
 from vqclass.errors import ConfigError, EncodingError
-from vqclass.featmap import FeatureMapSpec, encode, entangled_pairs, state_memory
+from vqclass.featmap import MAX_H_GATES, FeatureMapSpec, encode, entangled_pairs, state_memory
 from vqclass.vqc import VqcConfig, p_ad
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -107,6 +107,18 @@ class TestEncode:
     def test_register_cap_enforced(self):
         with pytest.raises(ConfigError):
             encode([[0.5] * 25], FeatureMapSpec(25))
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_reps_bound_keeps_unit_diagonal(self, n):
+        # each H gate shrinks |psi|^2 by 1.8e-16, so the bound is set by the
+        # kernel's unit diagonal |psi|^4 at its 1e-12 tolerance
+        reps = 1 + MAX_H_GATES // n
+        with pytest.raises(ConfigError, match=f"reps must be <= {reps} at n={n}"):
+            FeatureMapSpec(n, reps + 1)
+        x = np.random.default_rng(n).uniform(0, 1, size=(4, n))
+        states = encode(x, FeatureMapSpec(n, reps))
+        diag = np.abs(np.einsum("ij,ij->i", states.conj(), states)) ** 2
+        assert np.max(np.abs(diag - 1.0)) <= 1e-12
 
     def test_state_memory_checked_before_allocation(self):
         # 2^20 rows at n = 24 would need 2^20 * 2^24 * 24 B = 384 TiB of states and phases,

@@ -9,34 +9,35 @@ from hypothesis import strategies as st
 
 import oracles
 from vqclass.errors import DataError
-from vqclass.metrics import (
-    ConfusionMatrix,
-    auroc,
-    confusion,
-    full_report,
-    report_to_dict,
-    scores_from_confusion,
-)
+from vqclass.metrics import auroc, confusion, full_report, scores_from_confusion
+
+
+def confusion_counts(tp, tn, fp, fn):
+    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn}
+
+
+def as_tuple(cm):
+    return cm["tp"], cm["tn"], cm["fp"], cm["fn"]
 
 
 class TestConfusion:
     def test_perfect_two_samples(self):
-        cm = confusion([1, 0], [1, 0])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 1, 0, 0)
+        assert as_tuple(confusion([1, 0], [1, 0])) == (1, 1, 0, 0)
 
     def test_hand_counted_eight_samples(self):
         y_true = [1, 1, 1, 1, 0, 0, 0, 0]
         y_pred = [1, 1, 1, 0, 0, 0, 0, 1]
         cm = confusion(y_true, y_pred)
-        assert (cm.tp, cm.fn, cm.tn, cm.fp) == (3, 1, 3, 1)
+        assert (cm["tp"], cm["fn"], cm["tn"], cm["fp"]) == (3, 1, 3, 1)
 
     def test_swapping_positive_class(self):
         y_true = [1, 1, 1, 1, 0, 0, 0, 0]
         y_pred = [1, 1, 1, 0, 0, 0, 0, 1]
         cm = confusion(y_true, y_pred, positive_class=0)
         # symmetric instance: swapped counts coincide
-        assert (cm.tp, cm.fn, cm.tn, cm.fp) == (3, 1, 3, 1)
-        assert confusion(y_true, y_pred).swapped() == cm
+        assert (cm["tp"], cm["fn"], cm["tn"], cm["fp"]) == (3, 1, 3, 1)
+        ad = confusion(y_true, y_pred)
+        assert confusion_counts(ad["tn"], ad["tp"], ad["fn"], ad["fp"]) == cm
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -48,46 +49,46 @@ class TestConfusion:
     def test_counts_conserve_total(self, pairs):
         y_true = [a for a, _ in pairs]
         y_pred = [b for _, b in pairs]
-        cm = confusion(y_true, y_pred)
-        assert cm.total == len(pairs)
+        assert sum(confusion(y_true, y_pred).values()) == len(pairs)
 
 
 class TestScores:
     def test_all_correct(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=1, tn=1, fp=0, fn=0), None)
-        assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (1.0, 1.0, 1.0, 1.0)
-        assert not s.undefined
+        s = scores_from_confusion(confusion_counts(tp=1, tn=1, fp=0, fn=0), None)
+        assert (s["accuracy"], s["sensitivity"], s["specificity"], s["f1"]) == (1.0, 1.0, 1.0, 1.0)
+        assert not s["undefined"]
 
     def test_hand_arithmetic(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=3, tn=3, fp=1, fn=1), None)
-        assert (s.accuracy, s.sensitivity, s.specificity, s.f1) == (0.75, 0.75, 0.75, 0.75)
+        s = scores_from_confusion(confusion_counts(tp=3, tn=3, fp=1, fn=1), None)
+        assert (s["accuracy"], s["sensitivity"], s["specificity"], s["f1"]) == (
+            0.75, 0.75, 0.75, 0.75)
 
     def test_no_positives_flags_sensitivity(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0), None)
-        assert s.sensitivity == 0.0
-        assert "sensitivity" in s.undefined
-        assert "f1" in s.undefined
+        s = scores_from_confusion(confusion_counts(tp=0, tn=5, fp=0, fn=0), None)
+        assert s["sensitivity"] == 0.0
+        assert "sensitivity" in s["undefined"]
+        assert "f1" in s["undefined"]
 
     def test_no_negatives_flags_specificity(self):
-        s = scores_from_confusion(ConfusionMatrix(tp=4, tn=0, fp=0, fn=1), None)
-        assert s.specificity == 0.0
-        assert s.undefined == frozenset({"specificity"})
+        s = scores_from_confusion(confusion_counts(tp=4, tn=0, fp=0, fn=1), None)
+        assert s["specificity"] == 0.0
+        assert s["undefined"] == ["specificity"]
 
     @given(st.tuples(*[st.integers(0, 10**6)] * 4))
     @settings(max_examples=200)
     def test_exact_rational_arithmetic(self, counts):
         tp, tn, fp, fn = counts
-        cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
-        if cm.total == 0:
+        total = tp + tn + fp + fn
+        if total == 0:
             return
-        s = scores_from_confusion(cm, None)
-        assert s.accuracy == float(Fraction(tp + tn, cm.total))
+        s = scores_from_confusion(confusion_counts(tp=tp, tn=tn, fp=fp, fn=fn), None)
+        assert s["accuracy"] == float(Fraction(tp + tn, total))
         if tp + fn:
-            assert s.sensitivity == float(Fraction(tp, tp + fn))
+            assert s["sensitivity"] == float(Fraction(tp, tp + fn))
         if tn + fp:
-            assert s.specificity == float(Fraction(tn, tn + fp))
+            assert s["specificity"] == float(Fraction(tn, tn + fp))
         if 2 * tp + fp + fn:
-            assert s.f1 == float(Fraction(2 * tp, 2 * tp + fp + fn))
+            assert s["f1"] == float(Fraction(2 * tp, 2 * tp + fp + fn))
 
 
 class TestAuroc:
@@ -140,31 +141,32 @@ class TestFullReport:
         y_true = [1, 1, 1, 0, 0, 1, 0, 0]
         y_pred = [1, 0, 1, 0, 1, 1, 0, 0]
         p = [0.9, 0.4, 0.8, 0.2, 0.7, 0.6, 0.1, 0.3]
-        report = full_report(y_true, y_pred, p)
+        ad, non_ad = full_report(y_true, y_pred, p).values()
         swapped = scores_from_confusion(confusion(y_true, y_pred, positive_class=0), None)
-        assert report.non_ad.accuracy == swapped.accuracy
-        assert report.non_ad.sensitivity == swapped.sensitivity
-        assert report.non_ad.specificity == swapped.specificity
-        assert report.non_ad.f1 == swapped.f1
-        assert report.ad.accuracy == report.non_ad.accuracy
-        assert report.ad.auroc == report.non_ad.auroc
+        assert non_ad["accuracy"] == swapped["accuracy"]
+        assert non_ad["sensitivity"] == swapped["sensitivity"]
+        assert non_ad["specificity"] == swapped["specificity"]
+        assert non_ad["f1"] == swapped["f1"]
+        assert ad["accuracy"] == non_ad["accuracy"]
+        assert ad["auroc"] == non_ad["auroc"]
 
     def test_single_class_reports_null_auroc(self):
         report = full_report([1, 1], [1, 0], [0.9, 0.2])
-        assert report.ad.auroc is None
-        d = report_to_dict(report)
-        assert d["ad_cohort"]["auroc"] is None
+        assert report["ad_cohort"]["auroc"] is None
+        assert report["non_ad_cohort"]["auroc"] is None
 
     def test_non_finite_score_is_not_reported_as_single_class(self):
         with pytest.raises(DataError, match="finite"):
             full_report([1, 0, 1, 0], [1, 0, 1, 0], [np.nan, 0.2, 0.6, 0.1])
 
     def test_dict_shape(self):
-        d = report_to_dict(full_report([1, 0], [1, 0], [0.8, 0.1]))
+        d = full_report([1, 0], [1, 0], [0.8, 0.1])
+        assert list(d) == ["ad_cohort", "non_ad_cohort"]
         for cohort in ("ad_cohort", "non_ad_cohort"):
             row = d[cohort]
-            assert set(row) == {
+            # metrics.json's key order
+            assert list(row) == [
                 "accuracy", "sensitivity", "specificity", "f1",
                 "auroc", "confusion", "undefined",
-            }
-            assert set(row["confusion"]) == {"tp", "tn", "fp", "fn"}
+            ]
+            assert list(row["confusion"]) == ["tp", "tn", "fp", "fn"]

@@ -44,6 +44,17 @@ class TestLoadCsv:
         expected = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert load_csv(path, "class", "P").sha256 == expected
 
+    @pytest.mark.parametrize("text", ["class,a,b\nP,1,2\nH,3,4\n", "a,b,class\n1,2,P\n3,4,H\n"])
+    def test_byte_order_mark_dropped(self, tmp_path, text):
+        # as Excel's "CSV UTF-8" writes: the label column first was not found, and
+        # otherwise the mark leaked into the first feature name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        table = load_csv(str(path), "class", "P")
+        assert table.feature_names == ["a", "b"]
+        assert table.labels.tolist() == [1, 0]
+        assert table.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("a,class\n\xe9,P\n1,H\n".encode("latin-1"))

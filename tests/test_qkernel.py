@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from vqclass.errors import EncodingError
-from vqclass.featmap import FeatureMapSpec
+from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.qkernel import kernel_matrix, kernel_to_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
 
 
+def kernel(samples_a, samples_b, spec):
+    """The kernel matrix of two batches of feature vectors, each encoded once."""
+    return kernel_matrix(encode(samples_a, spec), encode(samples_b, spec))
+
+
 def kernel_entry(x, x_other, spec):
     """One fidelity, computed as a 1 x 1 kernel matrix."""
-    return kernel_matrix(np.array([x]), np.array([x_other]), spec).values[0, 0]
+    return kernel(np.array([x]), np.array([x_other]), spec)[0, 0]
 
 
 class TestKernelEntry:
@@ -44,76 +49,83 @@ class TestKernelMatrix:
     def test_gram_matrix_properties(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(0, 1, size=(20, 5))
-        km = kernel_matrix(samples, samples, SPEC5)
-        assert np.max(np.abs(km.values - km.values.T)) < 1e-10
-        assert np.max(np.abs(np.diag(km.values) - 1.0)) < 1e-10
-        assert np.linalg.eigvalsh(km.values).min() >= -1e-8
+        km = kernel(samples, samples, SPEC5)
+        assert np.max(np.abs(km - km.T)) < 1e-10
+        assert np.max(np.abs(np.diag(km) - 1.0)) < 1e-10
+        assert np.linalg.eigvalsh(km).min() >= -1e-8
 
     def test_single_sample(self):
-        km = kernel_matrix(np.array([[0.3, 0.7]]), np.array([[0.3, 0.7]]), FeatureMapSpec(2))
-        np.testing.assert_allclose(km.values, [[1.0]], atol=1e-12)
+        km = kernel(np.array([[0.3, 0.7]]), np.array([[0.3, 0.7]]), FeatureMapSpec(2))
+        np.testing.assert_allclose(km, [[1.0]], atol=1e-12)
 
     def test_rectangular_shape(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(0, 1, size=(3, 2))
         b = rng.uniform(0, 1, size=(2, 2))
-        km = kernel_matrix(a, b, FeatureMapSpec(2))
-        assert km.values.shape == (3, 2)
-        assert km.row_ids == [0, 1, 2]
-        assert km.col_ids == [0, 1]
+        assert kernel(a, b, FeatureMapSpec(2)).shape == (3, 2)
 
     def test_cached_path_equals_naive_per_pair(self):
         rng = np.random.default_rng(3)
         spec = FeatureMapSpec(3, 1, "full")
         a = rng.uniform(0, 1, size=(4, 3))
         b = rng.uniform(0, 1, size=(3, 3))
-        km = kernel_matrix(a, b, spec)
+        km = kernel(a, b, spec)
         for i in range(4):
             for j in range(3):
                 naive = kernel_entry(a[i], b[j], spec)
-                assert km.values[i, j] == pytest.approx(naive, abs=1e-12)
+                assert km[i, j] == pytest.approx(naive, abs=1e-12)
 
     def test_values_bounded(self):
         rng = np.random.default_rng(4)
         samples = rng.uniform(0, 1, size=(12, 5))
-        km = kernel_matrix(samples, samples, SPEC5)
-        assert np.all(km.values >= 0.0)
-        assert np.all(km.values <= 1.0)
+        km = kernel(samples, samples, SPEC5)
+        assert np.all(km >= 0.0)
+        assert np.all(km <= 1.0)
 
     def test_custom_ids(self):
         a = np.array([[0.1, 0.4]])
-        km = kernel_matrix(a, a, FeatureMapSpec(2), row_ids=["s9"], col_ids=["s9"])
-        assert km.row_ids == ["s9"]
+        km = kernel(a, a, FeatureMapSpec(2))
+        assert kernel_to_csv(km, ["s9"], ["s9"]).startswith("id,s9\ns9,")
 
 
 class TestCsvExport:
     def test_round_trips_at_full_precision(self):
         rng = np.random.default_rng(5)
         samples = rng.uniform(0, 1, size=(3, 2))
-        km = kernel_matrix(samples, samples, FeatureMapSpec(2), row_ids=[7, 8, 9],
-                           col_ids=[7, 8, 9])
-        text = kernel_to_csv(km)
+        km = kernel(samples, samples, FeatureMapSpec(2))
+        text = kernel_to_csv(km, [7, 8, 9], [7, 8, 9])
         lines = text.strip().split("\n")
         assert lines[0] == "id,7,8,9"
         parsed = np.array(
             [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
         )
-        np.testing.assert_array_equal(parsed, km.values)
+        np.testing.assert_array_equal(parsed, km)
 
     def test_rectangular_ids(self):
         # test x train layout: the header holds the column ids, each row starts with its id
         rng = np.random.default_rng(7)
         rows, cols = rng.uniform(0, 1, size=(2, 2)), rng.uniform(0, 1, size=(3, 2))
-        km = kernel_matrix(rows, cols, FeatureMapSpec(2), row_ids=[3, 4], col_ids=[7, 8, 9])
-        lines = kernel_to_csv(km).strip().split("\n")
+        km = kernel(rows, cols, FeatureMapSpec(2))
+        lines = kernel_to_csv(km, [3, 4], [7, 8, 9]).strip().split("\n")
         assert lines[0] == "id,7,8,9"
         assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
         parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, km.values)
+        np.testing.assert_array_equal(parsed, km)
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(6)
         samples = rng.uniform(0, 1, size=(4, 2))
-        km1 = kernel_matrix(samples, samples, FeatureMapSpec(2))
-        km2 = kernel_matrix(samples.copy(), samples.copy(), FeatureMapSpec(2))
-        assert kernel_to_csv(km1) == kernel_to_csv(km2)
+        km1 = kernel(samples, samples, FeatureMapSpec(2))
+        km2 = kernel(samples.copy(), samples.copy(), FeatureMapSpec(2))
+        ids = list(range(4))
+        assert kernel_to_csv(km1, ids, ids) == kernel_to_csv(km2, ids, ids)
+
+    def test_same_digits_as_per_value_format(self):
+        # one format string per row writes each value as f"{v:.17g}" would
+        rng = np.random.default_rng(8)
+        values = np.vstack([rng.uniform(0, 1, size=(3, 4)), [[0.0, 1.0, 0.5, 1e-300]]])
+        text = kernel_to_csv(values, [0, 1, 2, 3], [4, 5, 6, 7])
+        expected = [",".join(["id", "4", "5", "6", "7"])] + [
+            ",".join([str(i)] + [f"{v:.17g}" for v in row]) for i, row in enumerate(values)
+        ]
+        assert text == "\n".join(expected) + "\n"

@@ -2,7 +2,8 @@
 ansatz's fused rotations and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
-readout (``vqc.readout``) takes from a state."""
+readout takes from a state (``vqc._parity_mass``, then the shot draw
+``vqc._draw``: the two steps ``p_ad`` runs after the ansatz)."""
 
 import numpy as np
 import pytest
@@ -10,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.statevec import HADAMARD, MAX_QUBITS, apply_single
-from vqclass.vqc import VqcConfig, readout as vqc_readout
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 ONE_QUBIT = AnsatzSpec(1, reps=1)
 
 
 def readout_cfg(n, measured, shots=None, seed=0):
-    return VqcConfig(
+    return vqc.VqcConfig(
         FeatureMapSpec(n), AnsatzSpec(n), measured_qubits=measured, shots=shots, seed=seed
     )
 
@@ -31,7 +32,8 @@ def readout(amps, measured, shots=None, seed=0):
     exact or as the frequency of ``shots`` seeded samples."""
     amps = np.atleast_2d(np.asarray(amps, dtype=np.complex128))
     n = int(amps.shape[1]).bit_length() - 1
-    return vqc_readout(amps, readout_cfg(n, measured, shots, seed))
+    cfg = readout_cfg(n, measured, shots, seed)
+    return vqc._draw(vqc._parity_mass(amps, cfg), cfg, 0)
 
 
 def parity_masses(amps, measured):
