@@ -2,10 +2,11 @@
 
 Every run is driven by a single JSON config with all seeds explicit, so
 repeating a command with the same config and inputs yields byte-identical
-artifacts. Artifacts are write-once per output directory; pass --force
-to overwrite. ``prep`` records the resolved config and the sha256 of the
-input in model.json, and train, eval and kernel refuse to run when
-either has changed since.
+artifacts. Each verb's files, named in ARTIFACTS, are streamed line by
+line and write-once per output directory, all checked before the verb
+writes any; pass --force to overwrite. ``prep`` records the resolved
+config and the sha256 of the input in model.json, and train, eval and
+kernel refuse to run when either has changed since.
 
 Exit codes: 0 success, 1 user/config error, 2 internal error.
 """
@@ -19,8 +20,9 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,15 +36,14 @@ from .qkernel import kernel_matrix, kernel_to_csv
 from .spsa import SpsaConfig
 
 MODEL_FILE = "model.json"
-SPLIT_TRAIN_FILE = "split_train.csv"
-SPLIT_TEST_FILE = "split_test.csv"
-LOSS_FILE = "loss_history.csv"
-METRICS_FILE = "metrics.json"
-PREDICTIONS_FILE = "predictions.csv"
-SCATTER_FILE = "scatter2d.csv"
-KERNEL_TRAIN_FILE = "kernel_train.csv"
-KERNEL_TEST_FILE = "kernel_test.csv"
-CONFIG_ECHO_FILE = "config_echo.json"
+# Each verb's files, named once. train also rewrites MODEL_FILE, guarded by its params.
+ARTIFACTS = {
+    "prep": (MODEL_FILE, "split_train.csv", "split_test.csv"),
+    "train": ("loss_history.csv",),
+    "eval": ("metrics.json", "predictions.csv", "scatter2d.csv"),
+    "kernel": ("kernel_train.csv", "kernel_test.csv"),
+    "report": ("config_echo.json",),
+}
 
 
 def _float(value, name: str) -> float:
@@ -208,36 +209,35 @@ def _build(key: str, make, *args, **kwargs):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _artifact_path(cfg: RunConfig, name: str, force: bool) -> Path:
+def _artifact_paths(cfg: RunConfig, verb: str, force: bool) -> list[Path]:
+    """The paths of ``verb``'s artifacts, after creating output_dir; any of
+    them that exists raises ConfigError unless ``force``."""
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"output_dir {cfg.out} is not a directory") from None
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {cfg.out}: {exc}") from None
-    path = cfg.out / name
-    if path.exists() and not force:
-        raise ConfigError(f"refusing to overwrite existing artifact {path}; pass --force")
-    return path
+    paths = [cfg.out / name for name in ARTIFACTS[verb]]
+    for path in paths:
+        if path.exists() and not force:
+            raise ConfigError(f"refusing to overwrite existing artifact {path}; pass --force")
+    return paths
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write to a temp file beside ``path``, then rename it into place, so a
-    failed write leaves nothing under the artifact's name."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line, newline-terminated, as it arrives to a temp file beside
+    ``path``, then rename that into place: a failed write leaves no artifact."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write artifact {path}: {exc}") from None
         raise
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 class _Split(NamedTuple):
@@ -297,10 +297,6 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
     return model, splits[0], splits[1]
 
 
-def _id_csv(ids: np.ndarray) -> str:
-    return "sample_id\n" + "".join(f"{int(i)}\n" for i in ids)
-
-
 def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Fit the preprocessing models on the training split and persist them."""
     v = cfg.values
@@ -309,9 +305,7 @@ def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
             f"pca_k = {v['prep.pca_k']} exceeds the {data.features.shape[1]} encoded "
             f"feature columns of {v['data.path']}"
         )
-    model_path = _artifact_path(cfg, MODEL_FILE, force)
-    train_path = _artifact_path(cfg, SPLIT_TRAIN_FILE, force)
-    test_path = _artifact_path(cfg, SPLIT_TEST_FILE, force)
+    model_path, *split_paths = _artifact_paths(cfg, "prep", force)
     train, test = prep_mod.stratified_split(data.labels, v["prep.test_fraction"], v["prep.seed"])
     x_train = data.features[train]
     pca = prep_mod.pca_fit(x_train, v["prep.pca_k"])
@@ -326,9 +320,9 @@ def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
         "config": cfg.record,
         "input_sha256": data.sha256,
     }
-    _write_json(model_path, model)
-    _write_text(train_path, _id_csv(train))
-    _write_text(test_path, _id_csv(test))
+    _write_lines(model_path, [json.dumps(model, indent=2)])
+    for path, rows in zip(split_paths, (train, test)):
+        _write_lines(path, chain(["sample_id"], map(str, rows.tolist())))
 
 
 def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
@@ -338,13 +332,12 @@ def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None
         raise ConfigError(
             f"{cfg.out / MODEL_FILE} already holds trained parameters; pass --force to retrain"
         )
-    loss_path = _artifact_path(cfg, LOSS_FILE, force)
+    (loss_path,) = _artifact_paths(cfg, "train", force)
     run = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
     model["params"] = [float(v) for v in run.final_params]
-    lines = ["iteration,loss"]
-    lines.extend(f"{k},{float(v)!r}" for k, v in enumerate(run.loss_history))
-    _write_text(loss_path, "\n".join(lines) + "\n")
-    _write_json(cfg.out / MODEL_FILE, model)
+    _write_lines(loss_path, chain(["iteration,loss"], (
+        f"{k},{float(v)!r}" for k, v in enumerate(run.loss_history))))
+    _write_lines(cfg.out / MODEL_FILE, [json.dumps(model, indent=2)])
 
 
 def _label(value) -> str:
@@ -359,9 +352,7 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
         raise DataError(
             f"{cfg.out / MODEL_FILE} has no trained parameters; run the train command first"
         )
-    metrics_path = _artifact_path(cfg, METRICS_FILE, force)
-    pred_path = _artifact_path(cfg, PREDICTIONS_FILE, force)
-    scatter_path = _artifact_path(cfg, SCATTER_FILE, force)
+    metrics_path, pred_path, scatter_path = _artifact_paths(cfg, "eval", force)
     raw, n_params = model["params"], cfg.vqc.ansatz.n_params
     try:
         if not isinstance(raw, list) or len(raw) != n_params:
@@ -379,50 +370,43 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
             "and reported as null",
             file=sys.stderr,
         )
-    _write_json(metrics_path, report)
+    _write_lines(metrics_path, [json.dumps(report, indent=2)])
+    _write_lines(pred_path, chain(["sample_id,p_ad,predicted,true"], (
+        f"{int(sid)},{p!r},{_label(pred)},{_label(true)}"
+        for sid, p, pred, true in zip(test.ids, test_p.tolist(), test_pred, test.labels))))
 
-    pred_lines = ["sample_id,p_ad,predicted,true"]
-    for sid, p, pred, true in zip(test.ids, test_p.tolist(), test_pred, test.labels):
-        pred_lines.append(f"{int(sid)},{p!r},{_label(pred)},{_label(true)}")
-    _write_text(pred_path, "\n".join(pred_lines) + "\n")
-
-    # 2-D scatter source: first two principal coordinates of every sample
+    # 2-D scatter source: first two principal coordinates of every sample (pc2 0.0 if k = 1)
     train_pred = vqc_mod.classify(vqc_mod.predict_batch(train.x, params, cfg.eval_vqc))
-    scatter_lines = ["sample_id,split,pc1,pc2,true,predicted"]
-    for split_name, part, preds in (("train", train, train_pred), ("test", test, test_pred)):
-        for i, sid in enumerate(part.ids):
-            pc1 = float(part.pcs[i, 0])
-            pc2 = float(part.pcs[i, 1]) if part.pcs.shape[1] > 1 else 0.0
-            scatter_lines.append(
-                f"{int(sid)},{split_name},{pc1!r},{pc2!r},"
-                f"{_label(part.labels[i])},{_label(preds[i])}"
-            )
-    _write_text(scatter_path, "\n".join(scatter_lines) + "\n")
+    parts = (("train", train, train_pred), ("test", test, test_pred))
+    _write_lines(scatter_path, chain(["sample_id,split,pc1,pc2,true,predicted"], (
+        f"{int(sid)},{name},{pc[0]!r},{[*pc, 0.0][1]!r},{_label(true)},{_label(pred)}"
+        for name, part, preds in parts
+        for sid, pc, true, pred in zip(part.ids, part.pcs.tolist(), part.labels, preds))))
 
 
 def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Export train x train and test x train fidelity kernel matrices,
-    encoding each split once."""
+    encoding each split once and writing one row at a time."""
     _, train, test = _load_stage(cfg, data)
-    train_path = _artifact_path(cfg, KERNEL_TRAIN_FILE, force)
-    test_path = _artifact_path(cfg, KERNEL_TEST_FILE, force)
+    train_path, test_path = _artifact_paths(cfg, "kernel", force)
     train_states = encode(train.x, cfg.vqc.feature_map)
     test_states = encode(test.x, cfg.vqc.feature_map)
     k_train = kernel_matrix(train_states, train_states)
     k_test = kernel_matrix(test_states, train_states)
-    del train_states, test_states  # freed before the CSV text is built
+    del train_states, test_states  # freed before the rows are formatted
     train_ids, test_ids = train.ids.tolist(), test.ids.tolist()
-    _write_text(train_path, kernel_to_csv(k_train, train_ids, train_ids))
-    _write_text(test_path, kernel_to_csv(k_test, test_ids, train_ids))
+    _write_lines(train_path, kernel_to_csv(k_train, train_ids, train_ids))
+    _write_lines(test_path, kernel_to_csv(k_test, test_ids, train_ids))
 
 
 def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Full pipeline into one directory, plus an echo of the config."""
+    paths = {verb: _artifact_paths(cfg, verb, force) for verb in ARTIFACTS}  # before prep writes
     cmd_prep(cfg, data, force)
     cmd_train(cfg, data, force)
     cmd_eval(cfg, data, force)
     cmd_kernel(cfg, data, force)
-    _write_json(_artifact_path(cfg, CONFIG_ECHO_FILE, force), _nested(cfg.values))
+    _write_lines(paths["report"][0], [json.dumps(_nested(cfg.values), indent=2)])
 
 
 _COMMANDS = {

@@ -133,15 +133,39 @@ class TestPipeline:
 
 
 class TestGuards:
-    def test_refuses_overwrite_without_force(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["prep", "train", "eval", "kernel"])
+    def test_refuses_overwrite_without_force(self, tmp_path, capsys, verb):
         cfg_path = small_config(tmp_path)
-        assert main(["prep", "--config", str(cfg_path)]) == 0
-        assert main(["prep", "--config", str(cfg_path)]) == 1
-        assert main(["prep", "--config", str(cfg_path), "--force"]) == 0
-        # an output_dir that names a file is a config error, even with --force
+        out = tmp_path / "run"
+        out.mkdir()
+        for earlier in list(cli.ARTIFACTS)[:list(cli.ARTIFACTS).index(verb)]:
+            assert main([earlier, "--config", str(cfg_path)]) == 0
+        # the verb's last file: all of them are checked before any is written
+        taken = out / cli.ARTIFACTS[verb][-1]
+        taken.write_text("taken\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        assert f"refusing to overwrite existing artifact {taken}" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert main([verb, "--config", str(cfg_path), "--force"]) == 0
+        assert taken.read_text(encoding="utf-8") != "taken\n"
+
+    def test_report_refuses_stale_echo_before_prep(self, tmp_path, capsys):
+        # the echo was checked only after prep, train, eval and kernel had written
+        cfg_path = small_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "config_echo.json").write_text('{"stale": true}\n', encoding="utf-8")
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        assert f"{out / 'config_echo.json'}; pass --force" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["config_echo.json"]
+        assert (out / "config_echo.json").read_text(encoding="utf-8") == '{"stale": true}\n'
+
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys):
+        # a config error, even with --force
         (tmp_path / "taken").write_text("", encoding="utf-8")
         cfg_path = small_config(tmp_path, out_name="taken")
-        capsys.readouterr()
         assert main(["prep", "--config", str(cfg_path), "--force"]) == 1
         assert f"output_dir {tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
 
@@ -351,10 +375,20 @@ class TestProvenance:
                         if k != "output_dir"}
 
 
-def test_readme_config_table_matches_schema():
+def readme_section(title):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Config reference", 1)[1].split("\n### ", 1)[0]
+    return readme.split(f"### {title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_config_table_matches_schema():
+    section = readme_section("Config reference")
     assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(SCHEMA)
+
+
+def test_readme_artifacts_table_matches_artifacts():
+    first_cells = re.findall(r"^\| ([^|]+) \|", readme_section("Artifacts"), flags=re.M)
+    listed = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert listed == [name for names in cli.ARTIFACTS.values() for name in names]
 
 
 class TestSingleClassEval:

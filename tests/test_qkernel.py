@@ -1,10 +1,12 @@
 """Kernel tests: fidelity entries, Gram-matrix properties, CSV export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vqclass.cli import _write_lines
 from vqclass.errors import EncodingError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.qkernel import kernel_matrix, kernel_to_csv
@@ -15,6 +17,11 @@ SPEC5 = FeatureMapSpec(5, 1, "full")
 def kernel(samples_a, samples_b, spec):
     """The kernel matrix of two batches of feature vectors, each encoded once."""
     return kernel_matrix(encode(samples_a, spec), encode(samples_b, spec))
+
+
+def csv_text(values, row_ids, col_ids):
+    """The whole CSV text: the lines ``kernel_to_csv`` yields, each newline-terminated."""
+    return "".join(f"{line}\n" for line in kernel_to_csv(values, row_ids, col_ids))
 
 
 def kernel_entry(x, x_other, spec):
@@ -85,7 +92,7 @@ class TestKernelMatrix:
     def test_custom_ids(self):
         a = np.array([[0.1, 0.4]])
         km = kernel(a, a, FeatureMapSpec(2))
-        assert kernel_to_csv(km, ["s9"], ["s9"]).startswith("id,s9\ns9,")
+        assert csv_text(km, ["s9"], ["s9"]).startswith("id,s9\ns9,")
 
 
 class TestCsvExport:
@@ -93,7 +100,7 @@ class TestCsvExport:
         rng = np.random.default_rng(5)
         samples = rng.uniform(0, 1, size=(3, 2))
         km = kernel(samples, samples, FeatureMapSpec(2))
-        text = kernel_to_csv(km, [7, 8, 9], [7, 8, 9])
+        text = csv_text(km, [7, 8, 9], [7, 8, 9])
         lines = text.strip().split("\n")
         assert lines[0] == "id,7,8,9"
         parsed = np.array(
@@ -106,7 +113,7 @@ class TestCsvExport:
         rng = np.random.default_rng(7)
         rows, cols = rng.uniform(0, 1, size=(2, 2)), rng.uniform(0, 1, size=(3, 2))
         km = kernel(rows, cols, FeatureMapSpec(2))
-        lines = kernel_to_csv(km, [3, 4], [7, 8, 9]).strip().split("\n")
+        lines = csv_text(km, [3, 4], [7, 8, 9]).strip().split("\n")
         assert lines[0] == "id,7,8,9"
         assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
         parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
@@ -118,14 +125,30 @@ class TestCsvExport:
         km1 = kernel(samples, samples, FeatureMapSpec(2))
         km2 = kernel(samples.copy(), samples.copy(), FeatureMapSpec(2))
         ids = list(range(4))
-        assert kernel_to_csv(km1, ids, ids) == kernel_to_csv(km2, ids, ids)
+        assert csv_text(km1, ids, ids) == csv_text(km2, ids, ids)
 
     def test_same_digits_as_per_value_format(self):
         # one format string per row writes each value as f"{v:.17g}" would
         rng = np.random.default_rng(8)
         values = np.vstack([rng.uniform(0, 1, size=(3, 4)), [[0.0, 1.0, 0.5, 1e-300]]])
-        text = kernel_to_csv(values, [0, 1, 2, 3], [4, 5, 6, 7])
+        text = csv_text(values, [0, 1, 2, 3], [4, 5, 6, 7])
         expected = [",".join(["id", "4", "5", "6", "7"])] + [
             ",".join([str(i)] + [f"{v:.17g}" for v in row]) for i, row in enumerate(values)
         ]
         assert text == "\n".join(expected) + "\n"
+
+    def test_write_holds_one_row_not_the_file(self, tmp_path):
+        # rows are formatted and written one at a time, never joined into the file's text
+        values = np.random.default_rng(9).uniform(0, 1, size=(600, 600))
+        ids = list(range(600))
+        path = tmp_path / "kernel.csv"
+        tracemalloc.start()
+        try:
+            _write_lines(path, kernel_to_csv(values, ids, ids))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 6 << 20
+        assert peak < size / 10, (peak, size)
+        assert path.read_text(encoding="utf-8") == csv_text(values, ids, ids)
