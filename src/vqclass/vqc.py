@@ -13,7 +13,10 @@ each outcome by the parity of its '1' count: even (including zero) is
 the positive AD class, odd is NON_AD. The class-1 probability is the
 summed even-parity mass of the final state. In exact mode that mass is
 returned; in shot mode the even-outcome count of ``shots`` measurements
-is one seeded Binomial(shots, mass) draw, and its frequency is returned.
+is one Binomial(shots, mass) draw, and its frequency is returned. Row i
+of evaluation k draws from its own counter-based Philox stream (Salmon
+et al., SC 2011) keyed by (one ``SeedSequence((seed, k))`` word, i), so
+its count depends only on seed, i, k and mass, not on order or blocks.
 """
 
 from __future__ import annotations
@@ -95,13 +98,6 @@ def _even_parity_mask(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.nda
     return even
 
 
-def shot_seed(base_seed: int, sample_index: int, eval_counter: int) -> int:
-    """Per-state sampling seed, mixed with numpy's SeedSequence so the
-    result is independent of evaluation order or parallelism."""
-    seq = np.random.SeedSequence((base_seed, sample_index, eval_counter))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def p_ad(
     states: np.ndarray, params: Sequence[float], cfg: VqcConfig, eval_counter: int = 0
 ) -> np.ndarray:
@@ -112,8 +108,7 @@ def p_ad(
     copied into a working buffer, advanced through the whole ansatz and
     reduced to its even-parity mass while it is still in cache. Every step
     acts on each row alone, so a row's result does not depend on its block.
-    In shot mode the ``cfg.shots`` counts are then drawn once over all rows,
-    row i of ``states`` seeded with ``shot_seed(cfg.seed, i, eval_counter)``.
+    Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
     """
     n = cfg.n_qubits
     states = np.asarray(states, dtype=np.complex128)
@@ -138,13 +133,18 @@ def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
 
 
 def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:
+    """Row i draws from ``Generator(Philox(key=word | (i << 64)))``, re-keyed in place."""
     if cfg.shots is None:
         return mass
-    counts = [
-        np.random.default_rng(shot_seed(cfg.seed, i, eval_counter)).binomial(cfg.shots, p)
-        for i, p in enumerate(np.clip(mass, 0.0, 1.0).tolist())
-    ]
-    return np.array(counts, dtype=np.float64) / cfg.shots
+    word = np.random.SeedSequence((cfg.seed, eval_counter)).generate_state(1, np.uint64)[0]
+    bitgen = np.random.Philox(key=int(word))  # an int: a list key would round through float64
+    rng, state = np.random.Generator(bitgen), bitgen.state  # counter 0, buffer empty
+    counts = np.empty(len(mass))
+    for i, p in enumerate(np.clip(mass, 0.0, 1.0).tolist()):
+        state["state"]["key"][1] = i
+        bitgen.state = state  # every row starts from the fresh state under its own key
+        counts[i] = rng.binomial(cfg.shots, p)
+    return counts / cfg.shots
 
 
 def binary_cross_entropy(
@@ -188,7 +188,7 @@ def predict_batch(
     samples: Sequence[Sequence[float]], params: Sequence[float], cfg: VqcConfig
 ) -> np.ndarray:
     """Class-1 probability of each normalized feature vector, shape (N,),
-    order preserved. In shot mode row i samples with ``shot_seed(cfg.seed, i, 0)``."""
+    order preserved. In shot mode row i draws with eval counter 0."""
     if len(samples) == 0:
         return np.empty(0)
     return p_ad(encode(samples, cfg.feature_map), params, cfg)

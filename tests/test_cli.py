@@ -122,6 +122,23 @@ class TestPipeline:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_shot_rerun_is_byte_identical(self, tmp_path):
+        vqc = {"measured_qubits": [0, 1], "shots": 64, "seed": 2}
+        cfg_a = small_config(tmp_path, out_name="a", maxiter=4, vqc=vqc)
+        cfg_b = small_config(tmp_path, out_name="b", maxiter=4, vqc=vqc)
+        assert main(["report", "--config", str(cfg_a)]) == 0
+        assert main(["report", "--config", str(cfg_b)]) == 0
+        for name in ARTIFACTS:
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / "b" / name).read_bytes()
+            if name == "config_echo.json":
+                a, b = json.loads(a), json.loads(b)
+                assert a["vqc"]["shots"] == 64
+                assert a.pop("output_dir") != b.pop("output_dir")
+            assert a == b, name
+        lines = (tmp_path / "a" / "predictions.csv").read_text().splitlines()[1:]
+        assert all(float(line.split(",")[1]) * 64 % 1 == 0 for line in lines)  # shot frequencies
+
     def test_scatter_covers_every_sample(self, tmp_path):
         cfg_path = small_config(tmp_path)
         assert main(["report", "--config", str(cfg_path)]) == 0

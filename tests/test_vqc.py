@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import vqclass
+from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
@@ -25,7 +26,6 @@ from vqclass.vqc import (
     classify,
     p_ad,
     predict_batch,
-    shot_seed,
     train,
 )
 
@@ -47,6 +47,19 @@ def parity_mass(state, measured_qubits, even=True):
         if ("".join(bits[q] for q in measured_qubits).count("1") % 2 == 0) == even:
             total += abs(state.amplitudes[idx]) ** 2
     return total
+
+
+def philox_count(seed, eval_counter, i, shots, mass):
+    """Row i's reference shot count: a fresh Philox generator keyed by the
+    eval's SeedSequence word in the low 64 bits and the row index above it."""
+    word = np.random.SeedSequence((seed, eval_counter)).generate_state(1, np.uint64)[0]
+    rng = np.random.Generator(np.random.Philox(key=int(word) | (i << 64)))
+    return rng.binomial(shots, np.clip(mass, 0.0, 1.0))
+
+
+def shot_states(cfg, rows, seed):
+    return encode(np.random.default_rng(seed).uniform(0, 1, size=(rows, cfg.n_qubits)),
+                  cfg.feature_map)
 
 
 def small_cfg(n=2, shots=None, seed=0, measured=None):
@@ -141,11 +154,11 @@ class TestForward:
         cfg = small_cfg(2, shots=256, seed=3)
         x = [0.2, 0.9]
         params = init_params(cfg.ansatz, 1)
-        states = encode([x] * 6, cfg.feature_map)
+        states = encode([x] * 64, cfg.feature_map)
         a = p_ad(states, params, cfg, eval_counter=2)
         b = p_ad(states, params, cfg, eval_counter=2)
-        assert a[4] == b[4]
-        assert a[4] != a[5]  # different sample index reseeds
+        np.testing.assert_array_equal(a, b)
+        assert len(np.unique(a)) > 1  # each sample index draws its own stream
 
     def test_p_ad_leaves_states_unchanged(self):
         cfg = small_cfg(3)
@@ -168,8 +181,7 @@ class TestForward:
         shot_cfg = replace(cfg, shots=1000, seed=4)
         got = p_ad(states, params, shot_cfg, eval_counter=3)
         for i, mass in enumerate(exact):
-            rng = np.random.default_rng(shot_seed(shot_cfg.seed, i, 3))
-            assert got[i] == rng.binomial(shot_cfg.shots, mass) / shot_cfg.shots
+            assert got[i] == philox_count(shot_cfg.seed, 3, i, shot_cfg.shots, mass) / shot_cfg.shots
 
     def test_p_ad_holds_no_batch_sized_buffer(self):
         cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
@@ -186,8 +198,15 @@ class TestForward:
         assert peak - base < states.nbytes / 4
 
     def test_shot_seed_mixing_is_stable(self):
-        assert shot_seed(1, 2, 3) == shot_seed(1, 2, 3)
-        assert shot_seed(1, 2, 3) != shot_seed(1, 3, 2)
+        cfg = small_cfg(2, shots=1 << 30, seed=1)
+        mass = np.full(4, 0.5)
+        draw = vqc._draw(mass, cfg, 3)
+        np.testing.assert_array_equal(draw, vqc._draw(mass, cfg, 3))
+        row2_eval3 = philox_count(1, 3, 2, cfg.shots, 0.5)
+        row3_eval2 = philox_count(1, 2, 3, cfg.shots, 0.5)
+        assert draw[2] * cfg.shots == row2_eval3
+        assert vqc._draw(mass, cfg, 2)[3] * cfg.shots == row3_eval2
+        assert row2_eval3 != row3_eval2  # swapping row index and eval counter gives another stream
 
     def test_label_threshold(self):
         cfg = small_cfg(2)
@@ -197,6 +216,45 @@ class TestForward:
         assert classify(p)[0] == (Label.AD if p[0] >= 0.5 else Label.NON_AD)
         edges = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0])
         np.testing.assert_array_equal(classify(edges), [0, 0, 1, 1])
+
+
+class TestShotStream:
+    """The per-row Philox streams behind shot-mode readout."""
+
+    def test_known_answer(self):
+        # pins the stream: a change here changes every shot-mode result
+        cfg = small_cfg(2, shots=1024, seed=0)
+        mass = np.array([0.1, 0.5, 0.9, 0.3])
+        expect = {0: [105, 520, 920, 322], 1: [103, 530, 929, 294]}
+        for eval_counter, counts in expect.items():
+            np.testing.assert_array_equal(vqc._draw(mass, cfg, eval_counter) * 1024, counts)
+            assert counts == [philox_count(0, eval_counter, i, 1024, m) for i, m in enumerate(mass)]
+
+    def test_counts_are_binomial_and_rows_uncorrelated(self):
+        shots, p, rows = 1024, 0.3, 20_000
+        counts = vqc._draw(np.full(rows, p), small_cfg(2, shots=shots, seed=5), 7) * shots
+        mean, var = shots * p, shots * p * (1 - p)
+        assert abs(counts.mean() - mean) < 5 * np.sqrt(var / rows)
+        assert abs(counts.var() - var) < 0.1 * var
+        assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) < 0.05
+
+    def test_prefix_rows_draw_the_same_counts(self):
+        cfg = small_cfg(3, shots=256, seed=4)
+        states = shot_states(cfg, 40, 11)
+        params = init_params(cfg.ansatz, 3)
+        full = p_ad(states, params, cfg, eval_counter=5)
+        for k in (1, 7, 39):
+            np.testing.assert_array_equal(p_ad(states[:k], params, cfg, eval_counter=5), full[:k])
+
+    def test_interleaved_configs_do_not_share_state(self):
+        cfg_a, cfg_b = small_cfg(3, shots=128, seed=1), small_cfg(3, shots=512, seed=2)
+        states = shot_states(cfg_a, 12, 12)
+        params = init_params(cfg_a.ansatz, 6)
+        alone_a = [p_ad(states, params, cfg_a, eval_counter=k) for k in range(3)]
+        alone_b = [p_ad(states, params, cfg_b, eval_counter=k) for k in range(3)]
+        for k in range(3):
+            np.testing.assert_array_equal(p_ad(states, params, cfg_a, eval_counter=k), alone_a[k])
+            np.testing.assert_array_equal(p_ad(states, params, cfg_b, eval_counter=k), alone_b[k])
 
 
 class TestConfigValidation:
@@ -364,9 +422,7 @@ class TestPredictBatch:
         preds = predict_batch(xs, params, cfg)
         exact = p_ad(encode(xs, cfg.feature_map), params, replace(cfg, shots=None))
         for i, pred in enumerate(preds):
-            rng = np.random.default_rng(shot_seed(cfg.seed, i, 0))
-            even = rng.binomial(cfg.shots, np.clip(exact[i], 0.0, 1.0))
-            assert pred == even / cfg.shots
+            assert pred == philox_count(cfg.seed, 0, i, cfg.shots, exact[i]) / cfg.shots
 
 
 def test_public_names_resolve():
