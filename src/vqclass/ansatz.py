@@ -52,15 +52,21 @@ class AnsatzSpec:
             raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.n_params * COUNT_BYTES > physical_memory():
+        if self.n_params * COUNT_BYTES + self.table_bytes > physical_memory():
             raise ConfigError(f"reps = {self.reps} needs more than the physical memory "
-                              f"at {COUNT_BYTES} B per parameter")
+                              f"at {COUNT_BYTES} B per parameter plus its gather tables")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
     @property
     def n_params(self) -> int:
         return 2 * self.n_qubits * (self.reps + 1)
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of the tables ``vqc.p_ad`` caches, whatever the batch: per basis state,
+        24 B per distinct gather (<= min(reps, n)), the parity mask's 8 B, 32 B of build."""
+        return (24 * min(self.reps, self.n_qubits) + 40) << self.n_qubits
 
 
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:

@@ -6,7 +6,7 @@ H on every qubit, P(2*phi_j) per qubit and, for every entangled pair
 phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k). All of those phase terms
 are diagonal, so a repetition is H^n followed by the phase
 exp(i * [sum_j 2 phi_j b_j + sum_(j,k) 2 phi_jk (b_j XOR b_k)]) on
-basis state |b_0 ... b_(n-1)>, computed for a whole batch at once.
+basis state |b_0 ... b_(n-1)>, built by doubling in O(2^n) per row.
 """
 
 from __future__ import annotations
@@ -54,36 +54,39 @@ def entangled_pairs(spec) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(spec.n_qubits), 2))
 
 
-def _diagonal(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
+def _diagonal(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     """exp(i * phase) of basis state |b_0 ... b_(n-1)> (qubit 0 most
-    significant) for each row of ``angles``; the phase sums the angles of
-    the set bits b_j, then of the pairs (j, k) with b_j XOR b_k = 1. It is
-    summed column by column, not by one matrix product, so a row's phase
-    is rounded the same whatever batch it is encoded in."""
-    n = spec.n_qubits
-    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1 == 1
-    masks = list(bits) + [bits[j] ^ bits[k] for j, k in entangled_pairs(spec)]
-    phase = np.zeros((len(angles), 1 << n))
-    for col, mask in zip(angles.T, masks):
-        np.add(phase, col[:, None], out=phase, where=mask)
-    out = np.empty(phase.shape, dtype=np.complex128)  # cos and sin fill it in place
+    significant) per row of ``x``, by doubling: from the last qubit up,
+    qubit j copies columns [0, m) to [m, 2m), where b_j is set. Elementwise
+    ops only, so a row's phase is the same in any batch."""
+    n, rows = spec.n_qubits, len(x)
+    pair = np.zeros((n, n, rows, 1))  # pair[j, k]: 2 phi_jk of an entangled pair, else 0
+    for j, k in entangled_pairs(spec):
+        pair[j, k, :, 0] = 2.0 * (np.pi - x[:, j]) * (np.pi - x[:, k])
+    out = np.zeros((rows, 1 << n), dtype=np.complex128)
+    phase, s = out.imag, out.real[:, : 1 << n >> 1]  # both live in out until cos and sin
+    for j in range(n - 1, -1, -1):
+        # s: the angles of j's pairs (j, k) with b_k set, doubled from the last k up
+        for i, w in enumerate(pair[j, :j:-1]):
+            np.add(s[:, : 1 << i], w, out=s[:, 1 << i : 2 << i])
+        m = 1 << (n - 1 - j)
+        # b_j set: 2 phi_j and the pairs with b_k clear; s[:, m - 1] holds all of them
+        np.add(phase[:, :m], 2.0 * x[:, j, None] + s[:, m - 1 : m], out=phase[:, m : 2 * m])
+        phase[:, m : 2 * m] -= s[:, :m]
+        phase[:, :m] += s[:, :m]  # b_j clear: the pairs with b_k set
     np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    np.sin(phase, out=phase)
     return out
 
 
 def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
-    """Bytes a batch of ``n_rows`` states needs at its peak: ``encode``'s
-    allocations, then those of ``vqc.p_ad`` beside the encoded batch."""
-    n = spec.n_qubits
-    # per amplitude: the states (16 B) and the real phase (8 B) at reps 1; the
-    # phase factors, the states and one H layer's scratch (48 B) from reps 2 on
-    states = n_rows * (24 if spec.reps == 1 else 48) << n
-    # per basis state: the bit table while it is built from int64 shifts, or
-    # later its n bool rows and one bool mask per entangled pair
-    masks = max(9 * n + 8, n + len(entangled_pairs(spec))) << n
-    # p_ad's row block, its gates' scratch and the readout's temporaries
-    return states + masks + 3 * max(16 << n, BLOCK_BYTES)
+    """Bytes a batch of ``n_rows`` states needs at its peak in ``encode``, then in
+    ``vqc.p_ad`` beside it; ``AnsatzSpec.table_bytes`` counts p_ad's cached tables."""
+    # per amplitude: the states (16 B), which hold the phase until cos and sin
+    # fill them; from reps 2 on also the phase factors and an H layer's scratch
+    states = n_rows * (16 if spec.reps == 1 else 48) << spec.n_qubits
+    # p_ad's row block, its gates' scratch, its readout temporaries and half a block spare
+    return states + 7 * max(16 << spec.n_qubits, BLOCK_BYTES) // 2
 
 
 def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
@@ -96,24 +99,18 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise EncodingError(f"features must have shape (N, {n}), got {arr.shape}")
-    need = state_memory(arr.shape[0], spec)
-    have = physical_memory()
+    need, have = state_memory(arr.shape[0], spec), physical_memory()
     if need > have:
-        raise ConfigError(
-            f"{arr.shape[0]} samples at n={n} qubits need about {need / 2**30:.1f} GiB of "
-            "state memory (the batch, its phase and gate temporaries, the bit masks and "
-            f"the classifier's row blocks), more than the {have / 2**30:.1f} GiB of "
-            "physical memory"
-        )
+        raise ConfigError(f"{arr.shape[0]} samples at n={n} qubits need about "
+                          f"{need / 2**30:.1f} GiB of state memory (the batch, its gate "
+                          "temporaries and the classifier's row blocks), more than the "
+                          f"{have / 2**30:.1f} GiB of physical memory")
     outside = ~((arr >= 0.0) & (arr <= 1.0))  # NaN included
     if np.any(outside):
         row, col = np.argwhere(outside)[0]
-        raise EncodingError(
-            f"sample {row} feature {col} = {arr[row, col]} outside [0, 1]; normalize upstream"
-        )
-    pairs = [(np.pi - arr[:, j]) * (np.pi - arr[:, k]) for j, k in entangled_pairs(spec)]
-    angles = 2.0 * np.column_stack([arr, *pairs])
-    diag = _diagonal(angles, spec)
+        raise EncodingError(f"sample {row} feature {col} = {arr[row, col]} outside [0, 1]; "
+                            "normalize upstream")
+    diag = _diagonal(arr, spec)
     # the first H layer maps |0...0> to the uniform superposition
     amps = diag.copy() if spec.reps > 1 else diag
     amps *= 2.0 ** (-0.5 * n)

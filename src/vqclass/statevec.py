@@ -10,9 +10,9 @@ leading batch axes, and each batch entry evolves bitwise as it would
 alone; ``vqc.p_ad`` relies on that to run a batch in row blocks of
 ``BLOCK_BYTES``. The feature map's H layers and the ansatz's fused RZ RY
 rotations run through it; the ansatz's CY/CZ blocks are gathers
-(``ansatz.block_gather``) and the feature map's phases a closed form.
-The module also holds the package's size limits: the qubit cap, the
-row-block size and the physical-memory ceiling with its per-count charge.
+(``ansatz.block_gather``) and the feature map's phase is built by doubling
+(``featmap._diagonal``). The module also holds the package's size limits:
+the qubit cap, the row-block size, the memory ceiling and its count charge.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _single_views(amps: np.ndarray, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # split the last axis as (2^q, 2, 2^(n-1-q)); the middle axis is qubit q
-    view = amps.reshape(amps.shape[:-1] + (1 << q, 2, 1 << (n - 1 - q)))
-    return view[..., 0, :], view[..., 1, :]
-
-
 def apply_single(
     amplitudes: np.ndarray, n_qubits: int, qubit: int, u: Matrix2, scratch: np.ndarray | None = None
 ) -> None:
@@ -59,7 +53,9 @@ def apply_single(
     ``qubit``, in place, for C-contiguous amplitudes of shape (..., 2^n).
     The gate's temporaries go to ``scratch``, a C-contiguous complex array
     of the same shape, allocated here if not given."""
-    a0, a1 = _single_views(amplitudes, n_qubits, qubit)
+    # split the last axis as (2^q, 2, 2^(n-1-q)); the middle axis is qubit q
+    view = amplitudes.reshape(amplitudes.shape[:-1] + (1 << qubit, 2, 1 << (n_qubits - 1 - qubit)))
+    a0, a1 = view[..., 0, :], view[..., 1, :]
     if scratch is None:
         scratch = np.empty(amplitudes.shape, dtype=np.complex128)
     b0, t = scratch.reshape((2,) + a0.shape)

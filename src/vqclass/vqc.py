@@ -128,8 +128,9 @@ def p_ad(
 
 def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
     """Even-parity mass on ``cfg.measured_qubits`` of each state, shape (N, 2^n)."""
-    even = _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)
-    return ((states.real**2 + states.imag**2) * even).sum(axis=1)
+    probs = states.real**2
+    probs += states.imag**2  # in place: the readout's temporaries stay at one block
+    return (probs * _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)).sum(axis=1)
 
 
 def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:

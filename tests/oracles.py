@@ -127,6 +127,14 @@ def run_circuit_dense(circuit) -> np.ndarray:
     return circuit_unitary(circuit) @ basis_state(circuit.n_qubits).amplitudes
 
 
+def _pairs(spec) -> list[tuple[int, int]]:
+    """Entangled qubit pairs: neighbours (linear) or every pair (full), in order."""
+    n = spec.n_qubits
+    if spec.entanglement == "linear":
+        return [(j, j + 1) for j in range(n - 1)]
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
 def feature_map_circuit(x, spec):
     """Gate-level feature map of one sample, every angle bound: per
     repetition an H layer, P(2*phi_j) per qubit, then CX-P-CX per pair,
@@ -138,10 +146,7 @@ def feature_map_circuit(x, spec):
     """
     n = spec.n_qubits
     phi_single, phi_pair = (lambda a: a), (lambda a, b: (np.pi - a) * (np.pi - b))
-    if spec.entanglement == "linear":
-        pairs = [(j, j + 1) for j in range(n - 1)]
-    else:
-        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    pairs = _pairs(spec)
     ops = []
     for _ in range(spec.reps):
         ops.extend(Op("H", (q,)) for q in range(n))
@@ -151,6 +156,23 @@ def feature_map_circuit(x, spec):
             ops.append(Op("P", (k,), 2.0 * float(phi_pair(x[j], x[k]))))
             ops.append(Op("CX", (j, k)))
     return Circuit(n, tuple(ops))
+
+
+def feature_map_phase(x, index: int, spec) -> float:
+    """Phase one repetition of the feature map puts on basis state |index>
+    (qubit 0 the most significant bit): 2 x_j for each set bit b_j, then
+    2 (pi - x_j)(pi - x_k) for each entangled pair whose two bits differ,
+    summed one bit and one pair at a time."""
+    n = spec.n_qubits
+    bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+    phase = 0.0
+    for q in range(n):
+        if bits[q]:
+            phase += 2.0 * float(x[q])
+    for j, k in _pairs(spec):
+        if bits[j] != bits[k]:
+            phase += 2.0 * (np.pi - float(x[j])) * (np.pi - float(x[k]))
+    return phase
 
 
 def ansatz_circuit(spec, params):
@@ -164,10 +186,7 @@ def ansatz_circuit(spec, params):
     independent statement of the circuit.
     """
     n = spec.n_qubits
-    if spec.entanglement == "linear":
-        pairs = [(j, j + 1) for j in range(n - 1)]
-    else:
-        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    pairs = _pairs(spec)
     kinds = ["CY" if i % 2 == 0 else "CZ" for i in range(len(pairs))]
     angles = iter(float(a) for a in params)
     ops = []

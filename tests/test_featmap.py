@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, init_params
 from vqclass.errors import ConfigError, EncodingError
 from vqclass.featmap import MAX_H_GATES, FeatureMapSpec, encode, entangled_pairs, state_memory
@@ -121,26 +122,61 @@ class TestEncode:
         assert np.max(np.abs(diag - 1.0)) <= 1e-12
 
     def test_state_memory_checked_before_allocation(self):
-        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 24 B = 384 TiB of states and phases,
-        # plus 4.7 GiB of bit masks and 0.75 GiB of row blocks; the zero-stride batch holds
-        # one row, and the check runs before anything batch-sized
+        # 2^20 rows at n = 24 would need 2^20 * 2^24 * 16 B = 256 TiB of states, plus
+        # 0.875 GiB of row blocks; the zero-stride batch holds one row, and the check
+        # runs before anything batch-sized
         x = np.broadcast_to(np.full(24, 0.5), (1 << 20, 24))
-        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 393221\.4 GiB"):
+        with pytest.raises(ConfigError, match=r"1048576 samples at n=24 .* 262144\.9 GiB"):
             encode(x, FeatureMapSpec(24))
 
-    @pytest.mark.parametrize("reps", [1, 2])
-    def test_state_memory_covers_encode_and_p_ad(self, reps):
-        # traced peak of a 32-row batch at n = 12 (2 MiB of states) through encode then p_ad
-        cfg = VqcConfig(FeatureMapSpec(12, reps), AnsatzSpec(12, reps=2, entanglement="full"))
-        x = np.random.default_rng(reps).uniform(0, 1, size=(32, 12))
+    @pytest.mark.parametrize("n, rows, reps, ansatz_reps, entanglement", [
+        pytest.param(12, 32, 1, 2, "full", id="1"),
+        pytest.param(12, 32, 2, 2, "full", id="2"),
+        # one row: the first p_ad's cached gathers (2 and 6 of them) outweigh the state
+        pytest.param(16, 1, 1, 2, "full", id="n16-full-reps2"),
+        pytest.param(16, 1, 1, 6, "linear", id="n16-linear-reps6"),
+    ])
+    def test_state_memory_covers_encode_and_p_ad(self, n, rows, reps, ansatz_reps, entanglement):
+        # traced peak of a batch through encode then the first p_ad, which builds and
+        # caches the ansatz's tables: at most the batch's charge plus the ansatz's
+        cfg = VqcConfig(FeatureMapSpec(n, reps), AnsatzSpec(n, ansatz_reps, entanglement))
+        x = np.random.default_rng(reps).uniform(0, 1, size=(rows, n))
         params = init_params(cfg.ansatz, 0)
+        for cache in (ansatz.block_gather, ansatz._light_cone, vqc._even_parity_mask):
+            cache.cache_clear()
         tracemalloc.start()
         try:
             p_ad(encode(x, cfg.feature_map), params, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= state_memory(32, cfg.feature_map)
+        assert peak <= state_memory(rows, cfg.feature_map) + cfg.ansatz.table_bytes
+
+    def test_state_memory_at_max_qubits(self):
+        # one n = 24 full sample: 256 MiB of state and 3.5 row blocks of 256 MiB, then
+        # the ansatz's two gathers at reps 2 (24 B each per basis state) and 40 B more
+        assert state_memory(1, FeatureMapSpec(24)) == 1.125 * 2**30
+        assert AnsatzSpec(24, 2, "full").table_bytes == 1.375 * 2**30
+
+    @pytest.mark.parametrize("n, reps, entanglement", [(12, 1, "full"), (8, 2, "linear")])
+    def test_batch_encodes_bitwise_as_rows_alone(self, n, reps, entanglement):
+        spec = FeatureMapSpec(n, reps, entanglement)
+        x = np.random.default_rng(n).uniform(0, 1, size=(13, n))
+        alone = np.vstack([encode(row[None], spec) for row in x])
+        assert np.array_equal(encode(x, spec), alone)
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    def test_matches_per_index_phase_oracle_at_n12(self, entanglement):
+        # beyond the dense grid: 64 sampled amplitudes of 4 rows against
+        # 2^(-n/2) exp(i phase), the phase summed bit by bit in the oracle
+        n, spec = 12, FeatureMapSpec(12, 1, entanglement)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0, 1, size=(4, n))
+        idx = rng.choice(1 << n, size=64, replace=False)
+        for row, x in zip(encode(xs, spec), xs):
+            want = [2.0 ** (-n / 2) * np.exp(1j * oracles.feature_map_phase(x, i, spec))
+                    for i in idx]
+            np.testing.assert_allclose(row[idx], want, rtol=0, atol=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(EncodingError):
