@@ -7,8 +7,8 @@ giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
 the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
 straight from that vector, one fused RZ(phi) RY(theta) matrix per qubit
-and layer, on whatever batch of states it is given; ``vqc.p_ad`` gives
-it one row block at a time.
+and layer, on a batch of states laid out batch-last, amplitudes by rows;
+``vqc.p_ad`` gives it one transposed row block at a time.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -65,8 +65,10 @@ class AnsatzSpec:
     @property
     def table_bytes(self) -> int:
         """Bytes of the tables ``vqc.p_ad`` caches, whatever the batch: per basis state,
-        24 B per distinct gather (<= min(reps, n)), the parity mask's 8 B, 32 B of build."""
-        return (24 * min(self.reps, self.n_qubits) + 40) << self.n_qubits
+        24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
+        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build."""
+        gathers = min(self.reps, 2 if self.entanglement == "full" else self.n_qubits)
+        return (24 * gathers + 40) << self.n_qubits
 
 
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
@@ -117,30 +119,31 @@ def apply_ansatz(
     states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None,
     scratch: np.ndarray | None = None,
 ) -> None:
-    """Advance a batch of states, shape (N, 2^n), in place through the ansatz
-    with parameter vector ``params``. Given ``measured_qubits``, only the
-    gates in their light cone run: the result then holds the right
-    probabilities on those qubits, not the full final state. ``scratch``
-    is as in ``apply_single``, shared by every gate."""
+    """Advance a batch of states, batch-last (2^n, N) and C-contiguous, in place
+    through the ansatz with parameter vector ``params``. Given ``measured_qubits``,
+    only the gates in their light cone run: the result then holds the right
+    probabilities on those qubits, not the full final state. ``scratch``, of the
+    batch's shape, takes every gate's temporaries (allocated here if not given)."""
     n = spec.n_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
+    if states.ndim != 2 or len(states) != 1 << n or not states.flags.c_contiguous:
+        raise BindingError(f"states must be C-contiguous, shape ({1 << n}, N), got {states.shape}")
     measured = None if measured_qubits is None else tuple(measured_qubits)
     angles = params.reshape(spec.reps + 1, 2, n).tolist()
-    if scratch is None:
-        scratch = np.empty(states.shape, dtype=np.complex128)
+    scratch = np.empty_like(states) if scratch is None else scratch
     for (thetas, phis), (gather, rotations) in zip(angles, _light_cone(spec, measured)):
         if gather is not None:
             inv, phase = gather
-            np.take(states, inv, axis=-1, out=scratch, mode="clip")  # "raise" would buffer
-            np.multiply(scratch, phase, out=states)
+            np.take(states, inv, axis=0, out=scratch, mode="clip")  # "raise" would buffer
+            np.multiply(scratch, phase[:, None], out=states)
         for q, with_rz in rotations:
             # RZ(phi) RY(theta) = [[e^-i phi/2 c, -e^-i phi/2 s], [e^i phi/2 s, e^i phi/2 c]]
             c, s = math.cos(0.5 * thetas[q]), math.sin(0.5 * thetas[q])
             z = cmath.exp(-0.5j * phis[q]) if with_rz else 1.0
             u = ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c))
-            apply_single(states, n, q, u, scratch)
+            apply_single(states, q, u, scratch)
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

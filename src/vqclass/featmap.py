@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EncodingError
-from .statevec import BLOCK_BYTES, HADAMARD, MAX_QUBITS, apply_single, physical_memory
+from .statevec import BLOCK_BYTES, MAX_QUBITS, physical_memory
 
 ENTANGLEMENTS = ("linear", "full")
-# Each H gate scales |psi|^2 by 2 fl(1/sqrt 2)^2 = 1 - 1.8e-16, every state
-# alike. At 2^-52 per gate, this many H gates (n per repetition after the
-# first) keep the kernel's unit diagonal |psi|^4 within 1e-12 of 1, the
-# tolerance the benchmark's gate checks kernel_train.csv to:
+# At 2^-52 of |psi|^2 per H gate, this many H gates (n per repetition after
+# the first) keep the kernel's unit diagonal |psi|^4 within 1e-12 of 1, the
+# tolerance the benchmark's gate checks kernel_train.csv to. Conservative: an H
+# layer is n butterflies and one 2^(-n/2) scaling, so |psi|^2 drifts per layer.
 MAX_H_GATES = int(1e-12 / (2 * 2.0**-52))
 
 
@@ -83,7 +83,7 @@ def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
     """Bytes a batch of ``n_rows`` states needs at its peak in ``encode``, then in
     ``vqc.p_ad`` beside it; ``AnsatzSpec.table_bytes`` counts p_ad's cached tables."""
     # per amplitude: the states (16 B), which hold the phase until cos and sin
-    # fill them; from reps 2 on also the phase factors and an H layer's scratch
+    # fill them; from reps 2 on also the phase factors and a butterfly's temporary
     states = n_rows * (16 if spec.reps == 1 else 48) << spec.n_qubits
     # p_ad's row block, its gates' scratch, its readout temporaries and half a block spare
     return states + 7 * max(16 << spec.n_qubits, BLOCK_BYTES) // 2
@@ -110,12 +110,15 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
         row, col = np.argwhere(outside)[0]
         raise EncodingError(f"sample {row} feature {col} = {arr[row, col]} outside [0, 1]; "
                             "normalize upstream")
-    diag = _diagonal(arr, spec)
-    # the first H layer maps |0...0> to the uniform superposition
-    amps = diag.copy() if spec.reps > 1 else diag
+    # H^n|0...0> is uniform; later H layers are butterflies, their 2^(-n/2) in diag
+    amps = _diagonal(arr, spec)
     amps *= 2.0 ** (-0.5 * n)
+    diag = amps.copy() if spec.reps > 1 else None
     for _ in range(spec.reps - 1):
         for q in range(n):
-            apply_single(amps, n, q, HADAMARD)
+            a0, a1 = np.moveaxis(amps.reshape(len(amps), 1 << q, 2, -1), 2, 0)
+            t = a0 - a1
+            a0 += a1
+            a1[...] = t
         amps *= diag
     return amps

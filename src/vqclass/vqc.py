@@ -3,10 +3,10 @@ cross-entropy loss, training, and batch prediction, on plain arrays:
 ``train`` takes the normalized feature matrix and its 0/1 labels, and
 ``predict_batch`` returns one class-1 probability per row. Training and
 prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` takes the states one row block of about ``BLOCK_BYTES`` at a
-time and runs the whole ansatz and the parity mass on it while it stays
-in cache; only the ansatz gates in the measured qubits' light cone run,
-each entangling block as one gather (see ``ansatz``).
+``p_ad`` takes the states one transposed row block of about
+``BLOCK_BYTES`` at a time and runs the whole ansatz and the parity mass
+on it while it stays in cache; only the ansatz gates in the measured
+qubits' light cone run, each entangling block as one gather (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -105,9 +105,10 @@ def p_ad(
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
     unchanged. The rows run in blocks of about ``BLOCK_BYTES``: a block is
-    copied into a working buffer, advanced through the whole ansatz and
-    reduced to its even-parity mass while it is still in cache. Every step
-    acts on each row alone, so a row's result does not depend on its block.
+    copied transposed, (2^n, rows), into a working buffer so every gate runs
+    long inner loops, advanced through the whole ansatz and reduced to its
+    even-parity mass in cache. Every step acts on each row alone, so a row's
+    result does not depend on its block.
     Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
     """
     n = cfg.n_qubits
@@ -116,21 +117,25 @@ def p_ad(
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
     rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
     # allocated once; the gates would otherwise allocate temporaries per block
-    work, scratch = np.empty((2, min(rows, len(states)), 1 << n), dtype=np.complex128)
+    work = np.empty((2, min(rows, len(states)) << n), dtype=np.complex128)
     mass = np.empty(len(states))
     for start in range(0, len(states), rows):
-        block, tmp = work[: len(states) - start], scratch[: len(states) - start]
-        block[...] = states[start : start + len(block)]
-        apply_ansatz(block, cfg.ansatz, params, cfg.measured_qubits, tmp)
-        mass[start : start + len(block)] = _parity_mass(block, cfg)
+        part = states[start : start + rows]
+        # a short last block takes the first r << n elements, so it stays contiguous
+        block, scratch = work[:, : part.size].reshape(2, 1 << n, len(part))
+        block[...] = part.T
+        apply_ansatz(block, cfg.ansatz, params, cfg.measured_qubits, scratch)
+        mass[start : start + len(part)] = _parity_mass(block, cfg)
     return _draw(mass, cfg, eval_counter)
 
 
 def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
-    """Even-parity mass on ``cfg.measured_qubits`` of each state, shape (N, 2^n)."""
+    """Even-parity mass on ``cfg.measured_qubits`` of each state, batch-last (2^n, N)."""
     probs = states.real**2
     probs += states.imag**2  # in place: the readout's temporaries stay at one block
-    return (probs * _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)).sum(axis=1)
+    probs *= _even_parity_mask(cfg.n_qubits, cfg.measured_qubits)[:, None]
+    # summed row-major, so each row is added in numpy's pairwise order whatever N
+    return np.ascontiguousarray(probs.T).sum(axis=1)
 
 
 def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:

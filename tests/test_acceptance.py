@@ -19,7 +19,7 @@ from vqclass.metrics import auroc, scores_from_confusion
 from vqclass.prep import pca_fit
 from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
-from vqclass.statevec import HADAMARD, apply_single
+from vqclass.statevec import apply_single
 from vqclass.synth import make_blobs, make_handwriting_table, write_labeled_csv, write_table_csv
 from vqclass.vqc import VqcConfig, predict_batch
 
@@ -35,24 +35,35 @@ def _report(criterion: str, elapsed: float, limit: float, detail: str) -> None:
     assert elapsed < limit
 
 
+_H = 1.0 / np.sqrt(2.0)
+HADAMARD = ((_H, _H), (_H, -_H))
+
+
 def _matrix(gate, dim):
     """The matrix of ``gate`` (a batch of states in, a batch out), rebuilt
     from its action on the basis states."""
     return gate(np.eye(dim, dtype=np.complex128)).T
 
 
+def _batch_last(states):
+    """A C-contiguous (2^n, N) copy of states given one per row, the kernels' layout."""
+    return np.ascontiguousarray(np.transpose(states), dtype=np.complex128)
+
+
 def _rotation(ry, rz):
     """RY(ry) then RZ(rz) as the ansatz runs them: its first layer on one
     qubit, its closing layer at angle zero."""
     def gate(states):
+        states = _batch_last(states)
         apply_ansatz(states, AnsatzSpec(1, reps=1), [ry, rz, 0.0, 0.0])
-        return states
+        return states.T
     return gate
 
 
 def _hadamard(states):
-    apply_single(states, 1, 0, HADAMARD)
-    return states
+    states = _batch_last(states)
+    apply_single(states, 0, HADAMARD, np.empty_like(states))
+    return states.T
 
 
 def test_criterion_01_gate_fidelity():
@@ -87,8 +98,9 @@ def test_criterion_02_simulator_oracle_equivalence():
         spec = AnsatzSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
         x = rng.uniform(0, 1, size=(1, n))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
-        got = encode(x, fmap)
+        got = _batch_last(encode(x, fmap))
         apply_ansatz(got, spec, params)
+        got = got.T
         expect = oracles.classifier_states(x, fmap, spec, params)
         worst = max(worst, float(np.max(np.abs(got - expect))))
     assert worst < 1e-12

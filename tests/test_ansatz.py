@@ -1,10 +1,12 @@
 """Ansatz tests: layer structure, parameter handling, unitary properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
-from vqclass import vqc
+from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
@@ -13,9 +15,9 @@ from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 def run_ansatz(spec, params, state=None):
     """``state`` (default |0...0>) advanced in place through the production
-    ansatz; returns its amplitudes."""
+    ansatz, as a one-column batch-last batch; returns its amplitudes."""
     state = oracles.basis_state(spec.n_qubits) if state is None else state
-    apply_ansatz(state.amplitudes[None, :], spec, params)
+    apply_ansatz(state.amplitudes[:, None], spec, params)
     return state.amplitudes
 
 
@@ -50,7 +52,7 @@ def dead_slots(spec, measured):
 def full_circuit_p(states, params, cfg):
     """Readout after every gate of the ansatz, no light cone: the parity
     mass and the shot draw that ``p_ad`` runs after its ansatz."""
-    states = states.copy()
+    states = states.T.copy()  # batch-last, as the ansatz takes it
     apply_ansatz(states, cfg.ansatz, params)
     return vqc._draw(vqc._parity_mass(states, cfg), cfg, 0)
 
@@ -131,8 +133,9 @@ class TestApplication:
             [oracles.basis_state(n).amplitudes]
             + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
         )
-        got = starts.copy()
+        got = starts.T.copy()  # batch-last: one state per column
         apply_ansatz(got, spec, params)
+        got = got.T
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
 
@@ -145,6 +148,15 @@ class TestApplication:
             p_ad(states, np.zeros(9), cfg)
         with pytest.raises(BindingError):
             run_ansatz(cfg.ansatz, np.zeros(7))
+
+    def test_row_major_batch_rejected(self):
+        # the ansatz takes batches batch-last: a (N, 2^n) batch or a transposed
+        # view of one would be advanced along the wrong axis or into a copy
+        spec = AnsatzSpec(2, reps=1)
+        rows = np.zeros((3, 4), dtype=np.complex128)
+        for states in (rows, rows.T, np.zeros((4, 3, 1), dtype=np.complex128)):
+            with pytest.raises(BindingError, match=r"states must be C-contiguous, shape \(4, N\)"):
+                apply_ansatz(states, spec, np.zeros(8))
 
     def test_state_size_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
@@ -172,6 +184,20 @@ class TestFastPath:
     def test_full_last_block_keeps_links_touching_the_readout(self):
         links = entangling_links(AnsatzSpec(12, entanglement="full"))
         assert len(links) - len(live_links(links, (0, 1))) == 45
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    def test_table_bytes_covers_distinct_gathers(self, entanglement):
+        # every measured subset at n <= 6, reps <= 8: the light cone's distinct
+        # gathers (24 B per basis state each) never exceed what table_bytes charges
+        for n in range(1, 7):
+            for reps in range(1, 9):
+                spec = AnsatzSpec(n, reps, entanglement)
+                charged = ((spec.table_bytes >> n) - 40) // 24
+                for size in range(1, n + 1):
+                    for measured in itertools.combinations(range(n), size):
+                        layers = ansatz._light_cone(spec, measured)
+                        distinct = {id(gather[0]) for gather, _ in layers if gather is not None}
+                        assert len(distinct) <= charged, (n, reps, measured)
 
     CASES = [(5, (0,)), (5, (0, 1)), (6, (1, 3)), (6, (0, 2, 4))]
 

@@ -6,6 +6,7 @@ the loss history and the reference metrics. Running it over ``runs/`` here
 catches regenerated artifacts that the benchmark would reject.
 """
 
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -16,6 +17,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 from checks import check_run  # noqa: E402
+from tracing import PATCHES  # noqa: E402
+
+# the package functions the bench's tracer wraps today; a refactor that
+# renames or moves one silently drops its span from every traced run
+LIVE_TRACE_TARGETS = [
+    ("vqclass.cli", name)
+    for name in ("cmd_prep", "cmd_train", "cmd_eval", "cmd_kernel", "cmd_report",
+                 "kernel_matrix", "kernel_to_csv")
+] + [
+    ("vqclass.vqc", name)
+    for name in ("encode", "apply_ansatz", "spsa_minimize", "train", "predict_batch")
+]
 
 
 @pytest.mark.parametrize("run, data, expect", [
@@ -27,3 +40,9 @@ def test_committed_run_passes_gate(run, data, expect):
     # the echo, not config.json, since it has every key (eval_shots) filled in
     cfg = json.loads((out / "config_echo.json").read_text(encoding="utf-8"))
     assert check_run(out, ("report",), cfg, ROOT / "runs" / run / data, expect) == []
+
+
+@pytest.mark.parametrize("module, name", LIVE_TRACE_TARGETS)
+def test_trace_target_resolves(module, name):
+    assert (module, name) in [(m, a) for m, a, _ in PATCHES]
+    assert callable(getattr(importlib.import_module(module), name, None))

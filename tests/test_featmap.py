@@ -111,8 +111,8 @@ class TestEncode:
 
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_reps_bound_keeps_unit_diagonal(self, n):
-        # each H gate shrinks |psi|^2 by 1.8e-16, so the bound is set by the
-        # kernel's unit diagonal |psi|^4 at its 1e-12 tolerance
+        # the bound allows 2^-52 of |psi|^2 per H gate against the kernel's unit
+        # diagonal |psi|^4 at its 1e-12 tolerance; the butterflies drift far less
         reps = 1 + MAX_H_GATES // n
         with pytest.raises(ConfigError, match=f"reps must be <= {reps} at n={n}"):
             FeatureMapSpec(n, reps + 1)

@@ -3,7 +3,9 @@ ansatz's fused rotations and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
 readout takes from a state (``vqc._parity_mass``, then the shot draw
-``vqc._draw``: the two steps ``p_ad`` runs after the ansatz)."""
+``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). The kernels
+take batches laid out batch-last, (2^n, N); the helpers here take and
+return one state per row, as the oracles do, and transpose around them."""
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
-from vqclass.statevec import HADAMARD, MAX_QUBITS, apply_single
+from vqclass.statevec import MAX_QUBITS, apply_single
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
 ONE_QUBIT = AnsatzSpec(1, reps=1)
 
 
@@ -33,7 +36,7 @@ def readout(amps, measured, shots=None, seed=0):
     amps = np.atleast_2d(np.asarray(amps, dtype=np.complex128))
     n = int(amps.shape[1]).bit_length() - 1
     cfg = readout_cfg(n, measured, shots, seed)
-    return vqc._draw(vqc._parity_mass(amps, cfg), cfg, 0)
+    return vqc._draw(vqc._parity_mass(amps.T, cfg), cfg, 0)
 
 
 def parity_masses(amps, measured):
@@ -46,11 +49,16 @@ def parity_masses(amps, measured):
     return tuple(masses)
 
 
-def hadamard(amps, n, qubit):
-    """``amps`` with H applied to ``qubit``, as the encoder applies it."""
-    out = np.array(amps, dtype=np.complex128)
-    apply_single(out, n, qubit, HADAMARD)
-    return out
+def batch_last(amps):
+    """A C-contiguous (2^n, N) copy of states given one per row."""
+    return np.array(np.transpose(amps), dtype=np.complex128, order="C")
+
+
+def hadamard(amps, qubit):
+    """``amps`` with H applied to ``qubit`` by the 2x2 kernel."""
+    out = batch_last(amps)
+    apply_single(out, qubit, HADAMARD, np.empty_like(out))
+    return out.T
 
 
 def link(amps, n, kind, control, target):
@@ -62,9 +70,9 @@ def link(amps, n, kind, control, target):
 def rotate(amps, ry=0.0, rz=0.0):
     """One-qubit ``amps`` after RY(ry) then RZ(rz): the ansatz's first
     layer, its closing layer at angle zero."""
-    states = np.array(amps, dtype=np.complex128).reshape(-1, 2)
+    states = batch_last(np.reshape(amps, (-1, 2)))
     apply_ansatz(states, ONE_QUBIT, [ry, rz, 0.0, 0.0])
-    return states.reshape(np.shape(amps))
+    return states.T.reshape(np.shape(amps))
 
 
 def matrix(gate, dim):
@@ -89,9 +97,9 @@ def random_instance(rng, rows):
 
 def run_classifier(fmap, spec, x, params):
     """The states the pipeline evolves: ``x`` encoded, then the whole ansatz."""
-    states = encode(x, fmap)
+    states = batch_last(encode(x, fmap))
     apply_ansatz(states, spec, params)
-    return states
+    return states.T
 
 
 class TestQubitCap:
@@ -105,7 +113,7 @@ class TestQubitCap:
 
 class TestGateSemantics:
     def test_hadamard_on_zero(self):
-        np.testing.assert_allclose(hadamard([1, 0], 1, 0), [INV_SQRT2, INV_SQRT2], atol=1e-15)
+        np.testing.assert_allclose(hadamard([1, 0], 0), [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_cz_flips_sign_of_11(self):
         got = link([0, 0, 0, 1], 2, "CZ", 0, 1)  # |11>
@@ -143,7 +151,7 @@ class TestMatrixFidelity:
     """Action on basis states reconstructs the canonical matrices exactly."""
 
     def test_fixed_gates(self):
-        got = matrix(lambda s: hadamard(s, 1, 0), 2)
+        got = matrix(lambda s: hadamard(s, 0), 2)
         assert np.max(np.abs(got - oracles.H_MAT)) < 1e-15
         for kind, mat in [("CY", oracles.CY_MAT), ("CZ", oracles.CZ_MAT)]:
             got = matrix(lambda s: link(s, 2, kind, 0, 1), 4)
@@ -166,16 +174,16 @@ class TestMatrixFidelity:
 class TestRunCircuit:
     def test_empty_circuit_identity(self):
         # zero angles make every rotation the identity; |00> leaves every link off
-        states = oracles.basis_state(2).amplitudes[None, :].copy()
+        states = oracles.basis_state(2).amplitudes[:, None].copy()
         apply_ansatz(states, AnsatzSpec(2, reps=2, entanglement="full"), np.zeros(12))
-        assert np.array_equal(states[0], [1, 0, 0, 0])
+        assert np.array_equal(states[:, 0], [1, 0, 0, 0])
 
     def test_h_then_trivial_cz(self):
-        got = link(hadamard([1, 0, 0, 0], 2, 0), 2, "CZ", 0, 1)
+        got = link(hadamard([1, 0, 0, 0], 0), 2, "CZ", 0, 1)
         np.testing.assert_allclose(got, [INV_SQRT2, 0, INV_SQRT2, 0], atol=1e-15)
 
     def test_h_h_cz_matches_dense_oracle(self):
-        got = link(hadamard(hadamard([1, 0, 0, 0], 2, 0), 2, 1), 2, "CZ", 0, 1)
+        got = link(hadamard(hadamard([1, 0, 0, 0], 0), 1), 2, "CZ", 0, 1)
         Op = oracles.Op
         c = oracles.Circuit(2, (Op("H", (0,)), Op("H", (1,)), Op("CZ", (0, 1))))
         np.testing.assert_allclose(got, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
@@ -201,12 +209,29 @@ class TestOracleEquivalence:
         states = np.stack(
             [oracles.random_state(np.random.default_rng(100 + i), 3).amplitudes for i in range(6)]
         )
-        batched = states.copy()
+        batched = batch_last(states)
         apply_ansatz(batched, spec, params)
         for i in range(6):
-            single = states[i : i + 1].copy()
+            single = batch_last(states[i : i + 1])
             apply_ansatz(single, spec, params)
-            assert np.array_equal(batched[i], single[0])
+            assert np.array_equal(batched[:, i], single[:, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_apply_single_every_qubit_with_trailing_batch(self, n):
+        # a generic complex 2x2 on every target qubit of (2^n, 3) and (2^n, 2, 3)
+        # batches, against the dense embedding; a column evolves as it would alone
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        states = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
+        for q in range(n):
+            expect = oracles.embed_single(u, q, n) @ states
+            for shape in ((1 << n, 6), (1 << n, 2, 3)):
+                got = states.reshape(shape).copy()
+                apply_single(got, q, u.tolist(), np.empty_like(got))
+                np.testing.assert_allclose(got.reshape(states.shape), expect, atol=1e-12)
+                column = states[:, 4].copy()
+                apply_single(column, q, u.tolist(), np.empty_like(column))
+                assert np.array_equal(got.reshape(states.shape)[:, 4], column)
 
 
 class TestNormAndUnitarity:
@@ -220,7 +245,7 @@ class TestNormAndUnitarity:
     def test_gate_inverse_round_trip(self):
         rng = np.random.default_rng(5)
         theta = 1.234
-        h = lambda s: hadamard(s, 2, 0)  # noqa: E731
+        h = lambda s: hadamard(s, 0)  # noqa: E731
         cz = lambda s: link(s, 2, "CZ", 0, 1)  # noqa: E731
         cy = lambda s: link(s, 2, "CY", 0, 1)  # noqa: E731  CY is self-inverse
         cases = [
@@ -276,7 +301,7 @@ class TestSampling:
 
     def test_bitstring_convention_qubit0_leftmost(self):
         amps = oracles.basis_state(2).amplitudes.copy()
-        apply_single(amps, 2, 0, ((0.0, -1.0), (1.0, 0.0)))  # RY(pi) on qubit 0: |10>
+        apply_single(amps, 0, ((0.0, -1.0), (1.0, 0.0)), np.empty_like(amps))  # RY(pi): |10>
         assert readout(amps, (0, 1), shots=16, seed=1).tolist() == [0.0]
         np.testing.assert_allclose(amps, [0, 0, 1, 0], atol=1e-15)
 

@@ -32,9 +32,9 @@ from vqclass.vqc import (
 
 def final_state(x, params, cfg):
     """Encoded state of one sample after the ansatz, as an oracle State."""
-    amps = encode([x], cfg.feature_map)
+    amps = encode([x], cfg.feature_map).T.copy()  # batch-last, as the ansatz takes it
     apply_ansatz(amps, cfg.ansatz, params)
-    return oracles.State(cfg.n_qubits, amps[0])
+    return oracles.State(cfg.n_qubits, amps[:, 0])
 
 
 def parity_mass(state, measured_qubits, even=True):
@@ -169,11 +169,12 @@ class TestForward:
         np.testing.assert_array_equal(states, before)
         np.testing.assert_array_equal(p_ad(states, params, cfg), first)
 
-    def test_row_blocks_at_production_size(self):
-        # 2.5 blocks' rows at n = 12, so the last block is short
-        cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
-        rows = 5 * max(1, BLOCK_BYTES >> (12 + 4)) // 2
-        states = encode(np.random.default_rng(8).uniform(0, 1, size=(rows, 12)), cfg.feature_map)
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_row_blocks_at_production_size(self, n):
+        # 2.5 blocks' rows, so the last block is short
+        cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, reps=2, entanglement="full"))
+        rows = 5 * max(1, BLOCK_BYTES >> (n + 4)) // 2
+        states = encode(np.random.default_rng(8).uniform(0, 1, size=(rows, n)), cfg.feature_map)
         params = init_params(cfg.ansatz, 8)
         exact = p_ad(states, params, cfg)
         by_row = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(rows)])
