@@ -2,8 +2,8 @@
 
 One fixed circuit, simulated on dense statevectors: a phase-encoding
 feature map evaluated in closed form (with fidelity kernels), a
-trainable RY/RZ + CY/CZ ansatz run as 2x2 rotation kernels and CY/CZ
-block gathers and optimized by simultaneous perturbation, and a parity
+trainable RY/RZ + CY/CZ ansatz run as fused 3-qubit rotation blocks and
+CY/CZ block gathers and optimized by simultaneous perturbation, and a parity
 readout; plus classical preprocessing and evaluation metrics, wired
 together by a reproducible command-line pipeline.
 """

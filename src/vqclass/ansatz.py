@@ -6,9 +6,10 @@ closes the circuit. Parameters are numbered layer-major, qubit-minor,
 giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
 the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
-straight from that vector, one fused RZ(phi) RY(theta) matrix per qubit
-and layer, on a batch of states laid out batch-last, amplitudes by rows;
-``vqc.p_ad`` gives it one transposed row block at a time.
+straight from that vector, each layer's fused RZ(phi) RY(theta) rotations
+as one matrix product per group of GROUP adjacent qubits (gate fusion, as
+in qsim: Isakov et al., arXiv:2111.02396), on a batch of states laid out
+batch-last; ``vqc.p_ad`` gives it one transposed row block at a time.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -26,9 +27,7 @@ vector keeps them and its layout.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,12 @@ import numpy as np
 
 from .errors import BindingError, ConfigError
 from .featmap import ENTANGLEMENTS, entangled_pairs
-from .statevec import COUNT_BYTES, MAX_QUBITS, apply_single, physical_memory
+from .statevec import COUNT_BYTES, MAX_QUBITS, apply_block, padded_columns, physical_memory
+
+# qubits per fused rotation block: 3 and 4 were about as fast at n = 5, 8 and 12, 2 lost at 12
+GROUP = 3
+# a build peaks at about 4 KB per group and layer: 8 layers stay inside state_memory's spare
+BUILD_LAYERS = 8
 
 
 @dataclass(frozen=True)
@@ -98,21 +102,54 @@ def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=16)
 def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
-    """Per layer, the gather of the live links of the block before it
-    (None in layer 0 or with no live link), then the live rotations as
-    (qubit, whether its RZ is live). ``measured`` None keeps every gate."""
+    """Per layer, the gather of the live links of the block before it (None in
+    layer 0 or with no live link), then the first qubit of each group holding a
+    live rotation and the (2, n) factors that halve live RY and RZ angles and zero
+    dead ones. ``measured`` None keeps every gate."""
     n = spec.n_qubits
     cone = set(range(n) if measured is None else measured)
     layers = []
     for layer in range(spec.reps, -1, -1):
-        rotations = [(q, measured is None or layer < spec.reps) for q in sorted(cone)]
+        starts = [q0 for q0 in range(0, n, GROUP) if cone.intersection(range(q0, q0 + GROUP))]
+        rz = 0.5 * (measured is None or layer < spec.reps)  # the last RZs precede a Z readout
+        half = np.outer([0.5, rz], np.isin(range(n), list(cone)))
         live = []
         for kind, (a, b) in reversed(entangling_links(spec) if layer else []):
             if a in cone or b in cone:
                 live.append((kind, (a, b)))
                 cone.update((a, b))
-        layers.append((block_gather(n, tuple(live[::-1])) if live else None, rotations))
+        layers.append((block_gather(n, tuple(live[::-1])) if live else None, (starts, half)))
     return layers[::-1]
+
+
+@functools.cache  # built on first use: at import it raised a kernel run's peak RSS by 1 MB
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Which of qubit j's (cos, sin, -sin), 3 per qubit, RY puts at row r, column c
+    of a group's matrix, [j, r, c]; then the sign of qubit j's phi / 2 in row r's
+    RZ phase exponent, [j, r]: RZ(phi) = diag(e^(-i phi / 2), e^(i phi / 2))."""
+    bits = (np.arange(1 << GROUP) >> np.arange(GROUP - 1, -1, -1)[:, None]) & 1
+    entry = np.array([[0, 2], [1, 0]])[bits[..., None], bits[:, None]]
+    return 3 * np.arange(GROUP)[:, None, None] + entry, 1.0 - 2.0 * bits
+
+
+def _rotation_layers(spec: AnsatzSpec, params: np.ndarray, cone: list):
+    """Per layer of ``cone``, the 8x8 matrix of each group of qubits [q0, q0 + GROUP), then
+    the last group's, 2^k x 2^k for its k qubits: the Kronecker product of the fused
+    RZ(phi) RY(theta) 2x2s, a phase per row times products of cosines and sines."""
+    n, groups = spec.n_qubits, -(-spec.n_qubits // GROUP)
+    angles, (ry_entry, rz_sign) = params.reshape(-1, 2, n), _group_tables()
+    for first in range(0, len(cone), BUILD_LAYERS):
+        halves = np.stack([h for _, (_, h) in cone[first : first + BUILD_LAYERS]])
+        half = np.zeros((len(halves), 2, groups, GROUP))  # qubits past n: zero angles
+        np.multiply(angles[first : first + len(halves)], halves,
+                    out=half.reshape(len(halves), 2, -1)[..., :n])
+        trig = np.empty((len(halves), groups, GROUP, 3))  # cos, sin, -sin
+        np.cos(half[:, 0], out=trig[..., 0])
+        np.negative(np.sin(half[:, 0], out=trig[..., 1]), out=trig[..., 2])
+        ry = np.take(trig.reshape(len(halves), groups, -1), ry_entry, axis=-1).prod(axis=2)
+        m = np.exp(-1j * (half[:, 1] @ rz_sign))[..., None] * ry
+        pad = 1 << (groups * GROUP - n)  # kron(a, identity) holds a at every pad-th row, column
+        yield from zip(m, np.ascontiguousarray(m[:, -1, ::pad, ::pad]))
 
 
 def apply_ansatz(
@@ -122,28 +159,33 @@ def apply_ansatz(
     """Advance a batch of states, batch-last (2^n, N) and C-contiguous, in place
     through the ansatz with parameter vector ``params``. Given ``measured_qubits``,
     only the gates in their light cone run: the result then holds the right
-    probabilities on those qubits, not the full final state. ``scratch``, of the
-    batch's shape, takes every gate's temporaries (allocated here if not given)."""
+    probabilities on those qubits, not the full final state. Each rotation group
+    writes into ``scratch`` (of the batch's shape, allocated if not given), then the
+    two buffers swap; N runs zero-padded to ``statevec.padded_columns``."""
     n = spec.n_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
     if states.ndim != 2 or len(states) != 1 << n or not states.flags.c_contiguous:
         raise BindingError(f"states must be C-contiguous, shape ({1 << n}, N), got {states.shape}")
-    measured = None if measured_qubits is None else tuple(measured_qubits)
-    angles = params.reshape(spec.reps + 1, 2, n).tolist()
-    scratch = np.empty_like(states) if scratch is None else scratch
-    for (thetas, phis), (gather, rotations) in zip(angles, _light_cone(spec, measured)):
+    cols = states.shape[1]
+    if padded_columns(cols, n) != cols:  # padded, each column rounds as it would alone
+        padded = np.pad(states, ((0, 0), (0, padded_columns(cols, n) - cols)))
+        apply_ansatz(padded, spec, params, measured_qubits)
+        states[...] = padded[:, :cols]
+        return
+    cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
+    cur, other = states, np.empty_like(states) if scratch is None else scratch
+    for (gather, (starts, _)), (full, last) in zip(cone, _rotation_layers(spec, params, cone)):
         if gather is not None:
             inv, phase = gather
-            np.take(states, inv, axis=0, out=scratch, mode="clip")  # "raise" would buffer
-            np.multiply(scratch, phase[:, None], out=states)
-        for q, with_rz in rotations:
-            # RZ(phi) RY(theta) = [[e^-i phi/2 c, -e^-i phi/2 s], [e^i phi/2 s, e^i phi/2 c]]
-            c, s = math.cos(0.5 * thetas[q]), math.sin(0.5 * thetas[q])
-            z = cmath.exp(-0.5j * phis[q]) if with_rz else 1.0
-            u = ((z * c, -z * s), (z.conjugate() * s, z.conjugate() * c))
-            apply_single(states, q, u, scratch)
+            np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
+            np.multiply(other, phase[:, None], out=cur)
+        for q0 in starts:
+            apply_block(full[q0 // GROUP] if q0 + GROUP < n else last, cur, q0, other)
+            cur, other = other, cur
+    if cur is not states:
+        states[...] = cur
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

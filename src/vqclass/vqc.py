@@ -6,7 +6,8 @@ prediction share one batched path: one ``encode`` call per batch, then
 ``p_ad`` takes the states one transposed row block of about
 ``BLOCK_BYTES`` at a time and runs the whole ansatz and the parity mass
 on it while it stays in cache; only the ansatz gates in the measured
-qubits' light cone run, each entangling block as one gather (see ``ansatz``).
+qubits' light cone run, each entangling block as one gather and each
+layer's rotations as a few small matrix products (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -33,7 +34,7 @@ from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, TrainingRun, spsa_minimize
-from .statevec import BLOCK_BYTES
+from .statevec import BLOCK_BYTES, padded_columns
 
 
 class Label(IntEnum):
@@ -107,8 +108,8 @@ def p_ad(
     unchanged. The rows run in blocks of about ``BLOCK_BYTES``: a block is
     copied transposed, (2^n, rows), into a working buffer so every gate runs
     long inner loops, advanced through the whole ansatz and reduced to its
-    even-parity mass in cache. Every step acts on each row alone, so a row's
-    result does not depend on its block.
+    even-parity mass in cache. Zero columns pad a block to ``padded_columns``,
+    so BLAS rounds a row alike in any block and its result does not depend on it.
     Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
     """
     n = cfg.n_qubits
@@ -117,15 +118,17 @@ def p_ad(
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
     rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
     # allocated once; the gates would otherwise allocate temporaries per block
-    work = np.empty((2, min(rows, len(states)) << n), dtype=np.complex128)
+    work = np.empty((2, padded_columns(min(rows, len(states)), n) << n), dtype=np.complex128)
     mass = np.empty(len(states))
     for start in range(0, len(states), rows):
         part = states[start : start + rows]
-        # a short last block takes the first r << n elements, so it stays contiguous
-        block, scratch = work[:, : part.size].reshape(2, 1 << n, len(part))
-        block[...] = part.T
+        # a short last block takes the first cols << n elements, so it stays contiguous
+        cols = padded_columns(len(part), n)
+        block, scratch = work[:, : cols << n].reshape(2, 1 << n, cols)
+        block[:, : len(part)] = part.T
+        block[:, len(part) :] = 0.0
         apply_ansatz(block, cfg.ansatz, params, cfg.measured_qubits, scratch)
-        mass[start : start + len(part)] = _parity_mass(block, cfg)
+        mass[start : start + len(part)] = _parity_mass(block, cfg)[: len(part)]
     return _draw(mass, cfg, eval_counter)
 
 
@@ -156,10 +159,10 @@ def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:
 def binary_cross_entropy(
     y: Sequence[int], p: Sequence[float], eps: float = 1e-9
 ) -> float:
-    """Mean BCE with predictions clipped into [eps, 1 - eps]."""
-    y_arr = np.asarray(y, dtype=np.float64)
+    """Mean BCE of 0/1 labels ``y`` with predictions clipped into [eps, 1 - eps]:
+    one log per row, of p where y is 1 and of 1 - p where it is 0."""
     p_arr = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
-    return float(-np.mean(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr)))
+    return float(-np.mean(np.log(np.where(np.asarray(y) == 1, p_arr, 1.0 - p_arr))))
 
 
 def train(

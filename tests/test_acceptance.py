@@ -19,7 +19,7 @@ from vqclass.metrics import auroc, scores_from_confusion
 from vqclass.prep import pca_fit
 from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
-from vqclass.statevec import apply_single
+from vqclass.statevec import apply_block
 from vqclass.synth import make_blobs, make_handwriting_table, write_labeled_csv, write_table_csv
 from vqclass.vqc import VqcConfig, predict_batch
 
@@ -36,7 +36,7 @@ def _report(criterion: str, elapsed: float, limit: float, detail: str) -> None:
 
 
 _H = 1.0 / np.sqrt(2.0)
-HADAMARD = ((_H, _H), (_H, -_H))
+HADAMARD = np.array([[_H, _H], [_H, -_H]], dtype=np.complex128)
 
 
 def _matrix(gate, dim):
@@ -62,8 +62,9 @@ def _rotation(ry, rz):
 
 def _hadamard(states):
     states = _batch_last(states)
-    apply_single(states, 0, HADAMARD, np.empty_like(states))
-    return states.T
+    out = np.empty_like(states)
+    apply_block(HADAMARD, states, 0, out)  # a one-qubit block
+    return out.T
 
 
 def test_criterion_01_gate_fidelity():

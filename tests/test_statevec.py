@@ -1,5 +1,5 @@
-"""Simulator tests on the kernels the pipeline runs: ``apply_single``, the
-ansatz's fused rotations and CY/CZ block gathers, and the closed-form
+"""Simulator tests on the kernels the pipeline runs: ``apply_block``, the
+ansatz's fused rotation blocks and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
 readout takes from a state (``vqc._parity_mass``, then the shot draw
@@ -17,10 +17,10 @@ from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
-from vqclass.statevec import MAX_QUBITS, apply_single
+from vqclass.statevec import MAX_QUBITS, apply_block, padded_columns
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+HADAMARD = np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=np.complex128)
 ONE_QUBIT = AnsatzSpec(1, reps=1)
 
 
@@ -55,9 +55,10 @@ def batch_last(amps):
 
 
 def hadamard(amps, qubit):
-    """``amps`` with H applied to ``qubit`` by the 2x2 kernel."""
-    out = batch_last(amps)
-    apply_single(out, qubit, HADAMARD, np.empty_like(out))
+    """``amps`` with H applied to ``qubit`` by the kernel, as a one-qubit block."""
+    states = batch_last(amps)
+    out = np.empty_like(states)
+    apply_block(HADAMARD, states, qubit, out)
     return out.T
 
 
@@ -217,21 +218,57 @@ class TestOracleEquivalence:
             assert np.array_equal(batched[:, i], single[:, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_apply_single_every_qubit_with_trailing_batch(self, n):
-        # a generic complex 2x2 on every target qubit of (2^n, 3) and (2^n, 2, 3)
-        # batches, against the dense embedding; a column evolves as it would alone
+    def test_one_qubit_block_every_qubit_with_trailing_batch(self, n):
+        # a generic complex 2x2 on every target qubit of (2^n, 8) and (2^n, 2, 4)
+        # batches (6 states, zero-padded to the alignment), against the dense
+        # embedding; a column, padded alone, evolves as it does in the batch
         rng = np.random.default_rng(n)
         u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        states = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
+        width = padded_columns(6, n)
+        states = np.zeros((1 << n, width), dtype=np.complex128)
+        states[:, :6] = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
+        column = np.zeros((1 << n, padded_columns(1, n)), dtype=np.complex128)
+        column[:, 0] = states[:, 4]
         for q in range(n):
-            expect = oracles.embed_single(u, q, n) @ states
-            for shape in ((1 << n, 6), (1 << n, 2, 3)):
-                got = states.reshape(shape).copy()
-                apply_single(got, q, u.tolist(), np.empty_like(got))
-                np.testing.assert_allclose(got.reshape(states.shape), expect, atol=1e-12)
-                column = states[:, 4].copy()
-                apply_single(column, q, u.tolist(), np.empty_like(column))
-                assert np.array_equal(got.reshape(states.shape)[:, 4], column)
+            expect = oracles.embed_single(u, q, n) @ states[:, :6]
+            alone = np.empty_like(column)
+            apply_block(u, column, q, alone)
+            for shape in ((1 << n, width), (1 << n, 2, width // 2)):
+                got = np.empty(shape, dtype=np.complex128)
+                apply_block(u, states.reshape(shape), q, got)
+                np.testing.assert_allclose(got.reshape(states.shape)[:, :6], expect, atol=1e-12)
+                assert np.array_equal(got.reshape(states.shape)[:, 4], alone[:, 0])
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_short_last_group_matches_dense_oracle(self, n):
+        # last rotation groups of 1, 2 and 1 qubits, every gate; then qubit 0's light
+        # cone under linear links, whose groups hold dead qubits (the identity) or no
+        # live one (skipped)
+        rng = np.random.default_rng(50 + n)
+        fmap, spec = FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear")
+        x = rng.uniform(0, 1, size=(3, n))
+        params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        expect = oracles.classifier_states(x, fmap, spec, params)
+        np.testing.assert_allclose(run_classifier(fmap, spec, x, params), expect, atol=1e-12)
+        cfg = vqc.VqcConfig(fmap, spec, measured_qubits=(0,))
+        even = [parity_masses(state, (0,))[0] for state in expect]
+        np.testing.assert_allclose(vqc.p_ad(encode(x, fmap), params, cfg), even, atol=1e-12)
+
+    def test_blas_rounds_padded_columns_alike(self):
+        # rows are bitwise independent of their block only while BLAS rounds each
+        # column of an 8x8 product alike in any batch padded to the alignment
+        rng = np.random.default_rng(19)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        align = padded_columns(1, 5)
+        batch = np.zeros((8, padded_columns(37, 5)), dtype=np.complex128)
+        batch[:, :37] = rng.normal(size=(8, 37)) + 1j * rng.normal(size=(8, 37))
+        together = m @ batch
+        for j in range(37):
+            alone = np.zeros((8, align), dtype=np.complex128)
+            alone[:, 0] = batch[:, j]
+            assert np.array_equal((m @ alone)[:, 0], together[:, j]), (
+                f"column {j}: this BLAS rounds 8x8 products apart at the {align}-column "
+                "alignment; statevec.padded_columns must pad to a wider multiple")
 
 
 class TestNormAndUnitarity:
@@ -300,8 +337,9 @@ class TestSampling:
             readout_cfg(1, (0,), shots=0)
 
     def test_bitstring_convention_qubit0_leftmost(self):
-        amps = oracles.basis_state(2).amplitudes.copy()
-        apply_single(amps, 0, ((0.0, -1.0), (1.0, 0.0)), np.empty_like(amps))  # RY(pi): |10>
+        amps = np.empty(4, dtype=np.complex128)
+        ry_pi = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
+        apply_block(ry_pi, oracles.basis_state(2).amplitudes, 0, amps)  # RY(pi): |10>
         assert readout(amps, (0, 1), shots=16, seed=1).tolist() == [0.0]
         np.testing.assert_allclose(amps, [0, 0, 1, 0], atol=1e-15)
 

@@ -169,7 +169,8 @@ class TestForward:
         np.testing.assert_array_equal(states, before)
         np.testing.assert_array_equal(p_ad(states, params, cfg), first)
 
-    @pytest.mark.parametrize("n", [8, 12])
+    # from n = 13 on blocks hold 4, 2 and 1 rows, and columns align to that many
+    @pytest.mark.parametrize("n", [8, 12, 14, 16])
     def test_row_blocks_at_production_size(self, n):
         # 2.5 blocks' rows, so the last block is short
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, reps=2, entanglement="full"))
@@ -284,6 +285,21 @@ class TestLoss:
         )
         expect = -(math.log(0.8) + math.log(0.6)) / 2
         assert binary_cross_entropy([1, 0], [0.8, 0.4]) == pytest.approx(expect, rel=1e-12)
+
+    def test_one_log_matches_two_log_form(self):
+        # -mean(log(where(y, p, 1 - p))) is bitwise the two-log form with 0/1 labels,
+        # p at 0 and 1, at the clip edges and just past them included
+        rng = np.random.default_rng(12)
+        for eps in (1e-9, 1e-3, 0.25):
+            edges = [0.0, 1.0, eps, 1.0 - eps, np.nextafter(eps, 0), np.nextafter(1 - eps, 1)]
+            for _ in range(500):
+                rows = int(rng.integers(1, 40))
+                y, p = rng.integers(0, 2, rows), rng.uniform(0, 1, rows)
+                at_edge = rng.random(rows) < 0.3
+                p[at_edge] = rng.choice(edges, int(at_edge.sum()))
+                q = np.clip(p, eps, 1.0 - eps)
+                two_log = -np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))
+                assert binary_cross_entropy(y, p, eps) == two_log
 
     def test_clipping_bounds_loss(self):
         eps = 1e-9
