@@ -8,8 +8,8 @@ giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
 straight from that vector, each layer's fused RZ(phi) RY(theta) rotations
 as one matrix product per group of GROUP adjacent qubits (gate fusion, as
-in qsim: Isakov et al., arXiv:2111.02396), on a batch of states laid out
-batch-last; ``vqc.p_ad`` gives it one transposed row block at a time.
+in qsim: Isakov et al., arXiv:2111.02396). It takes states one per row
+(``vqc.p_ad`` gives it one row block at a time) and returns them batch-last.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -154,28 +154,29 @@ def _rotation_layers(spec: AnsatzSpec, params: np.ndarray, cone: list):
 
 def apply_ansatz(
     states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None,
-    scratch: np.ndarray | None = None,
-) -> None:
-    """Advance a batch of states, batch-last (2^n, N) and C-contiguous, in place
-    through the ansatz with parameter vector ``params``. Given ``measured_qubits``,
-    only the gates in their light cone run: the result then holds the right
-    probabilities on those qubits, not the full final state. Each rotation group
-    writes into ``scratch`` (of the batch's shape, allocated if not given), then the
-    two buffers swap; N runs zero-padded to ``statevec.padded_columns``."""
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Advance the rows of ``states``, one state each, (N, 2^n), through the ansatz with
+    parameter vector ``params``; return them batch-last, (2^n, N), a view into ``work``.
+    ``states`` is not written. Given ``measured_qubits``, only the gates in their light
+    cone run: the result then holds the right probabilities on those qubits, not the full
+    final state. The rows are copied in transposed, zero-padded to C = padded_columns(N, n)
+    columns, into the first half of ``work``, complex (2, >= C << n) and allocated if not
+    given; each rotation group writes into the other half, then the halves swap."""
     n = spec.n_qubits
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
-    if states.ndim != 2 or len(states) != 1 << n or not states.flags.c_contiguous:
-        raise BindingError(f"states must be C-contiguous, shape ({1 << n}, N), got {states.shape}")
-    cols = states.shape[1]
-    if padded_columns(cols, n) != cols:  # padded, each column rounds as it would alone
-        padded = np.pad(states, ((0, 0), (0, padded_columns(cols, n) - cols)))
-        apply_ansatz(padded, spec, params, measured_qubits)
-        states[...] = padded[:, :cols]
-        return
+    if states.ndim != 2 or states.shape[1] != 1 << n:
+        raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
+    rows, cols = len(states), padded_columns(len(states), n)
+    if work is None:
+        work = np.empty((2, cols << n), dtype=np.complex128)
+    # a short batch takes the first cols << n elements of each half, so it stays contiguous
+    cur, other = work[:, : cols << n].reshape(2, 1 << n, cols)
+    cur[:, :rows] = states.T
+    cur[:, rows:] = 0.0  # so each row rounds in BLAS as it would alone
     cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
-    cur, other = states, np.empty_like(states) if scratch is None else scratch
     for (gather, (starts, _)), (full, last) in zip(cone, _rotation_layers(spec, params, cone)):
         if gather is not None:
             inv, phase = gather
@@ -184,8 +185,7 @@ def apply_ansatz(
         for q0 in starts:
             apply_block(full[q0 // GROUP] if q0 + GROUP < n else last, cur, q0, other)
             cur, other = other, cur
-    if cur is not states:
-        states[...] = cur
+    return cur[:, :rows]
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

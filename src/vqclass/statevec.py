@@ -5,11 +5,12 @@ state |b0 b1 ... b_{n-1}> lives at index ``int("b0b1...", 2)``, and bit
 strings are always written with qubit 0 leftmost. ``apply_block`` runs a
 gate as one stacked matrix product into a second buffer, so no 2^n x 2^n
 matrix is ever formed. Batch axes trail the amplitude axis, so a product on
-qubits [q, q + k) runs rows 2^(n-q-k) times the batch long; ``vqc.p_ad`` runs
-the ansatz's fused rotation blocks through it on transposed row blocks of
-``BLOCK_BYTES``, padded as ``padded_columns`` says so each batch entry evolves
-bitwise as it would alone. The module also holds the package's size limits:
-the qubit cap, the row-block size, the memory ceiling and its count charge."""
+qubits [q, q + k) runs rows 2^(n-q-k) times the batch long; ``apply_ansatz``
+runs its fused rotation blocks through it on ``vqc.p_ad``'s row blocks of
+``BLOCK_BYTES``, transposed and padded as ``padded_columns`` says so each
+batch entry evolves bitwise as it would alone. The module also holds the
+package's size limits: the qubit cap, the row-block size, the memory
+ceiling and its count charge."""
 
 from __future__ import annotations
 

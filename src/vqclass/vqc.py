@@ -3,9 +3,9 @@ cross-entropy loss, training, and batch prediction, on plain arrays:
 ``train`` takes the normalized feature matrix and its 0/1 labels, and
 ``predict_batch`` returns one class-1 probability per row. Training and
 prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` takes the states one transposed row block of about
-``BLOCK_BYTES`` at a time and runs the whole ansatz and the parity mass
-on it while it stays in cache; only the ansatz gates in the measured
+``p_ad`` takes the states one row block of about ``BLOCK_BYTES`` at a
+time and runs the whole ansatz (transposed, inside ``apply_ansatz``) and
+the parity mass on it while it stays in cache; only the ansatz gates in the measured
 qubits' light cone run, each entangling block as one gather and each
 layer's rotations as a few small matrix products (see ``ansatz``).
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -58,7 +59,10 @@ class VqcConfig:
     loss_clip_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "measured_qubits", tuple(int(q) for q in self.measured_qubits))
+        measured = tuple(self.measured_qubits)
+        if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in measured):
+            raise ConfigError(f"measured_qubits must be integers, got {measured!r}")
+        object.__setattr__(self, "measured_qubits", tuple(int(q) for q in measured))
         if self.feature_map.n_qubits != self.ansatz.n_qubits:
             raise ConfigError(
                 f"feature map has {self.feature_map.n_qubits} qubits but "
@@ -105,11 +109,9 @@ def p_ad(
     """AD-class probability of each encoded state after the ansatz.
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
-    unchanged. The rows run in blocks of about ``BLOCK_BYTES``: a block is
-    copied transposed, (2^n, rows), into a working buffer so every gate runs
-    long inner loops, advanced through the whole ansatz and reduced to its
-    even-parity mass in cache. Zero columns pad a block to ``padded_columns``,
-    so BLAS rounds a row alike in any block and its result does not depend on it.
+    unchanged. The rows run in blocks of about ``BLOCK_BYTES``, each advanced
+    through the whole ansatz in one working buffer that every block reuses and
+    reduced to its even-parity mass in cache; a row's result does not depend on its block.
     Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
     """
     n = cfg.n_qubits
@@ -121,14 +123,9 @@ def p_ad(
     work = np.empty((2, padded_columns(min(rows, len(states)), n) << n), dtype=np.complex128)
     mass = np.empty(len(states))
     for start in range(0, len(states), rows):
-        part = states[start : start + rows]
-        # a short last block takes the first cols << n elements, so it stays contiguous
-        cols = padded_columns(len(part), n)
-        block, scratch = work[:, : cols << n].reshape(2, 1 << n, cols)
-        block[:, : len(part)] = part.T
-        block[:, len(part) :] = 0.0
-        apply_ansatz(block, cfg.ansatz, params, cfg.measured_qubits, scratch)
-        mass[start : start + len(part)] = _parity_mass(block, cfg)[: len(part)]
+        block = apply_ansatz(states[start : start + rows], cfg.ansatz, params,
+                             cfg.measured_qubits, work)
+        mass[start : start + rows] = _parity_mass(block, cfg)
     return _draw(mass, cfg, eval_counter)
 
 

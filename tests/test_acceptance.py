@@ -54,9 +54,7 @@ def _rotation(ry, rz):
     """RY(ry) then RZ(rz) as the ansatz runs them: its first layer on one
     qubit, its closing layer at angle zero."""
     def gate(states):
-        states = _batch_last(states)
-        apply_ansatz(states, AnsatzSpec(1, reps=1), [ry, rz, 0.0, 0.0])
-        return states.T
+        return apply_ansatz(states, AnsatzSpec(1, reps=1), [ry, rz, 0.0, 0.0]).T
     return gate
 
 
@@ -99,9 +97,7 @@ def test_criterion_02_simulator_oracle_equivalence():
         spec = AnsatzSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
         x = rng.uniform(0, 1, size=(1, n))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
-        got = _batch_last(encode(x, fmap))
-        apply_ansatz(got, spec, params)
-        got = got.T
+        got = apply_ansatz(encode(x, fmap), spec, params).T
         expect = oracles.classifier_states(x, fmap, spec, params)
         worst = max(worst, float(np.max(np.abs(got - expect))))
     assert worst < 1e-12

@@ -1,6 +1,7 @@
 """Ansatz tests: layer structure, parameter handling, unitary properties."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
+from vqclass.statevec import padded_columns
 from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 
 def run_ansatz(spec, params, state=None):
     """``state`` (default |0...0>) advanced in place through the production
-    ansatz, as a one-column batch-last batch; returns its amplitudes."""
+    ansatz, as a one-row batch; returns its amplitudes."""
     state = oracles.basis_state(spec.n_qubits) if state is None else state
-    apply_ansatz(state.amplitudes[:, None], spec, params)
+    state.amplitudes[...] = apply_ansatz(state.amplitudes[None], spec, params)[:, 0]
     return state.amplitudes
 
 
@@ -52,8 +54,7 @@ def dead_slots(spec, measured):
 def full_circuit_p(states, params, cfg):
     """Readout after every gate of the ansatz, no light cone: the parity
     mass and the shot draw that ``p_ad`` runs after its ansatz."""
-    states = states.T.copy()  # batch-last, as the ansatz takes it
-    apply_ansatz(states, cfg.ansatz, params)
+    states = apply_ansatz(states, cfg.ansatz, params)
     return vqc._draw(vqc._parity_mass(states, cfg), cfg, 0)
 
 
@@ -133,9 +134,7 @@ class TestApplication:
             [oracles.basis_state(n).amplitudes]
             + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
         )
-        got = starts.T.copy()  # batch-last: one state per column
-        apply_ansatz(got, spec, params)
-        got = got.T
+        got = apply_ansatz(starts, spec, params).T
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
 
@@ -149,14 +148,43 @@ class TestApplication:
         with pytest.raises(BindingError):
             run_ansatz(cfg.ansatz, np.zeros(7))
 
-    def test_row_major_batch_rejected(self):
-        # the ansatz takes batches batch-last: a (N, 2^n) batch or a transposed
-        # view of one would be advanced along the wrong axis or into a copy
+    def test_misshapen_batch_rejected(self):
+        # the ansatz takes one state per row: a batch-last (2^n, N) batch, one
+        # bare state or a 3-D stack would be advanced along the wrong axis
         spec = AnsatzSpec(2, reps=1)
         rows = np.zeros((3, 4), dtype=np.complex128)
-        for states in (rows, rows.T, np.zeros((4, 3, 1), dtype=np.complex128)):
-            with pytest.raises(BindingError, match=r"states must be C-contiguous, shape \(4, N\)"):
+        for states in (rows.T, rows[0], rows[:, :, None]):
+            with pytest.raises(BindingError, match=r"states must have shape \(N, 4\)"):
                 apply_ansatz(states, spec, np.zeros(8))
+
+    def test_any_row_layout_gives_the_same_bits(self):
+        # the rows are copied in whatever their strides and never written
+        spec = AnsatzSpec(4, reps=2, entanglement="full")
+        rng = np.random.default_rng(8)
+        params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        base = encode(rng.uniform(0, 1, size=(10, 4)), FeatureMapSpec(4))
+        expect = apply_ansatz(np.ascontiguousarray(base[::2]), spec, params)
+        readonly = base[::2].view()
+        readonly.flags.writeable = False
+        for states in (base[::2], np.asfortranarray(base[::2]), readonly):
+            before = states.copy()
+            assert np.array_equal(apply_ansatz(states, spec, params), expect)
+            assert np.array_equal(states, before)
+
+    @pytest.mark.parametrize("n, rows", [(5, 3), (12, 2)])
+    def test_dirty_work_buffer(self, n, rows):
+        # the padding columns are zero-filled on every call: what a reused
+        # buffer held before changes no bit of the result and raises no warning
+        spec = AnsatzSpec(n, reps=2, entanglement="full")
+        rng = np.random.default_rng(n)
+        params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        states = encode(rng.uniform(0, 1, size=(rows, n)), FeatureMapSpec(n))
+        fresh = apply_ansatz(states, spec, params)
+        for fill in (np.inf, np.nan):
+            work = np.full((2, padded_columns(rows, n) << n), fill, dtype=np.complex128)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(apply_ansatz(states, spec, params, None, work), fresh)
 
     def test_state_size_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))

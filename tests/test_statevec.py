@@ -3,9 +3,10 @@ ansatz's fused rotation blocks and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
 readout takes from a state (``vqc._parity_mass``, then the shot draw
-``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). The kernels
-take batches laid out batch-last, (2^n, N); the helpers here take and
-return one state per row, as the oracles do, and transpose around them."""
+``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). ``apply_block``
+takes batches laid out batch-last, (2^n, N), and ``apply_ansatz`` returns them
+so; the helpers here take and return one state per row, as the oracles do,
+and transpose around them."""
 
 import numpy as np
 import pytest
@@ -71,8 +72,7 @@ def link(amps, n, kind, control, target):
 def rotate(amps, ry=0.0, rz=0.0):
     """One-qubit ``amps`` after RY(ry) then RZ(rz): the ansatz's first
     layer, its closing layer at angle zero."""
-    states = batch_last(np.reshape(amps, (-1, 2)))
-    apply_ansatz(states, ONE_QUBIT, [ry, rz, 0.0, 0.0])
+    states = apply_ansatz(np.reshape(amps, (-1, 2)), ONE_QUBIT, [ry, rz, 0.0, 0.0])
     return states.T.reshape(np.shape(amps))
 
 
@@ -98,9 +98,7 @@ def random_instance(rng, rows):
 
 def run_classifier(fmap, spec, x, params):
     """The states the pipeline evolves: ``x`` encoded, then the whole ansatz."""
-    states = batch_last(encode(x, fmap))
-    apply_ansatz(states, spec, params)
-    return states.T
+    return apply_ansatz(encode(x, fmap), spec, params).T
 
 
 class TestQubitCap:
@@ -175,8 +173,8 @@ class TestMatrixFidelity:
 class TestRunCircuit:
     def test_empty_circuit_identity(self):
         # zero angles make every rotation the identity; |00> leaves every link off
-        states = oracles.basis_state(2).amplitudes[:, None].copy()
-        apply_ansatz(states, AnsatzSpec(2, reps=2, entanglement="full"), np.zeros(12))
+        state = oracles.basis_state(2).amplitudes[None]
+        states = apply_ansatz(state, AnsatzSpec(2, reps=2, entanglement="full"), np.zeros(12))
         assert np.array_equal(states[:, 0], [1, 0, 0, 0])
 
     def test_h_then_trivial_cz(self):
@@ -210,11 +208,9 @@ class TestOracleEquivalence:
         states = np.stack(
             [oracles.random_state(np.random.default_rng(100 + i), 3).amplitudes for i in range(6)]
         )
-        batched = batch_last(states)
-        apply_ansatz(batched, spec, params)
+        batched = apply_ansatz(states, spec, params)
         for i in range(6):
-            single = batch_last(states[i : i + 1])
-            apply_ansatz(single, spec, params)
+            single = apply_ansatz(states[i : i + 1], spec, params)
             assert np.array_equal(batched[:, i], single[:, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])

@@ -32,8 +32,7 @@ from vqclass.vqc import (
 
 def final_state(x, params, cfg):
     """Encoded state of one sample after the ansatz, as an oracle State."""
-    amps = encode([x], cfg.feature_map).T.copy()  # batch-last, as the ansatz takes it
-    apply_ansatz(amps, cfg.ansatz, params)
+    amps = apply_ansatz(encode([x], cfg.feature_map), cfg.ansatz, params)
     return oracles.State(cfg.n_qubits, amps[:, 0])
 
 
@@ -271,6 +270,15 @@ class TestConfigValidation:
             small_cfg(2, measured=(0, 0))
         with pytest.raises(ConfigError):
             small_cfg(2, measured=(5,))
+
+    def test_measured_qubits_must_be_integers(self):
+        # neither rounded nor read as 0/1: a float, a bool or a string is rejected
+        for measured in ((0.9, True), (0, 1.0), (True,), (np.True_, 1), (0, "1")):
+            with pytest.raises(ConfigError, match="measured_qubits"):
+                small_cfg(2, measured=measured)
+        cfg = small_cfg(2, measured=(np.int64(1), np.uint8(0)))
+        assert cfg.measured_qubits == (1, 0)
+        assert all(type(q) is int for q in cfg.measured_qubits)
 
     def test_shots_validation(self):
         with pytest.raises(ConfigError):
