@@ -63,6 +63,14 @@ def main() -> int:
         return rc
 
     artifacts = workdir / "artifacts"
+    print(f"\nartifacts in {artifacts}")
+    print("\n".join(summary(artifacts)))
+    return 0
+
+
+def summary(artifacts: Path) -> list[str]:
+    """The loss trend and the two cohort lines of a run's artifacts, as
+    printed above and quoted in README's Benchmark section."""
     history = np.array(
         [
             float(line.split(",")[1])
@@ -70,21 +78,20 @@ def main() -> int:
         ]
     )
     metrics = json.loads((artifacts / "metrics.json").read_text())
-    print(f"\nartifacts in {artifacts}")
-    print(
+    lines = [
         f"loss: first-50 mean {history[:50].mean():.4f} -> "
         f"last-50 mean {history[-50:].mean():.4f} "
         f"({'downward' if history[-50:].mean() < history[:50].mean() else 'NOT downward'})"
-    )
+    ]
     for cohort in ("ad_cohort", "non_ad_cohort"):
         row = metrics[cohort]
         auroc = "null" if row["auroc"] is None else f"{row['auroc']:.3f}"
-        print(
+        lines.append(
             f"{cohort:>14}: accuracy={row['accuracy']:.3f} "
             f"sensitivity={row['sensitivity']:.3f} specificity={row['specificity']:.3f} "
             f"f1={row['f1']:.3f} auroc={auroc}"
         )
-    return 0
+    return lines
 
 
 if __name__ == "__main__":

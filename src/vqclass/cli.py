@@ -4,9 +4,11 @@ Every run is driven by a single JSON config with all seeds explicit, so
 repeating a command with the same config and inputs yields byte-identical
 artifacts. Each verb's files, named in ARTIFACTS, are streamed line by
 line and write-once per output directory, all checked before the verb
-writes any; pass --force to overwrite. ``prep`` records the resolved
-config and the sha256 of the input in model.json, and train, eval and
-kernel refuse to run when either has changed since.
+writes any; pass --force to overwrite. The check also covers the files
+made from them (UPSTREAM), which --force removes first, so no directory
+mixes two runs. ``prep`` records the resolved config and the sha256 of
+the input in model.json, and train, eval and kernel refuse to run when
+either has changed since.
 
 Exit codes: 0 success, 1 user/config error, 2 internal error.
 """
@@ -44,6 +46,9 @@ ARTIFACTS = {
     "kernel": ("kernel_train.csv", "kernel_test.csv"),
     "report": ("config_echo.json",),
 }
+# The verbs whose files each verb's files are made from, directly or not.
+UPSTREAM = {"train": ("prep",), "eval": ("prep", "train"), "kernel": ("prep",),
+            "report": ("prep", "train", "eval", "kernel")}
 
 
 def _float(value, name: str) -> float:
@@ -210,8 +215,9 @@ def _build(key: str, make, *args, **kwargs):
 
 
 def _artifact_paths(cfg: RunConfig, verb: str, force: bool) -> list[Path]:
-    """The paths of ``verb``'s artifacts, after creating output_dir; any of
-    them that exists raises ConfigError unless ``force``."""
+    """The paths of ``verb``'s artifacts, after creating output_dir. Any of
+    them, or of a downstream verb's, that exists raises ConfigError unless
+    ``force``; with ``force`` the downstream ones are then removed."""
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -219,9 +225,17 @@ def _artifact_paths(cfg: RunConfig, verb: str, force: bool) -> list[Path]:
     except OSError as exc:
         raise ConfigError(f"cannot create output_dir {cfg.out}: {exc}") from None
     paths = [cfg.out / name for name in ARTIFACTS[verb]]
-    for path in paths:
+    stale = [cfg.out / name for later, upstream in UPSTREAM.items() if verb in upstream
+             for name in ARTIFACTS[later]]
+    for path in paths + stale:
         if path.exists() and not force:
-            raise ConfigError(f"refusing to overwrite existing artifact {path}; pass --force")
+            action = "overwrite existing" if path in paths else f"remove {verb}'s downstream"
+            raise ConfigError(f"refusing to {action} artifact {path}; pass --force")
+    for path in stale:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove stale artifact {path}: {exc}") from None
     return paths
 
 
@@ -401,12 +415,12 @@ def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> Non
 
 def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Full pipeline into one directory, plus an echo of the config."""
-    paths = {verb: _artifact_paths(cfg, verb, force) for verb in ARTIFACTS}  # before prep writes
-    cmd_prep(cfg, data, force)
+    (echo_path,) = _artifact_paths(cfg, "report", force)
+    cmd_prep(cfg, data, force)  # checks every verb's files before it writes
     cmd_train(cfg, data, force)
     cmd_eval(cfg, data, force)
     cmd_kernel(cfg, data, force)
-    _write_lines(paths["report"][0], [json.dumps(_nested(cfg.values), indent=2)])
+    _write_lines(echo_path, [json.dumps(_nested(cfg.values), indent=2)])
 
 
 _COMMANDS = {

@@ -1,8 +1,8 @@
 """Simultaneous-perturbation stochastic approximation minimizer.
 
 Gradient-free: each iteration perturbs all coordinates at once along a
-random Rademacher direction and estimates the gradient from two
-objective evaluations. Gain schedules follow the standard power-law
+random Rademacher direction and estimates the gradient, and the loss, from
+two objective evaluations. Gain schedules follow the standard power-law
 decay a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma.
 """
 
@@ -56,7 +56,8 @@ class SpsaConfig:
 
 @dataclass
 class TrainingRun:
-    """Optimizer output: final parameters plus the per-iteration record."""
+    """Optimizer output: final parameters, and per iteration k the mean of
+    its two objective values, a loss estimate at theta_k before the update."""
 
     final_params: np.ndarray
     loss_history: np.ndarray
@@ -76,8 +77,8 @@ def gradient_estimate(
     theta: np.ndarray,
     c_k: float,
     delta: np.ndarray,
-) -> np.ndarray:
-    """Two-sided simultaneous-perturbation gradient estimate.
+) -> tuple[np.ndarray, float]:
+    """Two-sided simultaneous-perturbation gradient estimate, and (f+ + f-) / 2.
 
     g[i] = (f(theta + c_k*delta) - f(theta - c_k*delta)) / (2 c_k delta[i]);
     with Rademacher delta this is the difference scaled by delta itself.
@@ -88,7 +89,7 @@ def gradient_estimate(
         raise OptimizerError(
             f"non-finite objective at perturbed point: f+={f_plus}, f-={f_minus}"
         )
-    return (f_plus - f_minus) / (2.0 * c_k) * delta
+    return (f_plus - f_minus) / (2.0 * c_k) * delta, 0.5 * (f_plus + f_minus)
 
 
 def spsa_minimize(
@@ -98,9 +99,9 @@ def spsa_minimize(
 ) -> TrainingRun:
     """Minimize ``objective`` from ``theta0``; deterministic for a fixed seed.
 
-    Each iteration costs exactly three objective evaluations: the two
-    perturbed points for the gradient estimate plus one post-update value
-    recorded into the loss history.
+    Each iteration costs exactly two objective evaluations, at the perturbed
+    points; history entry k is their mean, the loss estimate at theta_k
+    before iteration k's update.
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     if theta.ndim != 1 or theta.size == 0:
@@ -111,12 +112,8 @@ def spsa_minimize(
         a_k, c_k = gain_sequences(cfg, k)
         delta = 2.0 * rng.integers(0, 2, size=theta.size) - 1.0
         try:
-            grad = gradient_estimate(objective, theta, c_k, delta)
+            grad, history[k] = gradient_estimate(objective, theta, c_k, delta)
         except OptimizerError as exc:
             raise OptimizerError(f"iteration {k}: {exc}") from None
         theta = theta - a_k * grad
-        value = float(objective(theta))
-        if not math.isfinite(value):
-            raise OptimizerError(f"iteration {k}: non-finite objective value {value}")
-        history[k] = value
     return TrainingRun(theta, history)

@@ -297,6 +297,44 @@ class TestProvenance:
             assert main([verb[0], "--config", str(cfg_path), *verb[1:]]) == rc, verb
             assert message in capsys.readouterr().err
 
+    def test_forced_prep_leaves_no_artifact_of_the_earlier_run(self, tmp_path):
+        # the earlier run's loss history, metrics, kernels and echo outlived
+        # prep --force, and the train below refused to overwrite them
+        assert main(["report", "--config", str(small_config(tmp_path, maxiter=20))]) == 0
+        first = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+        cfg_path = small_config(tmp_path, maxiter=5, ansatz={"reps": 2, "entanglement": "full"})
+        assert main(["prep", "--config", str(cfg_path), "--force"]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "run"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            cli.ARTIFACTS["prep"] + cli.ARTIFACTS["train"])
+        assert len((out / "loss_history.csv").read_text().splitlines()) == 1 + 5
+        model = json.loads((out / "model.json").read_text())
+        assert model["config"]["spsa.maxiter"] == 5 and len(model["params"]) == 12
+        for name in ("model.json", "loss_history.csv"):
+            assert (out / name).read_bytes() != first[name], name
+
+    def test_forced_train_removes_what_was_made_from_the_old_params(self, tmp_path):
+        cfg_path = small_config(tmp_path)
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path), "--force"]) == 0
+        left = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert left == sorted(cli.ARTIFACTS["prep"] + cli.ARTIFACTS["train"]
+                              + cli.ARTIFACTS["kernel"])  # the kernels need no params
+
+    def test_stale_artifact_refused_before_any_removal(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path)
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "run"
+        for name in cli.ARTIFACTS["prep"]:
+            (out / name).unlink()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        stale = out / "loss_history.csv"
+        assert f"remove prep's downstream artifact {stale}; pass --force" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize(
         "damage",
         ["unparsable", "split", "prep", "ids", "float-id", "bool-id", "leaked-id",

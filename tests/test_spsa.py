@@ -79,13 +79,15 @@ class TestMinimize:
             evals.append(theta.copy())
             return float(np.sum(theta**2))
 
-        spsa_minimize(probe, np.full(6, 0.5), cfg)
-        assert len(evals) == 3 * cfg.maxiter  # two perturbed + one recorded
+        run = spsa_minimize(probe, np.full(6, 0.5), cfg)
+        assert len(evals) == 2 * cfg.maxiter  # the two perturbed points, nothing else
         for k in range(cfg.maxiter):
-            plus, minus = evals[3 * k], evals[3 * k + 1]
+            plus, minus = evals[2 * k], evals[2 * k + 1]
             _, c_k = gain_sequences(cfg, k)
             delta = (plus - minus) / (2 * c_k)
             np.testing.assert_allclose(np.abs(delta), 1.0, atol=1e-12)
+            # the recorded loss is the two-point mean, bit for bit
+            assert run.loss_history[k] == 0.5 * (np.sum(plus**2) + np.sum(minus**2))
 
     def test_scale_check_eight_of_ten_seeds(self):
         theta0 = np.full(10, 1.0 / np.sqrt(10))
@@ -103,7 +105,8 @@ class TestMinimize:
 
         def exploding(theta):
             calls["n"] += 1
-            return np.inf if calls["n"] > 7 else float(np.sum(theta**2))
+            # calls 5 and 6 are iteration 2's; the first non-finite one is its f-
+            return np.inf if calls["n"] > 5 else float(np.sum(theta**2))
 
         with pytest.raises(OptimizerError, match="iteration 2"):
             spsa_minimize(exploding, np.ones(3), SpsaConfig(maxiter=10, seed=0))
@@ -128,7 +131,7 @@ class TestGradientEstimator:
         deltas = 2.0 * rng.integers(0, 2, size=(draws, 3)) - 1.0
         total = np.zeros(3)
         for delta in deltas:
-            total += gradient_estimate(objective, theta, 0.05, delta)
+            total += gradient_estimate(objective, theta, 0.05, delta)[0]
         mean = total / draws
         np.testing.assert_allclose(mean, analytic, rtol=0.02)
 

@@ -15,7 +15,7 @@ from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.spsa import SpsaConfig
+from vqclass.spsa import SpsaConfig, gain_sequences
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
     BLOCK_BYTES,
@@ -381,23 +381,37 @@ class TestTrain:
         assert accuracy >= 0.9
 
     def test_loss_matches_evaluator_history(self):
-        # the recorded history entry equals the loss of an independent prediction
+        # the recorded entry is the mean loss of independent predictions at the
+        # two points iteration 0 perturbs to, rebuilt from the seeds
         cfg = small_cfg(2, seed=4)
         x, y = _normalized_blobs(6, 2, seed=3)
-        run = train(x, y, cfg, SpsaConfig(maxiter=5, seed=2))
-        p = predict_batch(x, run.final_params, cfg)
-        assert run.loss_history[-1] == pytest.approx(
-            binary_cross_entropy(y, p, cfg.loss_clip_epsilon), abs=1e-12
-        )
+        spsa_cfg = SpsaConfig(maxiter=1, seed=2)
+        run = train(x, y, cfg, spsa_cfg)
+        theta0, step = _first_perturbation(cfg, spsa_cfg)
+        losses = [binary_cross_entropy(y, predict_batch(x, theta0 + sign * step, cfg),
+                                       cfg.loss_clip_epsilon) for sign in (1, -1)]
+        assert run.loss_history[0] == pytest.approx(0.5 * sum(losses), abs=1e-12)
 
     def test_shot_loss_uses_evaluation_counter(self):
-        # one iteration evaluates the loss three times, with counters 0, 1, 2;
-        # the recorded value is the third, at the updated parameters
+        # one iteration evaluates the loss twice, with counters 0 and 1;
+        # the recorded value is the exact mean of the two
         cfg = small_cfg(2, shots=64, seed=4)
         x, y = _normalized_blobs(6, 2, seed=3)
-        run = train(x, y, cfg, SpsaConfig(maxiter=1, seed=2))
-        p = p_ad(encode(x, cfg.feature_map), run.final_params, cfg, eval_counter=2)
-        assert run.loss_history[0] == binary_cross_entropy(y, p, cfg.loss_clip_epsilon)
+        spsa_cfg = SpsaConfig(maxiter=1, seed=2)
+        run = train(x, y, cfg, spsa_cfg)
+        theta0, step = _first_perturbation(cfg, spsa_cfg)
+        states = encode(x, cfg.feature_map)
+        losses = [binary_cross_entropy(y, p_ad(states, theta0 + sign * step, cfg, counter),
+                                       cfg.loss_clip_epsilon)
+                  for counter, sign in enumerate((1, -1))]
+        assert run.loss_history[0] == 0.5 * (losses[0] + losses[1])
+
+
+def _first_perturbation(cfg, spsa_cfg):
+    """The initial parameters and SPSA's first step c_0 * delta_0."""
+    theta0 = init_params(cfg.ansatz, cfg.seed)
+    delta = 2.0 * np.random.default_rng(spsa_cfg.seed).integers(0, 2, size=theta0.size) - 1.0
+    return theta0, gain_sequences(spsa_cfg, 0)[1] * delta
 
 
 class TestPredictBatch:
