@@ -10,7 +10,8 @@ class ConfigError(VqclassError):
 
 
 class BindingError(VqclassError):
-    """A circuit was run with the wrong parameter count or state shape."""
+    """An array does not fit what it is bound to: a circuit's parameter
+    count or state shape, or a kernel's row and column ids."""
 
 
 class EncodingError(VqclassError):

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from vqclass.cli import _write_lines
-from vqclass.errors import EncodingError
+from vqclass.errors import BindingError, EncodingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.qkernel import kernel_matrix, kernel_to_csv
+from vqclass.qkernel import CHUNK_VALUES, kernel_matrix, kernel_to_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
 
@@ -22,6 +25,26 @@ def kernel(samples_a, samples_b, spec):
 def csv_text(values, row_ids, col_ids):
     """The whole CSV text: the lines ``kernel_to_csv`` yields, each newline-terminated."""
     return "".join(f"{line}\n" for line in kernel_to_csv(values, row_ids, col_ids))
+
+
+def per_value_text(values, row_ids, col_ids):
+    """The reference CSV text: every value written alone as f"{v:.17g}"."""
+    lines = [",".join(["id", *map(str, col_ids)])] + [
+        ",".join([str(i), *(f"{v:.17g}" for v in row)])
+        for i, row in zip(row_ids, np.asarray(values).tolist())
+    ]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def assert_per_value_digits(values):
+    """``kernel_to_csv`` writes ``per_value_text``; a failure names the first differing cell."""
+    rows, cols = np.shape(values)
+    row_ids, col_ids = list(range(rows)), [f"c{j}" for j in range(cols)]
+    got = csv_text(values, row_ids, col_ids).split("\n")
+    expected = per_value_text(values, row_ids, col_ids).split("\n")
+    assert len(got) == len(expected)
+    for line, want in zip(got, expected):
+        assert line.split(",") == want.split(",")
 
 
 def kernel_entry(x, x_other, spec):
@@ -152,3 +175,59 @@ class TestCsvExport:
         assert size > 6 << 20
         assert peak < size / 10, (peak, size)
         assert path.read_text(encoding="utf-8") == csv_text(values, ids, ids)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(3, 4), (5, 4), (4, 3), (4, 5)])
+    def test_ids_must_match_the_values(self, n_rows, n_cols):
+        values = np.full((4, 4), 0.5)
+        with pytest.raises(BindingError, match=r"shape \(4, 4\).*"
+                           rf"{n_rows} row ids and {n_cols} column ids"):
+            csv_text(values, list(range(n_rows)), list(range(n_cols)))
+
+
+def _neighbours(values):
+    """Each value with the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+class TestExactDigits:
+    """The chunked formatter writes what f"{v:.17g}" writes for each value alone."""
+
+    def test_edge_values(self):
+        values = np.concatenate([
+            _neighbours([0.0, 1.0, 0.5, 0.125, 1e-4, 1e-3, 1e-2, 0.1]),
+            [1e-5, 1e-6, 1e-300, 5e-324, -2.2250738585072014e-308, -0.0, np.nan, np.inf, -np.inf,
+             -0.25, 1e300],
+        ])
+        assert_per_value_digits(values.reshape(1, -1))
+        assert_per_value_digits(values.reshape(-1, 1))
+
+    def test_seeded_near_ties(self):
+        # decimals halfway between two 17-digit ones, their neighbours, exact
+        # binary ties (v * 10^k ends in .5 exactly) and values spread over decades
+        rng = np.random.default_rng(11)
+        near = [float(f"0.{'0' * (i % 4)}{d:017d}5")
+                for i, d in enumerate(rng.integers(10**16, 10**17, 8000).tolist())]
+        k = rng.integers(17, 21, 8000)  # odd multiples of 2^-(k + 1) in the decade of 10^k
+        scale = 2.0 ** (k + 1)
+        ties = (np.floor(rng.uniform(0.1, 1.0, 8000) * 10.0 ** (17 - k) * scale) // 2 * 2 + 1) / scale
+        spread = rng.random(60000) ** 4
+        values = np.concatenate([_neighbours(near), ties, spread])
+        assert_per_value_digits(values.reshape(-1, 100))
+
+    def test_transposed_and_float32_input(self):
+        values = np.random.default_rng(12).random((7, 5)) ** 3
+        assert_per_value_digits(values.T)
+        assert_per_value_digits(values.astype(np.float32))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (2, CHUNK_VALUES + 1),
+                                       (CHUNK_VALUES // 50 + 3, 50)])
+    def test_chunk_boundaries(self, shape):
+        assert_per_value_digits(np.random.default_rng(13).random(shape) ** 2)
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=8),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)
+                  | st.floats(1e-4, 1.0, exclude_max=True)))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_float_matrix(self, values):
+        assert_per_value_digits(values)
