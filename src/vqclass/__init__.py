@@ -21,7 +21,7 @@ from .featmap import FeatureMapSpec, encode
 from .metrics import auroc, confusion, full_report
 from .prep import Table, load_csv, one_hot_encode, stratified_split
 from .qkernel import kernel_matrix
-from .spsa import SpsaConfig, TrainingRun, spsa_minimize
+from .spsa import SpsaConfig, spsa_minimize
 from .vqc import Label, VqcConfig, p_ad, predict_batch, train
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "OptimizerError",
     "SpsaConfig",
     "Table",
-    "TrainingRun",
     "VqcConfig",
     "VqclassError",
     "auroc",

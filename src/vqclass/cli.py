@@ -173,6 +173,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     given = {}
@@ -269,13 +271,18 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
     path = cfg.out / MODEL_FILE
     if not path.exists():
         raise DataError(f"missing {path}; run the prep command first")
+    n, d = data.features.shape
+    k = cfg.values["prep.pca_k"]
+    # the fitted arrays under model.json's "prep", and the shape each must have
+    shapes = {"pca": {"mean": (d,), "components": (k, d), "explained_variance": (k,)},
+              "minmax": {"min": (k,), "max": (k,)}}
     try:
         model = json.loads(path.read_text(encoding="utf-8"))
         stored, digest = dict(model["config"]), model["input_sha256"]
-        pca = prep_mod.model_from_dict(prep_mod.PcaModel, model["prep"]["pca"])
-        mm = prep_mod.model_from_dict(prep_mod.MinMaxModel, model["prep"]["minmax"])
+        fitted = {part: {key: np.asarray(model["prep"][part][key], dtype=np.float64)
+                         for key in keys} for part, keys in shapes.items()}
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, RecursionError, OverflowError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a model file written by prep ({exc!r}); "
                         "rerun prep --force") from None
     if digest != data.sha256:
@@ -288,15 +295,12 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
                 f"config key {name!r} is {record.get(name)!r} but {path} was prepared "
                 f"with {stored.get(name)!r}; rerun prep --force"
             )
-    n, d = data.features.shape
-    k = cfg.values["prep.pca_k"]
-    shapes = {"PCA mean": (pca.mean, (d,)), "PCA components": (pca.components, (k, d)),
-              "PCA explained_variance": (pca.explained_variance, (k,)),
-              "min-max min": (mm.min, (k,)), "min-max max": (mm.max, (k,))}
-    for name, (values, shape) in shapes.items():
-        if values.shape != shape or not np.isfinite(values).all():
-            raise DataError(f"{path} {name} must hold {shape} finite numbers, got shape "
-                            f"{values.shape}; rerun prep --force")
+    for part, keys in shapes.items():
+        for key, shape in keys.items():
+            values = fitted[part][key]
+            if values.shape != shape or not np.isfinite(values).all():
+                raise DataError(f"{path} prep.{part}.{key} must hold {shape} finite numbers, "
+                                f"got shape {values.shape}; rerun prep --force")
     if not all(isinstance(rows, list) and rows and all(type(i) is int and 0 <= i < n for i in rows)
                for rows in ids):
         raise DataError(f"{path} split ids must be non-empty lists of integers in [0, {n}); "
@@ -306,8 +310,9 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
                         "rerun prep --force")
     splits = []
     for rows in map(np.array, ids):
-        pcs = prep_mod.pca_transform(pca, data.features[rows])
-        splits.append(_Split(rows, data.labels[rows], pcs, prep_mod.minmax_transform(mm, pcs)))
+        pcs = prep_mod.pca_transform(fitted["pca"], data.features[rows])
+        splits.append(_Split(rows, data.labels[rows], pcs,
+                             prep_mod.minmax_transform(fitted["minmax"], pcs)))
     return model, splits[0], splits[1]
 
 
@@ -326,8 +331,8 @@ def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     mm = prep_mod.minmax_fit(prep_mod.pca_transform(pca, x_train))
     model = {
         "prep": {
-            "pca": prep_mod.model_to_dict(pca),
-            "minmax": prep_mod.model_to_dict(mm),
+            "pca": {key: a.tolist() for key, a in pca.items()},
+            "minmax": {key: a.tolist() for key, a in mm.items()},
             "feature_names": data.feature_names,
         },
         "split": {"train_ids": train.tolist(), "test_ids": test.tolist()},
@@ -347,10 +352,10 @@ def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None
             f"{cfg.out / MODEL_FILE} already holds trained parameters; pass --force to retrain"
         )
     (loss_path,) = _artifact_paths(cfg, "train", force)
-    run = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
-    model["params"] = [float(v) for v in run.final_params]
+    params, history = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
+    model["params"] = [float(v) for v in params]
     _write_lines(loss_path, chain(["iteration,loss"], (
-        f"{k},{float(v)!r}" for k, v in enumerate(run.loss_history))))
+        f"{k},{float(v)!r}" for k, v in enumerate(history))))
     _write_lines(cfg.out / MODEL_FILE, [json.dumps(model, indent=2)])
 
 

@@ -6,8 +6,8 @@ labels, the feature names and the sha256 of the file's bytes. A split is
 a pair of sorted row-index arrays into that table; a row's index is its
 sample id in every artifact.
 
-PCA and min-max models are fit on training rows only and are immutable
-afterwards, so applying them to test rows cannot leak information back.
+The fitted PCA and min-max are dicts of arrays, keyed as in model.json, fit
+on training rows only; applying them to test rows leaves them unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -34,23 +33,6 @@ class Table(NamedTuple):
     sha256: str  # of the file's bytes
 
 
-@dataclass(frozen=True)
-class PcaModel:
-    """Centering mean plus top-k orthonormal principal directions."""
-
-    mean: np.ndarray
-    components: np.ndarray
-    explained_variance: np.ndarray
-
-
-@dataclass(frozen=True)
-class MinMaxModel:
-    """Per-feature training minimum and maximum."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-
 def load_csv(path: str, label_column: str, positive_label: str) -> Table:
     """Read a comma-delimited UTF-8 table with a header row, one-hot
     encode it and hash the bytes it was parsed from, a leading byte-order
@@ -65,6 +47,8 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
             raw = fh.read()
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path}: {exc}") from None
     # decoded in chunks, as a text-mode open would, so no decoded copy of the file is held
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     try:
@@ -149,8 +133,9 @@ def one_hot_encode(
     return features, labels, feature_names
 
 
-def pca_fit(train_features: np.ndarray, k: int) -> PcaModel:
-    """Top-k principal directions of the training rows, via SVD.
+def pca_fit(train_features: np.ndarray, k: int) -> dict:
+    """Top-k principal directions of the training rows, via SVD: ``mean``
+    (d,), orthonormal ``components`` (k, d) and ``explained_variance`` (k,).
 
     Sign convention: each component's largest-magnitude entry is made
     positive, so the decomposition is deterministic.
@@ -171,24 +156,24 @@ def pca_fit(train_features: np.ndarray, k: int) -> PcaModel:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     explained = singular[:k] ** 2 / (n - 1) if n > 1 else np.zeros(k)
-    return PcaModel(mean, components, explained)
+    return {"mean": mean, "components": components, "explained_variance": explained}
 
 
-def pca_transform(model: PcaModel, features: np.ndarray) -> np.ndarray:
+def pca_transform(pca: dict, features: np.ndarray) -> np.ndarray:
     """Project rows onto the fitted principal directions."""
     x = np.asarray(features, dtype=np.float64)
-    return (x - model.mean) @ model.components.T
+    return (x - pca["mean"]) @ pca["components"].T
 
 
-def minmax_fit(train_features: np.ndarray) -> MinMaxModel:
-    """Per-feature min and max of the training rows."""
+def minmax_fit(train_features: np.ndarray) -> dict:
+    """Per-feature ``min`` and ``max`` of the training rows."""
     x = np.asarray(train_features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ConfigError(f"expected a non-empty 2-D feature matrix, got shape {x.shape}")
-    return MinMaxModel(x.min(axis=0), x.max(axis=0))
+    return {"min": x.min(axis=0), "max": x.max(axis=0)}
 
 
-def minmax_transform(model: MinMaxModel, features: np.ndarray) -> np.ndarray:
+def minmax_transform(minmax: dict, features: np.ndarray) -> np.ndarray:
     """(x - min) / (max - min), with x first clipped into [min, max].
 
     A degenerate feature (max == min on the training rows) maps to 0.0;
@@ -196,10 +181,10 @@ def minmax_transform(model: MinMaxModel, features: np.ndarray) -> np.ndarray:
     angle encodings stay bounded. Clipping before the division keeps a
     tiny span from overflowing the quotient.
     """
-    x = np.clip(np.asarray(features, dtype=np.float64), model.min, model.max)
-    span = model.max - model.min
+    x = np.clip(np.asarray(features, dtype=np.float64), minmax["min"], minmax["max"])
+    span = minmax["max"] - minmax["min"]
     safe = np.where(span > 0.0, span, 1.0)
-    return np.where(span > 0.0, (x - model.min) / safe, 0.0)
+    return np.where(span > 0.0, (x - minmax["min"]) / safe, 0.0)
 
 
 def stratified_split(
@@ -231,13 +216,3 @@ def stratified_split(
         test_idx.append(perm[:n_test])
         train_idx.append(perm[n_test:])
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
-
-
-def model_to_dict(model) -> dict:
-    """A fitted PCA or min-max model as JSON lists, keyed by field name."""
-    return {f.name: getattr(model, f.name).tolist() for f in fields(model)}
-
-
-def model_from_dict(cls, data: dict):
-    """The ``cls`` model (PcaModel or MinMaxModel) that ``model_to_dict`` wrote."""
-    return cls(**{f.name: np.asarray(data[f.name], dtype=np.float64) for f in fields(cls)})

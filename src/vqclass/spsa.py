@@ -54,15 +54,6 @@ class SpsaConfig:
         return 0.1 * self.maxiter if self.A is None else self.A
 
 
-@dataclass
-class TrainingRun:
-    """Optimizer output: final parameters, and per iteration k the mean of
-    its two objective values, a loss estimate at theta_k before the update."""
-
-    final_params: np.ndarray
-    loss_history: np.ndarray
-
-
 def gain_sequences(cfg: SpsaConfig, k: int) -> tuple[float, float]:
     """Step size a_k and perturbation size c_k at iteration k >= 0."""
     if k < 0:
@@ -96,8 +87,9 @@ def spsa_minimize(
     objective: Callable[[np.ndarray], float],
     theta0: Sequence[float],
     cfg: SpsaConfig,
-) -> TrainingRun:
-    """Minimize ``objective`` from ``theta0``; deterministic for a fixed seed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``objective`` from ``theta0``: (final params, loss history).
+    Deterministic for a fixed seed.
 
     Each iteration costs exactly two objective evaluations, at the perturbed
     points; history entry k is their mean, the loss estimate at theta_k
@@ -116,4 +108,4 @@ def spsa_minimize(
         except OptimizerError as exc:
             raise OptimizerError(f"iteration {k}: {exc}") from None
         theta = theta - a_k * grad
-    return TrainingRun(theta, history)
+    return theta, history

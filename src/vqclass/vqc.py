@@ -34,7 +34,7 @@ import numpy as np
 from .ansatz import AnsatzSpec, apply_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
-from .spsa import SpsaConfig, TrainingRun, spsa_minimize
+from .spsa import SpsaConfig, spsa_minimize
 from .statevec import BLOCK_BYTES, padded_columns
 
 
@@ -164,9 +164,9 @@ def binary_cross_entropy(
 
 def train(
     x: np.ndarray, y: Sequence[int], cfg: VqcConfig, spsa_cfg: SpsaConfig
-) -> TrainingRun:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the cross-entropy of the classifier on normalized features
-    ``x`` (N, n) and 0/1 labels ``y`` with the perturbation optimizer.
+    ``x`` (N, n) and 0/1 labels ``y`` by SPSA: returns (params, loss history).
 
     The samples are encoded once; every loss evaluation reuses the states.
     Evaluation k (from 0) seeds its shot readout with eval counter k.

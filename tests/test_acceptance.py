@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, init_params
+from gates import hadamard, link, matrix, rotate
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
 from vqclass.cli import main
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.metrics import auroc, scores_from_confusion
 from vqclass.prep import pca_fit
 from vqclass.qkernel import kernel_matrix
 from vqclass.spsa import SpsaConfig, spsa_minimize
-from vqclass.statevec import apply_block
 from vqclass.synth import make_blobs, make_handwriting_table, write_labeled_csv, write_table_csv
 from vqclass.vqc import VqcConfig, predict_batch
 
@@ -35,49 +35,18 @@ def _report(criterion: str, elapsed: float, limit: float, detail: str) -> None:
     assert elapsed < limit
 
 
-_H = 1.0 / np.sqrt(2.0)
-HADAMARD = np.array([[_H, _H], [_H, -_H]], dtype=np.complex128)
-
-
-def _matrix(gate, dim):
-    """The matrix of ``gate`` (a batch of states in, a batch out), rebuilt
-    from its action on the basis states."""
-    return gate(np.eye(dim, dtype=np.complex128)).T
-
-
-def _batch_last(states):
-    """A C-contiguous (2^n, N) copy of states given one per row, the kernels' layout."""
-    return np.ascontiguousarray(np.transpose(states), dtype=np.complex128)
-
-
-def _rotation(ry, rz):
-    """RY(ry) then RZ(rz) as the ansatz runs them: its first layer on one
-    qubit, its closing layer at angle zero."""
-    def gate(states):
-        return apply_ansatz(states, AnsatzSpec(1, reps=1), [ry, rz, 0.0, 0.0]).T
-    return gate
-
-
-def _hadamard(states):
-    states = _batch_last(states)
-    out = np.empty_like(states)
-    apply_block(HADAMARD, states, 0, out)  # a one-qubit block
-    return out.T
-
-
 def test_criterion_01_gate_fidelity():
     t0 = time.perf_counter()
-    worst = np.max(np.abs(_matrix(_hadamard, 2) - oracles.H_MAT))
+    worst = np.max(np.abs(matrix(lambda s: hadamard(s, 0), 2) - oracles.H_MAT))
     for kind, mat in (("CY", oracles.CY_MAT), ("CZ", oracles.CZ_MAT)):
-        inv, phase = block_gather(2, ((kind, (0, 1)),))
-        worst = max(worst, np.max(np.abs(_matrix(lambda s: s[:, inv] * phase, 4) - mat)))
+        worst = max(worst, np.max(np.abs(matrix(lambda s: link(s, 2, kind, 0, 1), 4) - mat)))
     rng = np.random.default_rng(2024)
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=50):
         for gate, mat in (
-            (_rotation(theta, 0.0), oracles.ry_mat(theta)),
-            (_rotation(0.0, theta), oracles.rz_mat(theta)),
+            (lambda s: rotate(s, ry=theta), oracles.ry_mat(theta)),
+            (lambda s: rotate(s, rz=theta), oracles.rz_mat(theta)),
         ):
-            worst = max(worst, np.max(np.abs(_matrix(gate, 2) - mat)))
+            worst = max(worst, np.max(np.abs(matrix(gate, 2) - mat)))
         # P runs only inside the encoder, after H, at twice a feature in [0, 1]
         x = (theta + 2 * np.pi) / (4 * np.pi)
         expect = oracles.p_mat(2 * x) @ oracles.H_MAT[:, 0]
@@ -129,15 +98,15 @@ def test_criterion_04_spsa_convergence():
     def objective(theta):
         return float(np.sum((theta - target) ** 2))
 
-    run = spsa_minimize(objective, np.zeros(10), SpsaConfig(maxiter=500, seed=0))
-    final = objective(run.final_params)
+    params, _ = spsa_minimize(objective, np.zeros(10), SpsaConfig(maxiter=500, seed=0))
+    final = objective(params)
     assert final < 1e-2
 
     theta0 = np.full(10, 1.0 / np.sqrt(10))
     passed = sum(
         float(np.sum(
             spsa_minimize(lambda t: float(np.sum(t**2)), theta0,
-                          SpsaConfig(maxiter=200, seed=seed)).final_params ** 2
+                          SpsaConfig(maxiter=200, seed=seed))[0] ** 2
         )) <= 0.1
         for seed in range(10)
     )
@@ -173,7 +142,7 @@ def test_criterion_06_pca_oracle():
         k = int(rng.integers(2, min(6, d + 1)))
         x = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
         model = pca_fit(x, k)
-        got = model.components.T @ model.components
+        got = model["components"].T @ model["components"]
         eigvals, eigvecs = np.linalg.eigh(np.cov(x, rowvar=False, ddof=1))
         top = eigvecs[:, np.argsort(eigvals)[::-1][:k]]
         worst = max(worst, float(np.max(np.abs(got - top @ top.T))))

@@ -194,6 +194,30 @@ class TestGuards:
         assert main(["prep", "--config", str(cfg_path)]) == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["config-dir", "config-not-utf8", "config-deep",
+                                        "data-dir"])
+    def test_unreadable_file_names_path(self, tmp_path, capsys, damage):
+        # each exited 2 with a traceback
+        cfg_path = small_config(tmp_path)
+        if damage == "config-dir":
+            cfg_path = bad = tmp_path / "config_dir.json"
+            bad.mkdir()
+        elif damage == "config-not-utf8":
+            bad = cfg_path
+            cfg_path.write_bytes(b'{"output_dir": "\xff"}')
+        elif damage == "config-deep":
+            bad = cfg_path
+            cfg_path.write_text("[" * 100_000, encoding="utf-8")
+        else:
+            bad = tmp_path / "data_dir"
+            bad.mkdir()
+            cfg = json.loads(cfg_path.read_text())
+            cfg["data"]["path"] = str(bad)
+            cfg_path.write_text(json.dumps(cfg))
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_pca_k_too_large(self, tmp_path):
         cfg_path = small_config(tmp_path, prep={"pca_k": 9, "test_fraction": 0.25, "seed": 1})
         assert main(["prep", "--config", str(cfg_path)]) == 1
@@ -338,7 +362,8 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "damage",
         ["unparsable", "split", "prep", "ids", "float-id", "bool-id", "leaked-id",
-         "short-component", "short-minmax", "nan-mean", "empty-train", "empty-test"],
+         "short-component", "short-minmax", "nan-mean", "empty-train", "empty-test",
+         "missing-variance", "string-min", "huge-mean", "directory", "deep"],
     )
     def test_bad_model_file(self, tmp_path, capsys, damage):
         cfg_path = small_config(tmp_path)
@@ -346,6 +371,11 @@ class TestProvenance:
         model_path = tmp_path / "run" / "model.json"
         if damage == "unparsable":
             model_path.write_text("{not json", encoding="utf-8")
+        elif damage == "directory":  # exited 2 in the read
+            model_path.unlink()
+            model_path.mkdir()
+        elif damage == "deep":  # exited 2 in the JSON parser's recursion
+            model_path.write_text("[" * 100_000, encoding="utf-8")
         else:
             model = json.loads(model_path.read_text())
             split, pca = model["split"], model["prep"]["pca"]
@@ -363,6 +393,12 @@ class TestProvenance:
                 model["prep"]["minmax"]["min"].pop()
             elif damage == "nan-mean":  # was blamed on the encoder's input range
                 pca["mean"][0] = float("nan")
+            elif damage == "missing-variance":
+                del pca["explained_variance"]
+            elif damage == "string-min":
+                model["prep"]["minmax"]["min"][0] = "x"
+            elif damage == "huge-mean":  # exited 2: an int beyond the float range
+                pca["mean"][0] = 10**400
             elif damage == "empty-train":
                 split["train_ids"] = []
             elif damage == "empty-test":  # kernel wrote a header-only kernel_test.csv

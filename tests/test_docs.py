@@ -26,3 +26,11 @@ def test_readme_benchmark_block_matches_committed_run():
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Benchmark\n", 1)[1]
     block = section.split("```\n", 1)[1].split("```", 1)[0]
     assert block.splitlines() == lines
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
+    modules = {path.name for path in (ROOT / "src" / "vqclass").glob("*.py")}
+    assert modules - {"__init__.py", "__main__.py"} - listed == set()

@@ -1,6 +1,7 @@
 """Preprocessing tests: CSV ingestion, one-hot, PCA, min-max, splitting."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,20 @@ from hypothesis.extra.numpy import arrays
 
 from vqclass.errors import ConfigError, DataError
 from vqclass.prep import (
-    MinMaxModel,
-    PcaModel,
     load_csv,
     minmax_fit,
     minmax_transform,
-    model_from_dict,
-    model_to_dict,
     one_hot_encode,
     pca_fit,
     pca_transform,
     stratified_split,
 )
+
+
+def json_round_trip(model):
+    """A fitted dict as prep writes it to model.json and the load stage reads it back."""
+    text = json.dumps({key: a.tolist() for key, a in model.items()})
+    return {key: np.asarray(v, dtype=np.float64) for key, v in json.loads(text).items()}
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -150,9 +153,9 @@ class TestPca:
         x = np.array([[t, 2 * t] for t in (-2.0, -1.0, 0.5, 2.5)])
         model = pca_fit(x, 1)
         direction = np.array([1.0, 2.0]) / np.sqrt(5.0)
-        np.testing.assert_allclose(model.components[0], direction, atol=1e-12)
+        np.testing.assert_allclose(model["components"][0], direction, atol=1e-12)
         total_var = x.var(axis=0, ddof=1).sum()
-        assert model.explained_variance[0] == pytest.approx(total_var, rel=1e-12)
+        assert model["explained_variance"][0] == pytest.approx(total_var, rel=1e-12)
 
     def test_transform_of_training_mean_is_zero(self):
         rng = np.random.default_rng(0)
@@ -166,7 +169,7 @@ class TestPca:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 8))
         model = pca_fit(x, 5)
-        got = model.components.T @ model.components
+        got = model["components"].T @ model["components"]
         cov = np.cov(x, rowvar=False, ddof=1)
         eigvals, eigvecs = np.linalg.eigh(cov)
         top = eigvecs[:, np.argsort(eigvals)[::-1][:5]]
@@ -177,20 +180,20 @@ class TestPca:
         rng = np.random.default_rng(2)
         model = pca_fit(rng.normal(size=(30, 10)), 6)
         np.testing.assert_allclose(
-            model.components @ model.components.T, np.eye(6), atol=1e-10
+            model["components"] @ model["components"].T, np.eye(6), atol=1e-10
         )
 
     def test_explained_variance_bounded_by_total(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 7)) * rng.uniform(0.5, 4.0, size=7)
         model = pca_fit(x, 4)
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
-        assert model.explained_variance.sum() <= x.var(axis=0, ddof=1).sum() + 1e-8
+        assert np.all(np.diff(model["explained_variance"]) <= 1e-12)
+        assert model["explained_variance"].sum() <= x.var(axis=0, ddof=1).sum() + 1e-8
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
         model = pca_fit(rng.normal(size=(15, 5)), 3)
-        for row in model.components:
+        for row in model["components"]:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_k_too_large(self):
@@ -204,10 +207,10 @@ class TestPca:
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(5)
         model = pca_fit(rng.normal(size=(10, 4)), 2)
-        back = model_from_dict(PcaModel, model_to_dict(model))
-        np.testing.assert_array_equal(back.mean, model.mean)
-        np.testing.assert_array_equal(back.components, model.components)
-        np.testing.assert_array_equal(back.explained_variance, model.explained_variance)
+        back = json_round_trip(model)
+        np.testing.assert_array_equal(back["mean"], model["mean"])
+        np.testing.assert_array_equal(back["components"], model["components"])
+        np.testing.assert_array_equal(back["explained_variance"], model["explained_variance"])
 
 
 class TestMinMax:
@@ -236,16 +239,16 @@ class TestMinMax:
     def test_models_immutable_after_fit(self):
         train = np.array([[0.0, 1.0], [4.0, 3.0]])
         model = minmax_fit(train)
-        lo, hi = model.min.copy(), model.max.copy()
+        lo, hi = model["min"].copy(), model["max"].copy()
         minmax_transform(model, np.array([[99.0, -99.0]]))
-        np.testing.assert_array_equal(model.min, lo)
-        np.testing.assert_array_equal(model.max, hi)
+        np.testing.assert_array_equal(model["min"], lo)
+        np.testing.assert_array_equal(model["max"], hi)
 
     def test_serialization_round_trip(self):
         model = minmax_fit(np.array([[0.0, -2.0], [1.0, 5.0]]))
-        back = model_from_dict(MinMaxModel, model_to_dict(model))
-        np.testing.assert_array_equal(back.min, model.min)
-        np.testing.assert_array_equal(back.max, model.max)
+        back = json_round_trip(model)
+        np.testing.assert_array_equal(back["min"], model["min"])
+        np.testing.assert_array_equal(back["max"], model["max"])
 
     @given(
         arrays(np.float64, (6, 3), elements=st.floats(-1e6, 1e6)),
@@ -307,11 +310,11 @@ class TestStratifiedSplit:
         features = np.random.default_rng(0).normal(size=(labels.size, 3))
         train, test = stratified_split(labels, 0.2, seed=2)
         pca = pca_fit(features[train], 2)
-        mean_before = pca.mean.copy()
+        mean_before = pca["mean"].copy()
         z_train = pca_transform(pca, features[train])
         mm = minmax_fit(z_train)
-        lo_before = mm.min.copy()
+        lo_before = mm["min"].copy()
         pca_transform(pca, features[test])
         minmax_transform(mm, pca_transform(pca, features[test]))
-        np.testing.assert_array_equal(pca.mean, mean_before)
-        np.testing.assert_array_equal(mm.min, lo_before)
+        np.testing.assert_array_equal(pca["mean"], mean_before)
+        np.testing.assert_array_equal(mm["min"], lo_before)

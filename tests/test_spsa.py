@@ -48,9 +48,9 @@ class TestGainSequences:
 class TestMinimize:
     def test_zero_budget_returns_start(self):
         theta0 = np.array([1.0, -2.0, 3.0])
-        run = spsa_minimize(lambda t: float(t @ t), theta0, SpsaConfig(maxiter=0))
-        assert np.array_equal(run.final_params, theta0)
-        assert run.loss_history.size == 0
+        params, history = spsa_minimize(lambda t: float(t @ t), theta0, SpsaConfig(maxiter=0))
+        assert np.array_equal(params, theta0)
+        assert history.size == 0
 
     def test_quadratic_convergence_at_defaults(self):
         target = np.arange(1, 11, dtype=float)
@@ -59,17 +59,17 @@ class TestMinimize:
         def objective(theta):
             return float(np.sum((theta - target) ** 2))
 
-        run = spsa_minimize(objective, np.zeros(10), SpsaConfig(maxiter=500, seed=0))
-        assert objective(run.final_params) < 1e-2
-        assert run.loss_history.size == 500
+        params, history = spsa_minimize(objective, np.zeros(10), SpsaConfig(maxiter=500, seed=0))
+        assert objective(params) < 1e-2
+        assert history.size == 500
 
     def test_deterministic(self):
         cfg = SpsaConfig(maxiter=40, seed=9)
         f = lambda t: float(np.sum(t**2))
-        r1 = spsa_minimize(f, np.ones(5), cfg)
-        r2 = spsa_minimize(f, np.ones(5), cfg)
-        assert np.array_equal(r1.final_params, r2.final_params)
-        assert np.array_equal(r1.loss_history, r2.loss_history)
+        params1, history1 = spsa_minimize(f, np.ones(5), cfg)
+        params2, history2 = spsa_minimize(f, np.ones(5), cfg)
+        assert np.array_equal(params1, params2)
+        assert np.array_equal(history1, history2)
 
     def test_perturbations_are_rademacher(self):
         cfg = SpsaConfig(maxiter=25, seed=4)
@@ -79,7 +79,7 @@ class TestMinimize:
             evals.append(theta.copy())
             return float(np.sum(theta**2))
 
-        run = spsa_minimize(probe, np.full(6, 0.5), cfg)
+        _, history = spsa_minimize(probe, np.full(6, 0.5), cfg)
         assert len(evals) == 2 * cfg.maxiter  # the two perturbed points, nothing else
         for k in range(cfg.maxiter):
             plus, minus = evals[2 * k], evals[2 * k + 1]
@@ -87,16 +87,16 @@ class TestMinimize:
             delta = (plus - minus) / (2 * c_k)
             np.testing.assert_allclose(np.abs(delta), 1.0, atol=1e-12)
             # the recorded loss is the two-point mean, bit for bit
-            assert run.loss_history[k] == 0.5 * (np.sum(plus**2) + np.sum(minus**2))
+            assert history[k] == 0.5 * (np.sum(plus**2) + np.sum(minus**2))
 
     def test_scale_check_eight_of_ten_seeds(self):
         theta0 = np.full(10, 1.0 / np.sqrt(10))
         passed = 0
         for seed in range(10):
-            run = spsa_minimize(
+            params, _ = spsa_minimize(
                 lambda t: float(np.sum(t**2)), theta0, SpsaConfig(maxiter=200, seed=seed)
             )
-            if float(np.sum(run.final_params**2)) <= 0.1:
+            if float(np.sum(params**2)) <= 0.1:
                 passed += 1
         assert passed >= 8
 

@@ -3,10 +3,8 @@ ansatz's fused rotation blocks and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
 readout takes from a state (``vqc._parity_mass``, then the shot draw
-``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). ``apply_block``
-takes batches laid out batch-last, (2^n, N), and ``apply_ansatz`` returns them
-so; the helpers here take and return one state per row, as the oracles do,
-and transpose around them."""
+``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). The one-gate
+helpers in ``gates`` take and return one state per row, as the oracles do."""
 
 import numpy as np
 import pytest
@@ -14,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gates import INV_SQRT2, hadamard, link, matrix, rotate
 from vqclass import vqc
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather
+from vqclass.ansatz import AnsatzSpec, apply_ansatz
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.statevec import MAX_QUBITS, apply_block, padded_columns
 
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
-HADAMARD = np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=np.complex128)
-ONE_QUBIT = AnsatzSpec(1, reps=1)
 
 
 def readout_cfg(n, measured, shots=None, seed=0):
@@ -48,38 +44,6 @@ def parity_masses(amps, measured):
         bits = format(idx, f"0{n}b")
         masses[sum(int(bits[q]) for q in measured) % 2] += abs(a) ** 2
     return tuple(masses)
-
-
-def batch_last(amps):
-    """A C-contiguous (2^n, N) copy of states given one per row."""
-    return np.array(np.transpose(amps), dtype=np.complex128, order="C")
-
-
-def hadamard(amps, qubit):
-    """``amps`` with H applied to ``qubit`` by the kernel, as a one-qubit block."""
-    states = batch_last(amps)
-    out = np.empty_like(states)
-    apply_block(HADAMARD, states, qubit, out)
-    return out.T
-
-
-def link(amps, n, kind, control, target):
-    """``amps`` after a one-link CY or CZ block, as the ansatz applies it."""
-    inv, phase = block_gather(n, ((kind, (control, target)),))
-    return np.asarray(amps, dtype=np.complex128)[..., inv] * phase
-
-
-def rotate(amps, ry=0.0, rz=0.0):
-    """One-qubit ``amps`` after RY(ry) then RZ(rz): the ansatz's first
-    layer, its closing layer at angle zero."""
-    states = apply_ansatz(np.reshape(amps, (-1, 2)), ONE_QUBIT, [ry, rz, 0.0, 0.0])
-    return states.T.reshape(np.shape(amps))
-
-
-def matrix(gate, dim):
-    """The matrix of ``gate`` (a batch of states in, a batch out), rebuilt
-    column by column from its action on the basis states."""
-    return gate(np.eye(dim, dtype=np.complex128)).T
 
 
 def encoded_phase(x):

@@ -360,24 +360,24 @@ class TestTrain:
     def test_zero_budget_returns_init(self):
         cfg = small_cfg(2, seed=6)
         x, y = _normalized_blobs(6, 2, seed=0)
-        run = train(x, y, cfg, SpsaConfig(maxiter=0, seed=1))
-        assert np.array_equal(run.final_params, init_params(cfg.ansatz, 6))
-        assert run.loss_history.size == 0
+        params, history = train(x, y, cfg, SpsaConfig(maxiter=0, seed=1))
+        assert np.array_equal(params, init_params(cfg.ansatz, 6))
+        assert history.size == 0
 
     def test_deterministic(self):
         cfg = small_cfg(2, seed=2)
         x, y = _normalized_blobs(8, 2, seed=1)
         spsa_cfg = SpsaConfig(maxiter=15, seed=3)
-        r1 = train(x, y, cfg, spsa_cfg)
-        r2 = train(x, y, cfg, spsa_cfg)
-        assert np.array_equal(r1.final_params, r2.final_params)
-        assert np.array_equal(r1.loss_history, r2.loss_history)
+        params1, history1 = train(x, y, cfg, spsa_cfg)
+        params2, history2 = train(x, y, cfg, spsa_cfg)
+        assert np.array_equal(params1, params2)
+        assert np.array_equal(history1, history2)
 
     def test_separable_blobs_reach_high_train_accuracy(self):
         cfg = small_cfg(2, seed=1)
         x, y = _normalized_blobs(24, 2, seed=3)
-        run = train(x, y, cfg, SpsaConfig(maxiter=150, seed=1))
-        accuracy = np.mean((predict_batch(x, run.final_params, cfg) >= 0.5) == y)
+        params, _ = train(x, y, cfg, SpsaConfig(maxiter=150, seed=1))
+        accuracy = np.mean((predict_batch(x, params, cfg) >= 0.5) == y)
         assert accuracy >= 0.9
 
     def test_loss_matches_evaluator_history(self):
@@ -386,11 +386,11 @@ class TestTrain:
         cfg = small_cfg(2, seed=4)
         x, y = _normalized_blobs(6, 2, seed=3)
         spsa_cfg = SpsaConfig(maxiter=1, seed=2)
-        run = train(x, y, cfg, spsa_cfg)
+        _, history = train(x, y, cfg, spsa_cfg)
         theta0, step = _first_perturbation(cfg, spsa_cfg)
         losses = [binary_cross_entropy(y, predict_batch(x, theta0 + sign * step, cfg),
                                        cfg.loss_clip_epsilon) for sign in (1, -1)]
-        assert run.loss_history[0] == pytest.approx(0.5 * sum(losses), abs=1e-12)
+        assert history[0] == pytest.approx(0.5 * sum(losses), abs=1e-12)
 
     def test_shot_loss_uses_evaluation_counter(self):
         # one iteration evaluates the loss twice, with counters 0 and 1;
@@ -398,13 +398,13 @@ class TestTrain:
         cfg = small_cfg(2, shots=64, seed=4)
         x, y = _normalized_blobs(6, 2, seed=3)
         spsa_cfg = SpsaConfig(maxiter=1, seed=2)
-        run = train(x, y, cfg, spsa_cfg)
+        _, history = train(x, y, cfg, spsa_cfg)
         theta0, step = _first_perturbation(cfg, spsa_cfg)
         states = encode(x, cfg.feature_map)
         losses = [binary_cross_entropy(y, p_ad(states, theta0 + sign * step, cfg, counter),
                                        cfg.loss_clip_epsilon)
                   for counter, sign in enumerate((1, -1))]
-        assert run.loss_history[0] == 0.5 * (losses[0] + losses[1])
+        assert history[0] == 0.5 * (losses[0] + losses[1])
 
 
 def _first_perturbation(cfg, spsa_cfg):
