@@ -8,8 +8,10 @@ giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
 straight from that vector, each layer's fused RZ(phi) RY(theta) rotations
 as one matrix product per group of GROUP adjacent qubits (gate fusion, as
-in qsim: Isakov et al., arXiv:2111.02396). It takes states one per row
-(``vqc.p_ad`` gives it one row block at a time) and returns them batch-last.
+in qsim: Isakov et al., arXiv:2111.02396); a last group short of GROUP
+qubits reaches back over the one before, with the identity there, so every
+product is 8x8 from n = 3 on. It takes states one per row (``vqc.p_ad``
+gives it one row block at a time) and returns them batch-last.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -103,14 +105,14 @@ def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
     """Per layer, the gather of the live links of the block before it (None in
-    layer 0 or with no live link), then the first qubit of each group holding a
-    live rotation and the (2, n) factors that halve live RY and RZ angles and zero
+    layer 0 or with no live link), then the index of each group owning a live
+    rotation and the (2, n) factors that halve live RY and RZ angles and zero
     dead ones. ``measured`` None keeps every gate."""
     n = spec.n_qubits
     cone = set(range(n) if measured is None else measured)
     layers = []
     for layer in range(spec.reps, -1, -1):
-        starts = [q0 for q0 in range(0, n, GROUP) if cone.intersection(range(q0, q0 + GROUP))]
+        groups = sorted({q // GROUP for q in cone})
         rz = 0.5 * (measured is None or layer < spec.reps)  # the last RZs precede a Z readout
         half = np.outer([0.5, rz], np.isin(range(n), list(cone)))
         live = []
@@ -118,38 +120,36 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
             if a in cone or b in cone:
                 live.append((kind, (a, b)))
                 cone.update((a, b))
-        layers.append((block_gather(n, tuple(live[::-1])) if live else None, (starts, half)))
+        layers.append((block_gather(n, tuple(live[::-1])) if live else None, (groups, half)))
     return layers[::-1]
 
 
 @functools.cache  # built on first use: at import it raised a kernel run's peak RSS by 1 MB
-def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Which of qubit j's (cos, sin, -sin), 3 per qubit, RY puts at row r, column c
-    of a group's matrix, [j, r, c]; then the sign of qubit j's phi / 2 in row r's
-    RZ phase exponent, [j, r]: RZ(phi) = diag(e^(-i phi / 2), e^(i phi / 2))."""
-    bits = (np.arange(1 << GROUP) >> np.arange(GROUP - 1, -1, -1)[:, None]) & 1
+def _group_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Group g's k = min(GROUP, n) qubits [q0, q0 + k), q0 = min(g * GROUP, n - k), [g, j],
+    and whether g owns each (it lies in [g * GROUP, n)); which of qubit j's (cos, sin, -sin)
+    RY puts at row r, column c of a group's matrix, [j, r, c]; the sign of qubit j's phi / 2
+    in row r's RZ phase exponent, [j, r]: RZ(phi) = diag(e^(-i phi / 2), e^(i phi / 2))."""
+    k, start = min(GROUP, n), np.arange(0, n, GROUP)[:, None]
+    qubit = np.minimum(start, n - k) + np.arange(k)
+    bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
     entry = np.array([[0, 2], [1, 0]])[bits[..., None], bits[:, None]]
-    return 3 * np.arange(GROUP)[:, None, None] + entry, 1.0 - 2.0 * bits
+    return qubit, qubit >= start, 3 * np.arange(k)[:, None, None] + entry, 1.0 - 2.0 * bits
 
 
-def _rotation_layers(spec: AnsatzSpec, params: np.ndarray, cone: list):
-    """Per layer of ``cone``, the 8x8 matrix of each group of qubits [q0, q0 + GROUP), then
-    the last group's, 2^k x 2^k for its k qubits: the Kronecker product of the fused
-    RZ(phi) RY(theta) 2x2s, a phase per row times products of cosines and sines."""
-    n, groups = spec.n_qubits, -(-spec.n_qubits // GROUP)
-    angles, (ry_entry, rz_sign) = params.reshape(-1, 2, n), _group_tables()
+def _rotation_layers(angles: np.ndarray, cone: list):
+    """Per layer r of ``cone``, RY ``angles[r, 0]`` and RZ ``angles[r, 1]``, each group's 2^k x 2^k
+    matrix: the Kronecker product of the fused RZ(phi) RY(theta) 2x2s of its qubits, a phase
+    per row times products of cosines and sines, with the identity on those it does not own."""
+    qubit, owned, ry_entry, rz_sign = _group_tables(angles.shape[-1])
     for first in range(0, len(cone), BUILD_LAYERS):
         halves = np.stack([h for _, (_, h) in cone[first : first + BUILD_LAYERS]])
-        half = np.zeros((len(halves), 2, groups, GROUP))  # qubits past n: zero angles
-        np.multiply(angles[first : first + len(halves)], halves,
-                    out=half.reshape(len(halves), 2, -1)[..., :n])
-        trig = np.empty((len(halves), groups, GROUP, 3))  # cos, sin, -sin
+        half = (angles[first : first + len(halves)] * halves)[..., qubit] * owned
+        trig = np.empty((len(halves), *qubit.shape, 3))  # cos, sin, -sin
         np.cos(half[:, 0], out=trig[..., 0])
         np.negative(np.sin(half[:, 0], out=trig[..., 1]), out=trig[..., 2])
-        ry = np.take(trig.reshape(len(halves), groups, -1), ry_entry, axis=-1).prod(axis=2)
-        m = np.exp(-1j * (half[:, 1] @ rz_sign))[..., None] * ry
-        pad = 1 << (groups * GROUP - n)  # kron(a, identity) holds a at every pad-th row, column
-        yield from zip(m, np.ascontiguousarray(m[:, -1, ::pad, ::pad]))
+        ry = np.take(trig.reshape(len(halves), len(qubit), -1), ry_entry, axis=-1).prod(axis=2)
+        yield from np.exp(-1j * (half[:, 1] @ rz_sign))[..., None] * ry
 
 
 def apply_ansatz(
@@ -163,7 +163,7 @@ def apply_ansatz(
     final state. The rows are copied in transposed, zero-padded to C = padded_columns(N, n)
     columns, into the first half of ``work``, complex (2, >= C << n) and allocated if not
     given; each rotation group writes into the other half, then the halves swap."""
-    n = spec.n_qubits
+    n, k = spec.n_qubits, min(GROUP, spec.n_qubits)
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
@@ -177,13 +177,13 @@ def apply_ansatz(
     cur[:, :rows] = states.T
     cur[:, rows:] = 0.0  # so each row rounds in BLAS as it would alone
     cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
-    for (gather, (starts, _)), (full, last) in zip(cone, _rotation_layers(spec, params, cone)):
+    for (gather, (groups, _)), mats in zip(cone, _rotation_layers(params.reshape(-1, 2, n), cone)):
         if gather is not None:
             inv, phase = gather
             np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
             np.multiply(other, phase[:, None], out=cur)
-        for q0 in starts:
-            apply_block(full[q0 // GROUP] if q0 + GROUP < n else last, cur, q0, other)
+        for g in groups:
+            apply_block(mats[g], cur, min(g * GROUP, n - k), other)
             cur, other = other, cur
     return cur[:, :rows]
 

@@ -283,8 +283,8 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
                          for key in keys} for part, keys in shapes.items()}
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
     except (OSError, RecursionError, OverflowError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path} is not a model file written by prep ({exc!r}); "
-                        "rerun prep --force") from None
+        raise DataError(f"{path} is not a model file written by prep ({type(exc).__name__}: "
+                        f"{str(exc)[:120]}); rerun prep --force") from None  # repr holds the input
     if digest != data.sha256:
         raise DataError(f"input {cfg.values['data.path']} changed since prep (sha256 "
                         f"{digest} -> {data.sha256}); rerun prep --force")

@@ -40,8 +40,8 @@ def physical_memory() -> int:
 def padded_columns(cols: int, n: int) -> int:
     """``cols`` rounded up to a multiple of min(8, rows of a ``BLOCK_BYTES`` block of
     n-qubit states), which never grows a block. BLAS rounds a column in an edge tile
-    apart from one in a full tile; OpenBLAS 0.3.31 (Haswell) rounded columns alike with
-    counts padded to 4, 8 or 16, not to 1 or 2. From n = 13 on, blocks have one width."""
+    apart from one in a full tile; OpenBLAS 0.3.31's SkylakeX kernel rounded columns alike
+    with counts padded to 4, 8 or 16, not to 1 or 2. From n = 13 on, blocks have one width."""
     align = min(8, max(1, BLOCK_BYTES >> (n + 4)))
     return -(-cols // align) * align
 

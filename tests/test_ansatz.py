@@ -11,7 +11,7 @@ from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.statevec import padded_columns
+from vqclass.statevec import apply_block, padded_columns
 from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 
@@ -137,6 +137,25 @@ class TestApplication:
         got = apply_ansatz(starts, spec, params).T
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_rotation_product_is_8x8(self, n, monkeypatch):
+        # the last group reaches back over the one before it, so no layer ends in a
+        # 2x2 or 4x4 tail; one product per group and layer, then fewer in the light cone
+        shapes = []
+
+        def spy(matrix, *args):
+            shapes.append(matrix.shape)
+            apply_block(matrix, *args)
+
+        monkeypatch.setattr(ansatz, "apply_block", spy)
+        spec = AnsatzSpec(n, reps=2, entanglement="full")
+        states = encode(np.random.default_rng(n).uniform(0, 1, size=(3, n)), FeatureMapSpec(n))
+        params = init_params(spec, n)
+        apply_ansatz(states, spec, params)
+        assert len(shapes) == 3 * -(-n // 3)
+        apply_ansatz(states, spec, params, measured_qubits=(0, 1))
+        assert set(shapes) == {(8, 8)}
 
     def test_param_length_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))

@@ -218,6 +218,25 @@ class TestGuards:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["not-utf8", "long-string"])
+    def test_unreadable_model_message_is_bounded(self, tmp_path, capsys, damage):
+        # a model.json of 1,617 bytes with one \xff byte gave a 1,856-character message
+        cfg_path = small_config(tmp_path)
+        assert main(["prep", "--config", str(cfg_path)]) == 0
+        model_path = tmp_path / "run" / "model.json"
+        text = model_path.read_text(encoding="utf-8")
+        if damage == "not-utf8":
+            model_path.write_bytes(text.encode() + b"\xff" + b" " * 10_000)
+        else:
+            model = json.loads(text)
+            model["prep"]["pca"]["mean"][0] = "x" * 10_000
+            model_path.write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "Traceback" not in err
+        assert len(err) < 300, err
+
     def test_pca_k_too_large(self, tmp_path):
         cfg_path = small_config(tmp_path, prep={"pca_k": 9, "test_fraction": 0.25, "seed": 1})
         assert main(["prep", "--config", str(cfg_path)]) == 1

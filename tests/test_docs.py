@@ -1,8 +1,12 @@
-"""The README's code examples run against the package as it stands, and
-its quoted benchmark output is what the committed benchmark run prints."""
+"""The README's code examples run against the package as it stands, its
+quoted benchmark output is what the committed benchmark run prints, and its
+config table lists ``cli.SCHEMA``'s keys and defaults."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from vqclass.cli import REQUIRED, SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +38,21 @@ def test_readme_layout_names_every_module():
     listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
     modules = {path.name for path in (ROOT / "src" / "vqclass").glob("*.py")}
     assert modules - {"__init__.py", "__main__.py"} - listed == set()
+
+
+def test_readme_config_table_matches_schema():
+    # each row names a SCHEMA key, in SCHEMA order, with SCHEMA's default as README spells it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config reference\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert [key.strip(" `") for key, *_ in rows] == list(SCHEMA)
+    short = {key: key.rsplit(".", 1)[-1] for key in SCHEMA}
+    for (key, cell, *_), (_, default) in zip(rows, SCHEMA.values()):
+        if default is REQUIRED:
+            assert cell == "required", key
+        elif callable(default):  # a fallback to another key's resolved value
+            assert cell == f"inherits `{default(short)}`", key
+        elif isinstance(default, (int, float)):
+            assert json.loads(cell) == default, key
+        else:
+            assert cell == f"`{default if isinstance(default, str) else json.dumps(default)}`", key

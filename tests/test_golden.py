@@ -6,7 +6,9 @@ pipeline makes today.
 although ``/runs/`` is ignored). This test reruns ``report`` from each config
 into a temporary directory and compares byte for byte, so a refactor that
 changes any number fails here. A deliberate numeric change regenerates
-``runs/`` with both scripts in the same change.
+``runs/`` with both scripts in the same change. The floats depend on the BLAS
+kernel too (LAPACK's SVD in prep first), so a failure names the OpenBLAS core
+it ran on and the one the committed runs were made on.
 """
 
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from blas import COMMITTED_CORE, openblas_core
 from vqclass.cli import main
 
 RUNS = Path(__file__).resolve().parents[1] / "runs"
@@ -44,4 +47,5 @@ def test_report_matches_committed_artifacts(tmp_path, run, data):
         if name == "config_echo.json":
             assert _without_paths(got) == _without_paths(want)
         else:
-            assert got == want, name
+            assert got == want, (f"{name} differs, on OpenBLAS core {openblas_core()}; "
+                                 f"runs/ were made on {COMMITTED_CORE}")

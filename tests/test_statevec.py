@@ -199,11 +199,12 @@ class TestOracleEquivalence:
                 np.testing.assert_allclose(got.reshape(states.shape)[:, :6], expect, atol=1e-12)
                 assert np.array_equal(got.reshape(states.shape)[:, 4], alone[:, 0])
 
-    @pytest.mark.parametrize("n", [4, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
     def test_short_last_group_matches_dense_oracle(self, n):
-        # last rotation groups of 1, 2 and 1 qubits, every gate; then qubit 0's light
-        # cone under linear links, whose groups hold dead qubits (the identity) or no
-        # live one (skipped)
+        # every gate: at n = 4, 5, 7 and 8 the last group owns 1, 2, 1 and 2 qubits and
+        # reaches back over 2, 1, 2 and 1 of the group before (the identity there), and
+        # n = 1 and 2 run one group of n qubits; then qubit 0's light cone under linear
+        # links, whose groups hold dead qubits (the identity) or no live one (skipped)
         rng = np.random.default_rng(50 + n)
         fmap, spec = FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear")
         x = rng.uniform(0, 1, size=(3, n))
@@ -214,21 +215,28 @@ class TestOracleEquivalence:
         even = [parity_masses(state, (0,))[0] for state in expect]
         np.testing.assert_allclose(vqc.p_ad(encode(x, fmap), params, cfg), even, atol=1e-12)
 
-    def test_blas_rounds_padded_columns_alike(self):
+    # every product shape and start qubit the ansatz issues, on apply_block's reshape,
+    # (2^q0, 2^k, -1), of a padded (2^n, cols) block; 8x8 at every q0 that fits
+    @pytest.mark.parametrize("n, q0, k", [(1, 0, 1), (2, 0, 2)]
+                             + [(n, q0, 3) for n in (5, 8) for q0 in range(n - 2)])
+    def test_blas_rounds_padded_columns_alike(self, n, q0, k):
         # rows are bitwise independent of their block only while BLAS rounds each
-        # column of an 8x8 product alike in any batch padded to the alignment
+        # column of a product alike in any batch padded to the alignment
         rng = np.random.default_rng(19)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        align = padded_columns(1, 5)
-        batch = np.zeros((8, padded_columns(37, 5)), dtype=np.complex128)
-        batch[:, :37] = rng.normal(size=(8, 37)) + 1j * rng.normal(size=(8, 37))
-        together = m @ batch
+        m = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+        align = padded_columns(1, n)
+        batch = np.zeros((1 << n, padded_columns(37, n)), dtype=np.complex128)
+        batch[:, :37] = rng.normal(size=(1 << n, 37)) + 1j * rng.normal(size=(1 << n, 37))
+        together = np.empty_like(batch)
+        apply_block(m, batch, q0, together)
         for j in range(37):
-            alone = np.zeros((8, align), dtype=np.complex128)
+            alone = np.zeros((1 << n, align), dtype=np.complex128)
             alone[:, 0] = batch[:, j]
-            assert np.array_equal((m @ alone)[:, 0], together[:, j]), (
-                f"column {j}: this BLAS rounds 8x8 products apart at the {align}-column "
-                "alignment; statevec.padded_columns must pad to a wider multiple")
+            out = np.empty_like(alone)
+            apply_block(m, alone, q0, out)
+            assert np.array_equal(out[:, 0], together[:, j]), (
+                f"column {j}: this BLAS rounds {1 << k}x{1 << k} products apart at the "
+                f"{align}-column alignment; statevec.padded_columns must pad to a wider multiple")
 
 
 class TestNormAndUnitarity:

@@ -1,14 +1,20 @@
 """Classifier tests: parity readout, batched forward pass, loss, training."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import blas
 import oracles
 import vqclass
 from vqclass import vqc
@@ -59,6 +65,40 @@ def philox_count(seed, eval_counter, i, shots, mass):
 def shot_states(cfg, rows, seed):
     return encode(np.random.default_rng(seed).uniform(0, 1, size=(rows, cfg.n_qubits)),
                   cfg.feature_map)
+
+
+TESTS = Path(__file__).resolve().parent
+# the OpenBLAS cores an x86-64 CPU can run, by the /proc/cpuinfo flag each needs
+CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
+              "Nehalem": None, "Prescott": None}
+# each row of a batch against the row alone, n = 3..12, 2.5 row blocks up to 300 rows;
+# prints the running core, then {n: rows that differ}
+ROWS_ALONE = """
+import numpy as np
+from blas import openblas_core
+from vqclass.ansatz import AnsatzSpec, init_params
+from vqclass.featmap import FeatureMapSpec, encode
+from vqclass.statevec import BLOCK_BYTES
+from vqclass.vqc import VqcConfig, p_ad
+bad = {}
+for n in range(3, 13):
+    cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "full"))
+    rows = min(300, 5 * (BLOCK_BYTES >> (n + 4)) // 2)
+    states = encode(np.random.default_rng(n).uniform(0, 1, size=(rows, n)), cfg.feature_map)
+    params = init_params(cfg.ansatz, n)
+    alone = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(rows)])
+    bad[n] = int(np.sum(p_ad(states, params, cfg) != alone))
+print(openblas_core(), {n: d for n, d in bad.items() if d})
+"""
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            return next((set(line.split(":", 1)[1].split()) for line in info
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
 
 
 def small_cfg(n=2, shots=None, seed=0, measured=None):
@@ -183,6 +223,24 @@ class TestForward:
         got = p_ad(states, params, shot_cfg, eval_counter=3)
         for i, mass in enumerate(exact):
             assert got[i] == philox_count(shot_cfg.seed, 3, i, shot_cfg.shots, mass) / shot_cfg.shots
+
+    @pytest.mark.parametrize("core", list(CORE_FLAGS))
+    def test_rows_alike_under_every_openblas_core(self, core):
+        # rows stay independent of their batch on every kernel this CPU can run, not only
+        # on the one OpenBLAS picks: the core and one BLAS thread are set in the child only
+        if not blas.is_openblas() or platform.machine() != "x86_64":
+            pytest.skip("needs OpenBLAS on x86-64")
+        if CORE_FLAGS[core] is not None and CORE_FLAGS[core] not in cpu_flags():
+            pytest.skip(f"this CPU lacks {CORE_FLAGS[core]}")
+        path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(path)}
+        child = subprocess.run([sys.executable, "-c", ROWS_ALONE], env=env, capture_output=True,
+                               text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        # OpenBLAS names some forced cores after the kernels they share: Prescott is Katmai
+        running, bad = child.stdout.split(" ", 1)
+        assert bad.strip() == "{}", f"{core} (runs as {running}): {{n: rows that differ}} {bad}"
 
     def test_p_ad_holds_no_batch_sized_buffer(self):
         cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
