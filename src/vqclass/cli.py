@@ -263,6 +263,20 @@ class _Split(NamedTuple):
     x: np.ndarray  # pcs min-max scaled into [0, 1]: the encoder's input
 
 
+def _floats(path: Path, name: str, value, shape: tuple, verb: str) -> np.ndarray:
+    """model.json's ``name`` as a float64 array of ``shape``: nested lists of numbers
+    _float accepts, else a DataError naming the file, the key and the verb to rerun."""
+    try:
+        leaves = [value]
+        for size in shape:
+            if not all(isinstance(row, list) and len(row) == size for row in leaves):
+                raise ConfigError(f"must hold {shape} finite numbers")
+            leaves = [x for row in leaves for x in row]
+        return np.array([_float(x, "each entry") for x in leaves]).reshape(shape)
+    except ConfigError as exc:
+        raise DataError(f"{path} {name}: {str(exc)[:120]}; rerun {verb} --force") from None
+
+
 def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
     """The load stage of train, eval and kernel: model.json, checked against
     the config and input it was prepared from and for shapes, finite values
@@ -279,10 +293,10 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
     try:
         model = json.loads(path.read_text(encoding="utf-8"))
         stored, digest = dict(model["config"]), model["input_sha256"]
-        fitted = {part: {key: np.asarray(model["prep"][part][key], dtype=np.float64)
-                         for key in keys} for part, keys in shapes.items()}
+        raw = {part: {key: model["prep"][part][key] for key in keys}
+               for part, keys in shapes.items()}
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
-    except (OSError, RecursionError, OverflowError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, RecursionError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a model file written by prep ({type(exc).__name__}: "
                         f"{str(exc)[:120]}); rerun prep --force") from None  # repr holds the input
     if digest != data.sha256:
@@ -295,12 +309,8 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
                 f"config key {name!r} is {record.get(name)!r} but {path} was prepared "
                 f"with {stored.get(name)!r}; rerun prep --force"
             )
-    for part, keys in shapes.items():
-        for key, shape in keys.items():
-            values = fitted[part][key]
-            if values.shape != shape or not np.isfinite(values).all():
-                raise DataError(f"{path} prep.{part}.{key} must hold {shape} finite numbers, "
-                                f"got shape {values.shape}; rerun prep --force")
+    fitted = {part: {key: _floats(path, f"prep.{part}.{key}", raw[part][key], shape, "prep")
+                     for key, shape in keys.items()} for part, keys in shapes.items()}
     if not all(isinstance(rows, list) and rows and all(type(i) is int and 0 <= i < n for i in rows)
                for rows in ids):
         raise DataError(f"{path} split ids must be non-empty lists of integers in [0, {n}); "
@@ -371,14 +381,9 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
         raise DataError(
             f"{cfg.out / MODEL_FILE} has no trained parameters; run the train command first"
         )
+    params = _floats(cfg.out / MODEL_FILE, "params", model["params"],
+                     (cfg.vqc.ansatz.n_params,), "train")
     metrics_path, pred_path, scatter_path = _artifact_paths(cfg, "eval", force)
-    raw, n_params = model["params"], cfg.vqc.ansatz.n_params
-    try:
-        if not isinstance(raw, list) or len(raw) != n_params:
-            raise ConfigError(f"must be a list of {n_params} numbers")
-        params = np.array([_float(v, "each parameter") for v in raw], dtype=np.float64)
-    except ConfigError as exc:
-        raise DataError(f"{cfg.out / MODEL_FILE} params: {exc}; rerun train --force") from None
 
     test_p = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
     test_pred = vqc_mod.classify(test_p)

@@ -1,5 +1,7 @@
 """End-to-end CLI tests on a small synthetic dataset."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqclass import cli, featmap, qkernel
 from vqclass.cli import SCHEMA, load_config, main
@@ -310,6 +314,29 @@ class TestGuards:
             load_config(str(path))
 
 
+# model.json's numeric leaves, and the values no leaf may hold
+NUMERIC_KEYS = ["prep.pca.mean", "prep.pca.components", "prep.pca.explained_variance",
+                "prep.minmax.min", "prep.minmax.max", "params"]
+BAD_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # a numeric string
+    st.booleans(),
+    st.none(),
+    st.sampled_from([10**400, -(10**400)]),  # beyond the float range
+    st.lists(st.floats(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.floats(0, 1), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A config and its output directory after prep and train."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg_path = small_config(tmp_path)
+    assert main(["prep", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return cfg_path, tmp_path / "run"
+
+
 class TestProvenance:
     """prep records the config and the input's sha256; the later verbs check both."""
 
@@ -382,7 +409,8 @@ class TestProvenance:
         "damage",
         ["unparsable", "split", "prep", "ids", "float-id", "bool-id", "leaked-id",
          "short-component", "short-minmax", "nan-mean", "empty-train", "empty-test",
-         "missing-variance", "string-min", "huge-mean", "directory", "deep"],
+         "missing-variance", "string-min", "numeric-string-min", "bool-max", "huge-mean",
+         "directory", "deep"],
     )
     def test_bad_model_file(self, tmp_path, capsys, damage):
         cfg_path = small_config(tmp_path)
@@ -416,6 +444,10 @@ class TestProvenance:
                 del pca["explained_variance"]
             elif damage == "string-min":
                 model["prep"]["minmax"]["min"][0] = "x"
+            elif damage == "numeric-string-min":  # numpy read it as a float
+                model["prep"]["minmax"]["min"][0] = "0.5"
+            elif damage == "bool-max":  # and this as 1.0
+                model["prep"]["minmax"]["max"][0] = True
             elif damage == "huge-mean":  # exited 2: an int beyond the float range
                 pca["mean"][0] = 10**400
             elif damage == "empty-train":
@@ -455,6 +487,34 @@ class TestProvenance:
         err = capsys.readouterr().err
         assert f"{model_path} params" in err and "rerun train --force" in err
         assert not (tmp_path / "run" / "metrics.json").exists()
+
+    @given(key=st.sampled_from(NUMERIC_KEYS), row=st.integers(0, 9), col=st.integers(0, 9),
+           leaf=BAD_LEAVES)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_bad_model_number(self, trained_run, key, row, col, leaf):
+        # one leaf of a stored array replaced; every verb that reads it refuses
+        # with the file and the key, and leaves the directory as it found it
+        cfg_path, out = trained_run
+        model_path = out / "model.json"
+        good = model_path.read_bytes()
+        model = json.loads(good)
+        values = model
+        for part in key.split("."):
+            values = values[part]
+        if isinstance(values[0], list):  # prep.pca.components: pick a row
+            values = values[row % len(values)]
+        values[col % len(values)] = leaf
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        try:
+            for verb in ("eval",) if key == "params" else ("train", "eval", "kernel"):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert main([verb, "--config", str(cfg_path), "--force"]) == 1, verb
+                assert f"{model_path} {key}: " in err.getvalue(), verb
+                assert "Traceback" not in err.getvalue(), verb
+                assert {path.name: path.read_bytes() for path in out.iterdir()} == before, verb
+        finally:
+            model_path.write_bytes(good)
 
     def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         def fail(src, dst):

@@ -22,8 +22,7 @@ def test_readme_library_example_runs(capsys):
 
 def test_readme_benchmark_block_matches_committed_run():
     # recomputed from runs/benchmark, which test_golden ties to a fresh run
-    spec = importlib.util.spec_from_file_location("run_benchmark",
-                                                  ROOT / "scripts" / "run_benchmark.py")
+    spec = importlib.util.spec_from_file_location("rerun", ROOT / "scripts" / "rerun.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     lines = script.summary(ROOT / "runs" / "benchmark" / "artifacts")

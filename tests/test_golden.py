@@ -1,14 +1,14 @@
 """Golden runs: the committed demo and benchmark artifacts are what the
 pipeline makes today.
 
-``runs/demo`` and ``runs/benchmark`` hold the config, input and artifacts of
-``scripts/run_demo.py`` and ``scripts/run_benchmark.py`` (tracked in git
-although ``/runs/`` is ignored). This test reruns ``report`` from each config
-into a temporary directory and compares byte for byte, so a refactor that
-changes any number fails here. A deliberate numeric change regenerates
-``runs/`` with both scripts in the same change. The floats depend on the BLAS
-kernel too (LAPACK's SVD in prep first), so a failure names the OpenBLAS core
-it ran on and the one the committed runs were made on.
+``runs/demo`` and ``runs/benchmark`` each hold a config, its input and the
+artifacts ``report`` made from them (tracked in git although ``/runs/`` is
+ignored). This test reruns ``report`` from each config into a temporary
+directory and compares byte for byte, so a refactor that changes any number
+fails here. A deliberate numeric change regenerates ``runs/`` in the same
+change, with ``python scripts/rerun.py demo benchmark``. The floats depend
+on the BLAS kernel too (LAPACK's SVD in prep first), so a failure names the
+OpenBLAS core it ran on and the one the committed runs were made on.
 """
 
 import json
