@@ -5,13 +5,25 @@ rotation to every qubit, then an entangling block; a final RY+RZ layer
 closes the circuit. Parameters are numbered layer-major, qubit-minor,
 giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
-the RZ angle of qubit q in layer r. ``apply_ansatz`` runs the circuit
-straight from that vector, each layer's fused RZ(phi) RY(theta) rotations
-as one matrix product per group of GROUP adjacent qubits (gate fusion, as
-in qsim: Isakov et al., arXiv:2111.02396); a last group short of GROUP
-qubits reaches back over the one before, with the identity there, so every
-product is 8x8 from n = 3 on. It takes states one per row (``vqc.p_ad``
-gives it one row block at a time) and returns them batch-last.
+the RZ angle of qubit q in layer r. ``build_ansatz`` binds that vector
+into each layer's fused RZ(phi) RY(theta) rotations, one matrix per group
+of GROUP adjacent qubits (gate fusion, as in qsim: Isakov et al.,
+arXiv:2111.02396); a last group short of GROUP qubits reaches back over
+the one before, with the identity there, so every product is 8x8 from
+n = 3 on. ``apply_ansatz`` runs those layers on states given one per row
+(``vqc.p_ad`` builds them once per call and hands over one row block at a
+time) and returns them batch-last.
+
+A product on qubits [q0, q0 + 3) of batch-last amplitudes is a stack of
+2^q0 products, each 2^(n - q0 - 3) times the batch wide, so a group near
+the end of the register would run as many narrow products. With h = n // 2,
+groups with q0 < h run in place; before a layer's first live group with
+q0 >= h, one transposing copy moves the register's first h qubits after the
+rest (the cache-blocking qubit swap of Haener and Steiger, SC17,
+arXiv:1704.01127), and those groups run at q0 - h. The next entangling
+gather reads straight from the swapped layout, its index composed with the
+swap once and cached; a circuit that ends swapped is swapped back by one
+more copy.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -72,7 +84,9 @@ class AnsatzSpec:
     def table_bytes(self) -> int:
         """Bytes of the tables ``vqc.p_ad`` caches, whatever the batch: per basis state,
         24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
-        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build."""
+        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build.
+        A gather is cached either plain or composed with the half-register swap, never both:
+        whether its input is swapped follows from its links (see ``_light_cone``)."""
         gathers = min(self.reps, 2 if self.entanglement == "full" else self.n_qubits)
         return (24 * gathers + 40) << self.n_qubits
 
@@ -83,9 +97,11 @@ def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
 
 
 @functools.lru_cache(maxsize=16)
-def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
+def block_gather(n: int, links: tuple, swapped: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(inv, phase) such that applying ``links`` in order to states of n
-    qubits, shape (..., 2^n), gives ``states[..., inv] * phase``."""
+    qubits, shape (..., 2^n), gives ``states[..., inv] * phase``. With ``swapped``,
+    ``inv`` reads states held with their first n // 2 qubits after the rest, as
+    ``apply_ansatz`` leaves them after its swap, and the result is in plain order."""
     image = np.arange(1 << n)  # where each basis state is sent
     gain = np.ones(1 << n, dtype=np.complex128)  # and the phase it picks up
     for kind, (control, target) in links:
@@ -98,6 +114,9 @@ def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
             gain[on & hit] *= -1.0
     inv = np.argsort(image)
     phase = gain[inv]
+    if swapped:  # plain index a * 2^(n - h) + b sits at b * 2^h + a
+        low = n - n // 2
+        inv = (inv & ((1 << low) - 1)) << (n // 2) | inv >> low
     inv.flags.writeable = phase.flags.writeable = False
     return inv, phase
 
@@ -105,12 +124,17 @@ def block_gather(n: int, links: tuple) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
     """Per layer, the gather of the live links of the block before it (None in
-    layer 0 or with no live link), then the index of each group owning a live
-    rotation and the (2, n) factors that halve live RY and RZ angles and zero
-    dead ones. ``measured`` None keeps every gate."""
-    n = spec.n_qubits
+    layer 0 or with no live link), composed with the swap when the layer before ends
+    swapped; then, in run order, (group, start qubit in the layout it runs in, whether
+    the register swaps first) for each group owning a live rotation, and the (2, n)
+    factors that halve live RY and RZ angles and zero dead ones. ``measured`` None keeps
+    every gate. From n = 2 on every qubit in a cone has a link, so every layer after the
+    first opens with a gather, which leaves the register unswapped; and the cone before
+    a gather is the qubits of its links, so whether it reads swapped states follows
+    from its links and each gather is cached in one form."""
+    n, h = spec.n_qubits, spec.n_qubits // 2
     cone = set(range(n) if measured is None else measured)
-    layers = []
+    backward = []
     for layer in range(spec.reps, -1, -1):
         groups = sorted({q // GROUP for q in cone})
         rz = 0.5 * (measured is None or layer < spec.reps)  # the last RZs precede a Z readout
@@ -120,8 +144,20 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
             if a in cone or b in cone:
                 live.append((kind, (a, b)))
                 cone.update((a, b))
-        layers.append((block_gather(n, tuple(live[::-1])) if live else None, (groups, half)))
-    return layers[::-1]
+        backward.append((tuple(live[::-1]), groups, half))
+    layers, swapped = [], False
+    for live, groups, half in reversed(backward):
+        gather = block_gather(n, live, swapped) if live else None
+        if gather is not None:
+            swapped = False
+        runs = []
+        for g in groups:
+            q0 = min(g * GROUP, n - min(GROUP, n))
+            high = 0 < h <= q0
+            runs.append((g, q0 - h if high else q0, high and not swapped))
+            swapped |= high
+        layers.append((gather, (runs, half)))
+    return layers
 
 
 @functools.cache  # built on first use: at import it raised a kernel run's peak RSS by 1 MB
@@ -152,21 +188,38 @@ def _rotation_layers(angles: np.ndarray, cone: list):
         yield from np.exp(-1j * (half[:, 1] @ rz_sign))[..., None] * ry
 
 
-def apply_ansatz(
-    states: np.ndarray, spec: AnsatzSpec, params: Sequence[float], measured_qubits=None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Advance the rows of ``states``, one state each, (N, 2^n), through the ansatz with
-    parameter vector ``params``; return them batch-last, (2^n, N), a view into ``work``.
-    ``states`` is not written. Given ``measured_qubits``, only the gates in their light
-    cone run: the result then holds the right probabilities on those qubits, not the full
-    final state. The rows are copied in transposed, zero-padded to C = padded_columns(N, n)
-    columns, into the first half of ``work``, complex (2, >= C << n) and allocated if not
-    given; each rotation group writes into the other half, then the halves swap."""
-    n, k = spec.n_qubits, min(GROUP, spec.n_qubits)
+def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None) -> list:
+    """The ansatz with parameter vector ``params`` bound, for ``apply_ansatz``: per layer,
+    the gather that opens it (None if none), then (matrix, start qubit, whether the
+    register swaps first) for each rotation group, in run order. Given ``measured_qubits``,
+    only the gates in their light cone are kept."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
+    cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
+    angles = params.reshape(-1, 2, spec.n_qubits)
+    return [(gather, [(mats[g], qubit, swap) for g, qubit, swap in runs])
+            for (gather, (runs, _)), mats in zip(cone, _rotation_layers(angles, cone))]
+
+
+def _swap_halves(src: np.ndarray, dst: np.ndarray, first: int) -> None:
+    """Write to ``dst`` the batch-last amplitudes ``src``, (2^n, C), with their
+    ``first`` leading qubits moved after the rest."""
+    cols = src.shape[-1]
+    dst.reshape(-1, 1 << first, cols)[...] = src.reshape(1 << first, -1, cols).transpose(1, 0, 2)
+
+
+def apply_ansatz(
+    states: np.ndarray, spec: AnsatzSpec, layers: list, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Advance the rows of ``states``, one state each, (N, 2^n), through ``layers`` from
+    ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``. ``states``
+    is not written. With a light cone, the result holds the right probabilities on the
+    measured qubits, not the full final state. The rows are copied in transposed,
+    zero-padded to C = padded_columns(N, n) columns, into the first half of ``work``,
+    complex (2, >= C << n) and allocated if not given; each gather, rotation group and
+    swap writes into the other half, then the halves trade places."""
+    n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
     rows, cols = len(states), padded_columns(len(states), n)
@@ -176,15 +229,22 @@ def apply_ansatz(
     cur, other = work[:, : cols << n].reshape(2, 1 << n, cols)
     cur[:, :rows] = states.T
     cur[:, rows:] = 0.0  # so each row rounds in BLAS as it would alone
-    cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
-    for (gather, (groups, _)), mats in zip(cone, _rotation_layers(params.reshape(-1, 2, n), cone)):
+    swapped = False
+    for gather, products in layers:
         if gather is not None:
             inv, phase = gather
             np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
             np.multiply(other, phase[:, None], out=cur)
-        for g in groups:
-            apply_block(mats[g], cur, min(g * GROUP, n - k), other)
+            swapped = False
+        for matrix, qubit, swap in products:
+            if swap:
+                _swap_halves(cur, other, n // 2)
+                cur, other, swapped = other, cur, True
+            apply_block(matrix, cur, qubit, other)
             cur, other = other, cur
+    if swapped:
+        _swap_halves(cur, other, n - n // 2)
+        cur = other
     return cur[:, :rows]
 
 

@@ -6,7 +6,9 @@ H on every qubit, P(2*phi_j) per qubit and, for every entangled pair
 phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k). All of those phase terms
 are diagonal, so a repetition is H^n followed by the phase
 exp(i * [sum_j 2 phi_j b_j + sum_(j,k) 2 phi_jk (b_j XOR b_k)]) on
-basis state |b_0 ... b_(n-1)>, built by doubling in O(2^n) per row.
+basis state |b_0 ... b_(n-1)>. ``encode`` builds it by doubling, in O(2^n)
+complex products of per-row unit factors a row, with no cosine or sine per
+basis state (see ``_diagonal``).
 """
 
 from __future__ import annotations
@@ -55,35 +57,52 @@ def entangled_pairs(spec) -> list[tuple[int, int]]:
 
 
 def _diagonal(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """exp(i * phase) of basis state |b_0 ... b_(n-1)> (qubit 0 most
-    significant) per row of ``x``, by doubling: from the last qubit up,
-    qubit j copies columns [0, m) to [m, 2m), where b_j is set. Elementwise
-    ops only, so a row's phase is the same in any batch."""
+    """2^(-n/2) exp(i * phase) of basis state |b_0 ... b_(n-1)> (qubit 0 most
+    significant) per row of ``x``, as products of unit complex factors. As
+    b_j XOR b_k = b_j + b_k - 2 b_j b_k, the phase is the sum over set bits b_j of
+    2 phi_j plus 2 phi_jk for each of j's pairs (j, k), less 4 phi_jk for each pair
+    with both bits set. So by doubling, from the last qubit up, qubit j copies
+    columns [0, m) to [m, 2m), where b_j is set, times its own factor and the
+    e^(-4i phi_jk) of its pairs with b_k set, themselves doubled from the last k up.
+    A pair's angle rounds alike in all three of its factors, so it cancels where both
+    bits are set, and no phase is summed whole: no cosine of an angle that grows with
+    the pair count. numpy rounds a complex product on a one-element loop apart from a
+    longer one when it is in place, or when the loop runs down a batch's rows; so the
+    per-row factors are multiplied into new arrays, and every product over a block of
+    columns runs along at least 2 of them in each row: a row's state is the same in any
+    batch."""
     n, rows = spec.n_qubits, len(x)
-    pair = np.zeros((n, n, rows, 1))  # pair[j, k]: 2 phi_jk of an entangled pair, else 0
-    for j, k in entangled_pairs(spec):
-        pair[j, k, :, 0] = 2.0 * (np.pi - x[:, j]) * (np.pi - x[:, k])
-    out = np.zeros((rows, 1 << n), dtype=np.complex128)
-    phase, s = out.imag, out.real[:, : 1 << n >> 1]  # both live in out until cos and sin
-    for j in range(n - 1, -1, -1):
-        # s: the angles of j's pairs (j, k) with b_k set, doubled from the last k up
-        for i, w in enumerate(pair[j, :j:-1]):
-            np.add(s[:, : 1 << i], w, out=s[:, 1 << i : 2 << i])
+    angle = {(j, k): 2.0 * (np.pi - x[:, j]) * (np.pi - x[:, k])  # 2 phi_jk
+             for j, k in entangled_pairs(spec)}
+    own = [np.exp(2j * x[:, j]) for j in range(n)]  # times e^(2i phi_jk) of each of j's pairs
+    for (j, k), a in angle.items():
+        w = np.exp(1j * a)
+        own[j], own[k] = own[j] * w, own[k] * w
+    scale = 2.0 ** (-0.5 * n)  # H^n|0...0>, carried into every product
+    out = np.empty((rows, 1 << n), dtype=np.complex128)
+    out[:, 0] = scale
+    out[:, 1] = own[n - 1] * scale
+    for j in range(n - 2, -1, -1):
         m = 1 << (n - 1 - j)
-        # b_j set: 2 phi_j and the pairs with b_k clear; s[:, m - 1] holds all of them
-        np.add(phase[:, :m], 2.0 * x[:, j, None] + s[:, m - 1 : m], out=phase[:, m : 2 * m])
-        phase[:, m : 2 * m] -= s[:, :m]
-        phase[:, :m] += s[:, :m]  # b_j clear: the pairs with b_k set
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=phase)
+        new = out[:, m : 2 * m]
+        new[:, 0] = own[j]
+        for i, k in enumerate(range(n - 1, j, -1)):  # bit i of a column is qubit n - 1 - i
+            if (j, k) not in angle:
+                new[:, 1 << i : 2 << i] = new[:, : 1 << i]
+            elif i == 0:
+                new[:, 1] = own[j] * np.exp(-2j * angle[j, k])
+            else:
+                np.multiply(new[:, : 1 << i], np.exp(-2j * angle[j, k])[:, None],
+                            out=new[:, 1 << i : 2 << i])
+        new *= out[:, :m]
     return out
 
 
 def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
     """Bytes a batch of ``n_rows`` states needs at its peak in ``encode``, then in
     ``vqc.p_ad`` beside it; ``AnsatzSpec.table_bytes`` counts p_ad's cached tables."""
-    # per amplitude: the states (16 B), which hold the phase until cos and sin
-    # fill them; from reps 2 on also the phase factors and a butterfly's temporary
+    # per amplitude: the states (16 B), built in place; from reps 2 on also the
+    # phase factors and a butterfly's temporary
     states = n_rows * (16 if spec.reps == 1 else 48) << spec.n_qubits
     # p_ad's row block, its gates' scratch, its readout temporaries and half a block spare
     return states + 7 * max(16 << spec.n_qubits, BLOCK_BYTES) // 2
@@ -112,7 +131,6 @@ def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
                             "normalize upstream")
     # H^n|0...0> is uniform; later H layers are butterflies, their 2^(-n/2) in diag
     amps = _diagonal(arr, spec)
-    amps *= 2.0 ** (-0.5 * n)
     diag = amps.copy() if spec.reps > 1 else None
     for _ in range(spec.reps - 1):
         for q in range(n):

@@ -5,11 +5,13 @@ state |b0 b1 ... b_{n-1}> lives at index ``int("b0b1...", 2)``, and bit
 strings are always written with qubit 0 leftmost. ``apply_block`` runs a
 gate as one stacked matrix product into a second buffer, so no 2^n x 2^n
 matrix is ever formed. Batch axes trail the amplitude axis, so a product on
-qubits [q, q + k) runs rows 2^(n-q-k) times the batch long; ``apply_ansatz``
-runs its fused rotation blocks through it on ``vqc.p_ad``'s row blocks of
-``BLOCK_BYTES``, transposed and padded as ``padded_columns`` says so each
-batch entry evolves bitwise as it would alone. The module also holds the
-package's size limits: the qubit cap, the row-block size, the memory
+qubits [q, q + k) is a stack of 2^q products whose rows run 2^(n-q-k) times
+the batch long; ``apply_ansatz`` runs its fused rotation blocks through it on
+``vqc.p_ad``'s row blocks of ``BLOCK_BYTES``, transposed and padded as
+``padded_columns`` says so each batch entry evolves bitwise as it would alone,
+and swaps the register's halves before the blocks that lie in its high half,
+so q stays below about n / 2 and every product is wide. The module also holds
+the package's size limits: the qubit cap, the row-block size, the memory
 ceiling and its count charge."""
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 MAX_QUBITS = 24
 # vqc.p_ad advances a batch in row blocks of about this many bytes, so a
 # block and its gates' scratch stay in L2 through the whole ansatz; of 64 KiB
-# to 2 MiB (130 rows), 512 KiB and 1 MiB were fastest at n = 12: take the smaller
+# to 2 MiB (130 rows), 512 KiB and 1 MiB were fastest at n = 12, with and without
+# apply_ansatz's half-register swap: take the smaller
 BLOCK_BYTES = 1 << 19
 
 # A run holds about 145 B per SPSA iteration (the loss history, then

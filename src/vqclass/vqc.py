@@ -3,11 +3,13 @@ cross-entropy loss, training, and batch prediction, on plain arrays:
 ``train`` takes the normalized feature matrix and its 0/1 labels, and
 ``predict_batch`` returns one class-1 probability per row. Training and
 prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` takes the states one row block of about ``BLOCK_BYTES`` at a
-time and runs the whole ansatz (transposed, inside ``apply_ansatz``) and
-the parity mass on it while it stays in cache; only the ansatz gates in the measured
-qubits' light cone run, each entangling block as one gather and each
-layer's rotations as a few small matrix products (see ``ansatz``).
+``p_ad`` binds the ansatz's rotations once (``build_ansatz``), takes the
+states one row block of about ``BLOCK_BYTES`` at a time and runs the whole
+ansatz (transposed, inside ``apply_ansatz``) and the parity mass on it while
+it stays in cache; only the ansatz gates in the measured qubits' light cone
+run, each entangling block as one gather and each layer's rotations as a few
+wide 8x8 matrix products, the high half of the register swapped to the front
+for the groups that sit there (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, apply_ansatz, init_params
+from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, spsa_minimize
@@ -109,22 +111,23 @@ def p_ad(
     """AD-class probability of each encoded state after the ansatz.
 
     ``states`` holds one encoded state per row, shape (N, 2^n); it is left
-    unchanged. The rows run in blocks of about ``BLOCK_BYTES``, each advanced
-    through the whole ansatz in one working buffer that every block reuses and
-    reduced to its even-parity mass in cache; a row's result does not depend on its block.
+    unchanged. The ansatz is bound to ``params`` once; the rows run in blocks of about
+    ``BLOCK_BYTES``, each advanced through the whole ansatz in one working buffer that
+    every block reuses and reduced to its even-parity mass in cache; a row's result does
+    not depend on its block.
     Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
     """
     n = cfg.n_qubits
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
+    layers = build_ansatz(cfg.ansatz, params, cfg.measured_qubits)
     rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
     # allocated once; the gates would otherwise allocate temporaries per block
     work = np.empty((2, padded_columns(min(rows, len(states)), n) << n), dtype=np.complex128)
     mass = np.empty(len(states))
     for start in range(0, len(states), rows):
-        block = apply_ansatz(states[start : start + rows], cfg.ansatz, params,
-                             cfg.measured_qubits, work)
+        block = apply_ansatz(states[start : start + rows], cfg.ansatz, layers, work)
         mass[start : start + rows] = _parity_mass(block, cfg)
     return _draw(mass, cfg, eval_counter)
 
@@ -177,7 +180,7 @@ def train(
     if y.size == 0 or y.shape != (len(x),):
         raise ConfigError(f"need a non-empty training set with one label per row, got "
                           f"{len(x)} rows and labels of shape {y.shape}")
-    bad = set(np.unique(y)) - {0, 1}
+    bad = set(y.tolist()) - {0, 1}  # not np.unique, which imports numpy.ma
     if bad:
         raise ConfigError(f"labels must be 0 (NON_AD) or 1 (AD), got extras {sorted(bad)}")
     states = encode(x, cfg.feature_map)

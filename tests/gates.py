@@ -7,7 +7,7 @@ the kernels. ``oracles`` itself stays free of the package."""
 
 import numpy as np
 
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, build_ansatz
 from vqclass.statevec import apply_block
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -37,7 +37,8 @@ def link(amps, n, kind, control, target):
 def rotate(amps, ry=0.0, rz=0.0):
     """One-qubit ``amps`` after RY(ry) then RZ(rz): the ansatz's first
     layer, its closing layer at angle zero."""
-    states = apply_ansatz(np.reshape(amps, (-1, 2)), ONE_QUBIT, [ry, rz, 0.0, 0.0])
+    layers = build_ansatz(ONE_QUBIT, [ry, rz, 0.0, 0.0])
+    states = apply_ansatz(np.reshape(amps, (-1, 2)), ONE_QUBIT, layers)
     return states.T.reshape(np.shape(amps))
 
 

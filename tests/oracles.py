@@ -107,6 +107,26 @@ def apply_pair(states: np.ndarray, n: int, u4: np.ndarray, a: int, b: int) -> np
     return np.moveaxis(out, [0, 1], [k + a, k + b]).reshape(states.shape)
 
 
+def apply_one(states: np.ndarray, n: int, u2: np.ndarray, q: int) -> np.ndarray:
+    """``states``, shape (..., 2^n), with the 2x2 matrix ``u2`` applied to qubit q."""
+    k = states.ndim - 1
+    view = states.reshape(states.shape[:-1] + (2,) * n)
+    out = np.tensordot(u2, view, axes=([1], [k + q]))
+    return np.moveaxis(out, 0, k + q).reshape(states.shape)
+
+
+def run_gates(circuit, states: np.ndarray) -> np.ndarray:
+    """``states``, shape (..., 2^n), through ``circuit`` one gate at a time, each
+    contracted into its own qubit axes: no 2^n x 2^n matrix, so it reaches n = 12."""
+    n = circuit.n_qubits
+    for op in circuit.ops:
+        if len(op.qubits) == 1:
+            states = apply_one(states, n, op_unitary(op._replace(qubits=(0,)), 1), op.qubits[0])
+        else:
+            states = apply_pair(states, n, op_unitary(op._replace(qubits=(0, 1)), 2), *op.qubits)
+    return states
+
+
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a whole circuit: plain matrix products."""
     u = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
@@ -172,6 +192,18 @@ def feature_map_phase(x, index: int, spec) -> float:
     for j, k in _pairs(spec):
         if bits[j] != bits[k]:
             phase += 2.0 * (np.pi - float(x[j])) * (np.pi - float(x[k]))
+    return phase
+
+
+def feature_map_phases(xs, spec) -> np.ndarray:
+    """``feature_map_phase`` of every basis state for each row of ``xs``, (N, 2^n), in
+    long double from the float64 features and the float64 pi the package uses."""
+    n = spec.n_qubits
+    xs, pi = np.asarray(xs, dtype=np.longdouble), np.longdouble(np.pi)
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.longdouble)
+    phase = 2 * xs @ bits.T
+    for j, k in _pairs(spec):
+        phase += (2 * (pi - xs[:, j]) * (pi - xs[:, k]))[:, None] * (bits[:, j] != bits[:, k])
     return phase
 
 

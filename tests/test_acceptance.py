@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from gates import hadamard, link, matrix, rotate
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
 from vqclass.cli import main
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.metrics import auroc, scores_from_confusion
@@ -66,7 +66,7 @@ def test_criterion_02_simulator_oracle_equivalence():
         spec = AnsatzSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
         x = rng.uniform(0, 1, size=(1, n))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
-        got = apply_ansatz(encode(x, fmap), spec, params).T
+        got = apply_ansatz(encode(x, fmap), spec, build_ansatz(spec, params)).T
         expect = oracles.classifier_states(x, fmap, spec, params)
         worst = max(worst, float(np.max(np.abs(got - expect))))
     assert worst < 1e-12

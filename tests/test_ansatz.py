@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from vqclass import ansatz, vqc
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, entangling_links, init_params
+from vqclass.ansatz import (AnsatzSpec, apply_ansatz, block_gather, build_ansatz,
+                            entangling_links, init_params)
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.statevec import apply_block, padded_columns
@@ -19,7 +20,8 @@ def run_ansatz(spec, params, state=None):
     """``state`` (default |0...0>) advanced in place through the production
     ansatz, as a one-row batch; returns its amplitudes."""
     state = oracles.basis_state(spec.n_qubits) if state is None else state
-    state.amplitudes[...] = apply_ansatz(state.amplitudes[None], spec, params)[:, 0]
+    layers = build_ansatz(spec, params)
+    state.amplitudes[...] = apply_ansatz(state.amplitudes[None], spec, layers)[:, 0]
     return state.amplitudes
 
 
@@ -54,7 +56,7 @@ def dead_slots(spec, measured):
 def full_circuit_p(states, params, cfg):
     """Readout after every gate of the ansatz, no light cone: the parity
     mass and the shot draw that ``p_ad`` runs after its ansatz."""
-    states = apply_ansatz(states, cfg.ansatz, params)
+    states = apply_ansatz(states, cfg.ansatz, build_ansatz(cfg.ansatz, params))
     return vqc._draw(vqc._parity_mass(states, cfg), cfg, 0)
 
 
@@ -134,7 +136,7 @@ class TestApplication:
             [oracles.basis_state(n).amplitudes]
             + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
         )
-        got = apply_ansatz(starts, spec, params).T
+        got = apply_ansatz(starts, spec, build_ansatz(spec, params)).T
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
 
@@ -152,9 +154,9 @@ class TestApplication:
         spec = AnsatzSpec(n, reps=2, entanglement="full")
         states = encode(np.random.default_rng(n).uniform(0, 1, size=(3, n)), FeatureMapSpec(n))
         params = init_params(spec, n)
-        apply_ansatz(states, spec, params)
+        apply_ansatz(states, spec, build_ansatz(spec, params))
         assert len(shapes) == 3 * -(-n // 3)
-        apply_ansatz(states, spec, params, measured_qubits=(0, 1))
+        apply_ansatz(states, spec, build_ansatz(spec, params, (0, 1)))
         assert set(shapes) == {(8, 8)}
 
     def test_param_length_mismatch(self):
@@ -174,7 +176,7 @@ class TestApplication:
         rows = np.zeros((3, 4), dtype=np.complex128)
         for states in (rows.T, rows[0], rows[:, :, None]):
             with pytest.raises(BindingError, match=r"states must have shape \(N, 4\)"):
-                apply_ansatz(states, spec, np.zeros(8))
+                apply_ansatz(states, spec, build_ansatz(spec, np.zeros(8)))
 
     def test_any_row_layout_gives_the_same_bits(self):
         # the rows are copied in whatever their strides and never written
@@ -182,12 +184,13 @@ class TestApplication:
         rng = np.random.default_rng(8)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         base = encode(rng.uniform(0, 1, size=(10, 4)), FeatureMapSpec(4))
-        expect = apply_ansatz(np.ascontiguousarray(base[::2]), spec, params)
+        layers = build_ansatz(spec, params)
+        expect = apply_ansatz(np.ascontiguousarray(base[::2]), spec, layers)
         readonly = base[::2].view()
         readonly.flags.writeable = False
         for states in (base[::2], np.asfortranarray(base[::2]), readonly):
             before = states.copy()
-            assert np.array_equal(apply_ansatz(states, spec, params), expect)
+            assert np.array_equal(apply_ansatz(states, spec, layers), expect)
             assert np.array_equal(states, before)
 
     @pytest.mark.parametrize("n, rows", [(5, 3), (12, 2)])
@@ -198,12 +201,13 @@ class TestApplication:
         rng = np.random.default_rng(n)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         states = encode(rng.uniform(0, 1, size=(rows, n)), FeatureMapSpec(n))
-        fresh = apply_ansatz(states, spec, params)
+        layers = build_ansatz(spec, params)
+        fresh = apply_ansatz(states, spec, layers)
         for fill in (np.inf, np.nan):
             work = np.full((2, padded_columns(rows, n) << n), fill, dtype=np.complex128)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert np.array_equal(apply_ansatz(states, spec, params, None, work), fresh)
+                assert np.array_equal(apply_ansatz(states, spec, layers, work), fresh)
 
     def test_state_size_mismatch(self):
         cfg = VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(2, reps=1))
@@ -245,6 +249,32 @@ class TestFastPath:
                         layers = ansatz._light_cone(spec, measured)
                         distinct = {id(gather[0]) for gather, _ in layers if gather is not None}
                         assert len(distinct) <= charged, (n, reps, measured)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_swapped_layers_match_gate_oracle(self, n):
+        # qubit n - 1 read after linear links: the last layer's one live group lies in
+        # the high half, so the register swaps and the circuit ends swapped; with every
+        # gate kept (measured None) each layer swaps and the state comes back whole
+        cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear"),
+                        measured_qubits=(n - 1,))
+        _, (runs, _) = ansatz._light_cone(cfg.ansatz, cfg.measured_qubits)[-1]
+        assert runs[0][2]  # the last layer's first live group swaps: all of them lie high
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 1, size=(3, n))
+        params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
+        expect = np.stack([
+            oracles.run_gates(oracles.ansatz_circuit(cfg.ansatz, params),
+                              oracles.run_gates(oracles.feature_map_circuit(row, cfg.feature_map),
+                                                oracles.basis_state(n).amplitudes))
+            for row in x])
+        states = encode(x, cfg.feature_map)
+        got = apply_ansatz(states, cfg.ansatz, build_ansatz(cfg.ansatz, params)).T
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+        p = p_ad(states, params, cfg)
+        even = [oracles.p_even_bruteforce(oracles.State(n, amps), (n - 1,)) for amps in expect]
+        np.testing.assert_allclose(p, even, rtol=0, atol=1e-12)
+        alone = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(3)])
+        assert np.array_equal(p, alone)
 
     CASES = [(5, (0,)), (5, (0, 1)), (6, (1, 3)), (6, (0, 2, 4))]
 

@@ -27,7 +27,8 @@ LIVE_TRACE_TARGETS = [
                  "kernel_matrix", "kernel_to_csv")
 ] + [
     ("vqclass.vqc", name)
-    for name in ("encode", "apply_ansatz", "spsa_minimize", "train", "predict_batch")
+    for name in ("encode", "build_ansatz", "apply_ansatz", "spsa_minimize", "train",
+                 "predict_batch")
 ]
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from vqclass.cli import SCHEMA, load_config, main
 from vqclass.errors import ConfigError
 from vqclass.synth import make_blobs, write_labeled_csv
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ARTIFACTS = [
     "model.json",
     "split_train.csv",
@@ -182,6 +185,35 @@ class TestGuards:
         assert f"{out / 'config_echo.json'}; pass --force" in capsys.readouterr().err
         assert [path.name for path in out.iterdir()] == ["config_echo.json"]
         assert (out / "config_echo.json").read_text(encoding="utf-8") == '{"stale": true}\n'
+
+    @pytest.mark.parametrize("section, key", [
+        ("spsa", "a"), ("spsa", "maxiter"), ("prep", "seed"), ("prep", "test_fraction"),
+        ("data", "label_column"), ("vqc", "measured_qubits"),
+    ])
+    def test_config_error_quotes_a_bounded_value(self, tmp_path, capsys, section, key):
+        # each parser's message quotes at most 120 characters of a huge bad value
+        cfg_path = small_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg[section][key] = ["x" * 10_000] if key == "label_column" else "x" * 10_000
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be" in err and "'xxxx" in err
+        assert len(err) < 300, len(err)
+
+    def test_prep_and_train_do_not_import_numpy_ma(self, tmp_path):
+        # np.unique on the labels imported numpy.ma, about 11 ms of every fresh process
+        cfg_path = small_config(tmp_path)
+        script = ("import sys\nfrom vqclass.cli import main\n"
+                  f"for verb in ('prep', 'train'):\n"
+                  f"    assert main([verb, '--config', {str(cfg_path)!r}]) == 0\n"
+                  "print('numpy.ma' in sys.modules)")
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
         # a config error, even with --force

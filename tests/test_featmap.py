@@ -158,7 +158,11 @@ class TestEncode:
         assert state_memory(1, FeatureMapSpec(24)) == 1.125 * 2**30
         assert AnsatzSpec(24, 2, "full").table_bytes == 1.375 * 2**30
 
-    @pytest.mark.parametrize("n, reps, entanglement", [(12, 1, "full"), (8, 2, "linear")])
+    # a lone row's factors and products run on one-element loops, which numpy's complex
+    # multiply may round apart from longer ones; from n = 1 on
+    @pytest.mark.parametrize("n, reps, entanglement", [
+        (12, 1, "full"), (8, 2, "linear"), (1, 1, "full"), (2, 1, "full"), (3, 2, "linear"),
+        (5, 1, "full"), (6, 1, "linear")])
     def test_batch_encodes_bitwise_as_rows_alone(self, n, reps, entanglement):
         spec = FeatureMapSpec(n, reps, entanglement)
         x = np.random.default_rng(n).uniform(0, 1, size=(13, n))
@@ -177,6 +181,19 @@ class TestEncode:
             want = [2.0 ** (-n / 2) * np.exp(1j * oracles.feature_map_phase(x, i, spec))
                     for i in idx]
             np.testing.assert_allclose(row[idx], want, rtol=0, atol=1e-12)
+
+    # below the max error the summed-phase encoder had on these rows, 1.32e-13 and
+    # 3.02e-13: its cos and sin of a phase summed to hundreds of radians
+    @pytest.mark.parametrize("n, summed_error", [(8, 1.3e-13), (12, 3.0e-13)])
+    def test_phase_products_beat_summed_phase_in_long_double(self, n, summed_error):
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("long double is float64 here")
+        spec = FeatureMapSpec(n, 1, "full")
+        xs = np.random.default_rng(n).uniform(0, 1, size=(40, n))
+        phase = oracles.feature_map_phases(xs, spec)
+        got = encode(xs, spec) * 2.0 ** (n / 2)  # exact: n is even
+        error = np.sqrt((got.real - np.cos(phase)) ** 2 + (got.imag - np.sin(phase)) ** 2)
+        assert np.max(error) <= summed_error
 
     def test_out_of_range_rejected(self):
         with pytest.raises(EncodingError):

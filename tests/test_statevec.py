@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from gates import INV_SQRT2, hadamard, link, matrix, rotate
-from vqclass import vqc
-from vqclass.ansatz import AnsatzSpec, apply_ansatz
+from vqclass import ansatz, vqc
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
 from vqclass.statevec import MAX_QUBITS, apply_block, padded_columns
@@ -60,9 +60,15 @@ def random_instance(rng, rows):
     return fmap, spec, rng.uniform(0, 1, size=(rows, n)), rng.uniform(-np.pi, np.pi, spec.n_params)
 
 
+def issued_products(n):
+    """(start qubit, k) of each rotation product the whole ansatz runs at n qubits."""
+    cone = ansatz._light_cone(AnsatzSpec(n, 2, "full"), None)
+    return {(qubit, min(3, n)) for _, (runs, _) in cone for _, qubit, _ in runs}
+
+
 def run_classifier(fmap, spec, x, params):
     """The states the pipeline evolves: ``x`` encoded, then the whole ansatz."""
-    return apply_ansatz(encode(x, fmap), spec, params).T
+    return apply_ansatz(encode(x, fmap), spec, build_ansatz(spec, params)).T
 
 
 class TestQubitCap:
@@ -138,7 +144,8 @@ class TestRunCircuit:
     def test_empty_circuit_identity(self):
         # zero angles make every rotation the identity; |00> leaves every link off
         state = oracles.basis_state(2).amplitudes[None]
-        states = apply_ansatz(state, AnsatzSpec(2, reps=2, entanglement="full"), np.zeros(12))
+        spec = AnsatzSpec(2, reps=2, entanglement="full")
+        states = apply_ansatz(state, spec, build_ansatz(spec, np.zeros(12)))
         assert np.array_equal(states[:, 0], [1, 0, 0, 0])
 
     def test_h_then_trivial_cz(self):
@@ -172,9 +179,10 @@ class TestOracleEquivalence:
         states = np.stack(
             [oracles.random_state(np.random.default_rng(100 + i), 3).amplitudes for i in range(6)]
         )
-        batched = apply_ansatz(states, spec, params)
+        layers = build_ansatz(spec, params)
+        batched = apply_ansatz(states, spec, layers)
         for i in range(6):
-            single = apply_ansatz(states[i : i + 1], spec, params)
+            single = apply_ansatz(states[i : i + 1], spec, layers)
             assert np.array_equal(batched[:, i], single[:, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -215,10 +223,13 @@ class TestOracleEquivalence:
         even = [parity_masses(state, (0,))[0] for state in expect]
         np.testing.assert_allclose(vqc.p_ad(encode(x, fmap), params, cfg), even, atol=1e-12)
 
-    # every product shape and start qubit the ansatz issues, on apply_block's reshape,
-    # (2^q0, 2^k, -1), of a padded (2^n, cols) block; 8x8 at every q0 that fits
-    @pytest.mark.parametrize("n, q0, k", [(1, 0, 1), (2, 0, 2)]
-                             + [(n, q0, 3) for n in (5, 8) for q0 in range(n - 2)])
+    # every product shape and start qubit the ansatz issues at n = 1, 2, 5, 8 and 12, in
+    # the layout it runs in (groups high in the register run swapped, at q0 - n // 2),
+    # on apply_block's reshape, (2^q0, 2^k, -1), of a padded (2^n, cols) block; and 8x8
+    # at every q0 that fits at n = 5 and 8
+    @pytest.mark.parametrize("n, q0, k", sorted(
+        {(n, q0, k) for n in (1, 2, 5, 8, 12) for q0, k in issued_products(n)}
+        | {(n, q0, 3) for n in (5, 8) for q0 in range(n - 2)}))
     def test_blas_rounds_padded_columns_alike(self, n, q0, k):
         # rows are bitwise independent of their block only while BLAS rounds each
         # column of a product alike in any batch padded to the alignment

@@ -18,7 +18,7 @@ import blas
 import oracles
 import vqclass
 from vqclass import vqc
-from vqclass.ansatz import AnsatzSpec, apply_ansatz, init_params
+from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.spsa import SpsaConfig, gain_sequences
@@ -38,7 +38,8 @@ from vqclass.vqc import (
 
 def final_state(x, params, cfg):
     """Encoded state of one sample after the ansatz, as an oracle State."""
-    amps = apply_ansatz(encode([x], cfg.feature_map), cfg.ansatz, params)
+    amps = apply_ansatz(encode([x], cfg.feature_map), cfg.ansatz,
+                        build_ansatz(cfg.ansatz, params))
     return oracles.State(cfg.n_qubits, amps[:, 0])
 
 
@@ -71,8 +72,10 @@ TESTS = Path(__file__).resolve().parent
 # the OpenBLAS cores an x86-64 CPU can run, by the /proc/cpuinfo flag each needs
 CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
               "Nehalem": None, "Prescott": None}
-# each row of a batch against the row alone, n = 3..12, 2.5 row blocks up to 300 rows;
-# prints the running core, then {n: rows that differ}
+# each row of a batch against the row alone, n = 3..12, 2.5 row blocks up to 300 rows:
+# full links read on (0, 1), and linear links read on qubit n - 1, which from n = 5 on
+# ends the circuit with the register's halves swapped; prints the running core, then
+# {(n, links): rows that differ}
 ROWS_ALONE = """
 import numpy as np
 from blas import openblas_core
@@ -82,13 +85,14 @@ from vqclass.statevec import BLOCK_BYTES
 from vqclass.vqc import VqcConfig, p_ad
 bad = {}
 for n in range(3, 13):
-    cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "full"))
     rows = min(300, 5 * (BLOCK_BYTES >> (n + 4)) // 2)
-    states = encode(np.random.default_rng(n).uniform(0, 1, size=(rows, n)), cfg.feature_map)
-    params = init_params(cfg.ansatz, n)
-    alone = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(rows)])
-    bad[n] = int(np.sum(p_ad(states, params, cfg) != alone))
-print(openblas_core(), {n: d for n, d in bad.items() if d})
+    for links, measured in (("full", (0, 1)), ("linear", (n - 1,))):
+        cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, links), measured)
+        states = encode(np.random.default_rng(n).uniform(0, 1, size=(rows, n)), cfg.feature_map)
+        params = init_params(cfg.ansatz, n)
+        alone = np.concatenate([p_ad(states[i : i + 1], params, cfg) for i in range(rows)])
+        bad[n, links] = int(np.sum(p_ad(states, params, cfg) != alone))
+print(openblas_core(), {key: d for key, d in bad.items() if d})
 """
 
 
@@ -240,7 +244,8 @@ class TestForward:
         assert child.returncode == 0, child.stderr
         # OpenBLAS names some forced cores after the kernels they share: Prescott is Katmai
         running, bad = child.stdout.split(" ", 1)
-        assert bad.strip() == "{}", f"{core} (runs as {running}): {{n: rows that differ}} {bad}"
+        assert bad.strip() == "{}", (f"{core} (runs as {running}): "
+                                     f"{{(n, links): rows that differ}} {bad}")
 
     def test_p_ad_holds_no_batch_sized_buffer(self):
         cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
