@@ -6,13 +6,15 @@ closes the circuit. Parameters are numbered layer-major, qubit-minor,
 giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
 the RZ angle of qubit q in layer r. ``build_ansatz`` binds that vector
-into each layer's fused RZ(phi) RY(theta) rotations, one matrix per group
-of GROUP adjacent qubits (gate fusion, as in qsim: Isakov et al.,
-arXiv:2111.02396); a last group short of GROUP qubits reaches back over
-the one before, with the identity there, so every product is 8x8 from
-n = 3 on. ``apply_ansatz`` runs those layers on states given one per row
-(``vqc.p_ad`` builds them once per call and hands over one row block at a
-time) and returns them batch-last.
+into each layer's RY(theta) rotations, one real matrix per group of GROUP
+adjacent qubits (gate fusion, as in qsim: Isakov et al., arXiv:2111.02396),
+run as a float64 product on the states' float view; a last group short of
+GROUP qubits reaches back over the one before, with the identity there, so
+every product is 8x8 from n = 3 on. A layer's RZs make one diagonal over
+the 2^n basis states, folded into the phase of the gather that opens the
+next layer (below). ``apply_ansatz`` runs those layers on states given one
+per row (``vqc.p_ad`` builds them once per call and hands over one row block
+at a time) and returns them batch-last.
 
 A product on qubits [q0, q0 + 3) of batch-last amplitudes is a stack of
 2^q0 products, each 2^(n - q0 - 3) times the batch wide, so a group near
@@ -30,7 +32,12 @@ alternates CY/CZ along the pair sequence: CY on even-position links, CZ
 on odd. A block sends each basis state to one basis state times a phase
 in {1, -1, i, -i}, so it runs as one gather (an index array and a phase
 vector, built once per block), bit-identical to applying its links
-one by one.
+one by one. A gather computes out[b] = in[inv[b]] * phase[b], so the RZ
+diagonal D of the layer before it rides along in the phase:
+phase[b] * D[inv[b]], with D built in the layout the register is in there
+(``inv`` is composed with the swap). Where no gather follows a live RZ
+layer (n = 1, whose block has no link; the final layer when every gate is
+kept) D runs as a phase step of its own in the same loop.
 
 Given the measured qubits, only gates in the readout's light cone run:
 walking backward from them, gates whose qubits all lie outside the cone
@@ -72,7 +79,7 @@ class AnsatzSpec:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.n_params * COUNT_BYTES + self.table_bytes > physical_memory():
             raise ConfigError(f"reps = {self.reps} needs more than the physical memory "
-                              f"at {COUNT_BYTES} B per parameter plus its gather tables")
+                              f"at {COUNT_BYTES} B per parameter plus its gather and phase tables")
         if self.entanglement not in ENTANGLEMENTS:
             raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
@@ -82,13 +89,16 @@ class AnsatzSpec:
 
     @property
     def table_bytes(self) -> int:
-        """Bytes of the tables ``vqc.p_ad`` caches, whatever the batch: per basis state,
-        24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
-        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build.
-        A gather is cached either plain or composed with the half-register swap, never both:
-        whether its input is swapped follows from its links (see ``_light_cone``)."""
+        """Bytes of the tables ``vqc.p_ad`` caches or binds, whatever the batch: per basis
+        state, 24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
+        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build,
+        and 16 B per RZ phase vector a call binds: one per layer after the first, one more
+        for the RZ diagonal that the step being built reads or, with every gate kept, the
+        last layer's. A gather is cached either plain or composed with the half-register
+        swap, never both: whether its input is swapped follows from its links (see
+        ``_light_cone``)."""
         gathers = min(self.reps, 2 if self.entanglement == "full" else self.n_qubits)
-        return (24 * gathers + 40) << self.n_qubits
+        return (24 * gathers + 16 * (self.reps + 1) + 40) << self.n_qubits
 
 
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
@@ -164,42 +174,91 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
 def _group_tables(n: int) -> tuple[np.ndarray, ...]:
     """Group g's k = min(GROUP, n) qubits [q0, q0 + k), q0 = min(g * GROUP, n - k), [g, j],
     and whether g owns each (it lies in [g * GROUP, n)); which of qubit j's (cos, sin, -sin)
-    RY puts at row r, column c of a group's matrix, [j, r, c]; the sign of qubit j's phi / 2
-    in row r's RZ phase exponent, [j, r]: RZ(phi) = diag(e^(-i phi / 2), e^(i phi / 2))."""
+    RY puts at row r, column c of a group's matrix, [j, r, c]."""
     k, start = min(GROUP, n), np.arange(0, n, GROUP)[:, None]
     qubit = np.minimum(start, n - k) + np.arange(k)
     bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
     entry = np.array([[0, 2], [1, 0]])[bits[..., None], bits[:, None]]
-    return qubit, qubit >= start, 3 * np.arange(k)[:, None, None] + entry, 1.0 - 2.0 * bits
+    return qubit, qubit >= start, 3 * np.arange(k)[:, None, None] + entry
 
 
 def _rotation_layers(angles: np.ndarray, cone: list):
-    """Per layer r of ``cone``, RY ``angles[r, 0]`` and RZ ``angles[r, 1]``, each group's 2^k x 2^k
-    matrix: the Kronecker product of the fused RZ(phi) RY(theta) 2x2s of its qubits, a phase
-    per row times products of cosines and sines, with the identity on those it does not own."""
-    qubit, owned, ry_entry, rz_sign = _group_tables(angles.shape[-1])
+    """Per layer r of ``cone``, RY ``angles[r, 0]``, each group's real 2^k x 2^k matrix: the
+    Kronecker product of the RY(theta) 2x2s of its qubits, products of cosines and sines,
+    with the identity on those it does not own. The layer's RZs are not in it: see
+    ``_rz_diagonal``."""
+    qubit, owned, ry_entry = _group_tables(angles.shape[-1])
     for first in range(0, len(cone), BUILD_LAYERS):
-        halves = np.stack([h for _, (_, h) in cone[first : first + BUILD_LAYERS]])
-        half = (angles[first : first + len(halves)] * halves)[..., qubit] * owned
+        halves = np.stack([h[0] for _, (_, h) in cone[first : first + BUILD_LAYERS]])
+        half = (angles[first : first + len(halves), 0] * halves)[..., qubit] * owned
         trig = np.empty((len(halves), *qubit.shape, 3))  # cos, sin, -sin
-        np.cos(half[:, 0], out=trig[..., 0])
-        np.negative(np.sin(half[:, 0], out=trig[..., 1]), out=trig[..., 2])
-        ry = np.take(trig.reshape(len(halves), len(qubit), -1), ry_entry, axis=-1).prod(axis=2)
-        yield from np.exp(-1j * (half[:, 1] @ rz_sign))[..., None] * ry
+        np.cos(half, out=trig[..., 0])
+        np.negative(np.sin(half, out=trig[..., 1]), out=trig[..., 2])
+        entries = np.take(trig.reshape(len(halves), len(qubit), -1), ry_entry, axis=-1)
+        yield from entries.prod(axis=2)
+
+
+@functools.cache
+def _factor_index(n: int, swapped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For the leading and the trailing half of the register's layout (with ``swapped``,
+    qubits n // 2 .. n - 1 lead), [b, j]: where the factor of the half's qubit j for its
+    basis state b sits in the flat (n, 2) table of each qubit's factors for bit 0 and 1."""
+    h = n // 2
+    index = []
+    for lo, hi in ((h, n), (0, h)) if swapped else ((0, h), (h, n)):
+        bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo - 1, -1, -1)) & 1
+        index.append(2 * np.arange(lo, hi) + bits)
+    return index[0], index[1]
+
+
+def _rz_diagonal(half: np.ndarray, swapped: bool) -> np.ndarray:
+    """The 2^n diagonal of RZ(2 * half[q]) on every qubit q, RZ(phi) = diag(e^(-i phi / 2),
+    e^(i phi / 2)), over the basis states in plain order or, ``swapped``, with the first
+    n // 2 qubits after the rest: for each half of the layout, the products of its
+    qubits' factors (no angle is summed), then the outer product of the two halves."""
+    factors = np.exp(np.multiply.outer(half, [-1j, 1j])).ravel()
+    lead, trail = _factor_index(len(half), swapped)
+    return np.multiply.outer(factors[lead].prod(axis=1), factors[trail].prod(axis=1)).ravel()
 
 
 def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None) -> list:
     """The ansatz with parameter vector ``params`` bound, for ``apply_ansatz``: per layer,
-    the gather that opens it (None if none), then (matrix, start qubit, whether the
-    register swaps first) for each rotation group, in run order. Given ``measured_qubits``,
-    only the gates in their light cone are kept."""
+    the phase step that opens it (None if none), then (real RY matrix, start qubit, whether
+    the register swaps first) for each rotation group, in run order; then, with no
+    ``measured_qubits``, a step with no groups for the last layer's RZs. A step (inv, phase)
+    sends the amplitude at b to in[inv[b]] * phase[b]: the entangling block's gather, its
+    phase times the layer before's RZ diagonal read through ``inv``; with no gather, inv
+    is None and the phase is that diagonal alone. Given ``measured_qubits``, only the gates
+    in their light cone are kept."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
     cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
     angles = params.reshape(-1, 2, spec.n_qubits)
-    return [(gather, [(mats[g], qubit, swap) for g, qubit, swap in runs])
-            for (gather, (runs, _)), mats in zip(cone, _rotation_layers(angles, cone))]
+    layers, rz, swapped = [], None, False  # the layer before's RZ half angles, its layout
+    for (gather, (runs, half)), mats, phi in zip(cone, _rotation_layers(angles, cone),
+                                                 angles[:, 1]):
+        layers.append((_phase_step(gather, rz, swapped),
+                       [(mats[g], qubit, swap) for g, qubit, swap in runs]))
+        swapped = (swapped and gather is None) or any(swap for _, _, swap in runs)
+        rz = phi * half[1]
+    if measured_qubits is None:  # else the last RZs, diagonal before the readout, are dead
+        layers.append((_phase_step(None, rz, swapped), []))
+    return layers
+
+
+def _phase_step(gather, rz, swapped: bool):
+    """The step that runs the RZ half angles ``rz`` (None in layer 0) in the layout
+    ``swapped`` says, then ``gather`` (None: none): the phase is built in place."""
+    if rz is None:
+        return gather
+    diag = _rz_diagonal(rz, swapped)
+    if gather is None:
+        return None, diag
+    inv, phase = gather
+    folded = diag[inv]
+    folded *= phase
+    return inv, folded
 
 
 def _swap_halves(src: np.ndarray, dst: np.ndarray, first: int) -> None:
@@ -218,7 +277,8 @@ def apply_ansatz(
     measured qubits, not the full final state. The rows are copied in transposed,
     zero-padded to C = padded_columns(N, n) columns, into the first half of ``work``,
     complex (2, >= C << n) and allocated if not given; each gather, rotation group and
-    swap writes into the other half, then the halves trade places."""
+    swap writes into the other half, then the halves trade places; a phase step with no
+    gather runs in place."""
     n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
@@ -230,12 +290,15 @@ def apply_ansatz(
     cur[:, :rows] = states.T
     cur[:, rows:] = 0.0  # so each row rounds in BLAS as it would alone
     swapped = False
-    for gather, products in layers:
-        if gather is not None:
-            inv, phase = gather
-            np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
-            np.multiply(other, phase[:, None], out=cur)
-            swapped = False
+    for step, products in layers:
+        if step is not None:
+            inv, phase = step
+            if inv is None:
+                cur *= phase[:, None]
+            else:
+                np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
+                np.multiply(other, phase[:, None], out=cur)
+                swapped = False
         for matrix, qubit, swap in products:
             if swap:
                 _swap_halves(cur, other, n // 2)

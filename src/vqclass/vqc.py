@@ -7,9 +7,10 @@ prediction share one batched path: one ``encode`` call per batch, then
 states one row block of about ``BLOCK_BYTES`` at a time and runs the whole
 ansatz (transposed, inside ``apply_ansatz``) and the parity mass on it while
 it stays in cache; only the ansatz gates in the measured qubits' light cone
-run, each entangling block as one gather and each layer's rotations as a few
-wide 8x8 matrix products, the high half of the register swapped to the front
-for the groups that sit there (see ``ansatz``).
+run, each layer's RY rotations as a few wide real 8x8 matrix products on the
+states' float view, the high half of the register swapped to the front for the
+groups that sit there, and each entangling block as one gather whose phase
+also carries the RZ layer before it (see ``ansatz``).
 
 Readout measures the configured qubits (default the first two) and maps
 each outcome by the parity of its '1' count: even (including zero) is

@@ -11,7 +11,7 @@ from vqclass.ansatz import AnsatzSpec, apply_ansatz, block_gather, build_ansatz
 from vqclass.statevec import apply_block
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-HADAMARD = np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=np.complex128)
+HADAMARD = np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]])  # real, as apply_block takes
 ONE_QUBIT = AnsatzSpec(1, reps=1)
 
 

@@ -243,7 +243,7 @@ class TestFastPath:
         for n in range(1, 7):
             for reps in range(1, 9):
                 spec = AnsatzSpec(n, reps, entanglement)
-                charged = ((spec.table_bytes >> n) - 40) // 24
+                charged = ((spec.table_bytes >> n) - 40 - 16 * (reps + 1)) // 24
                 for size in range(1, n + 1):
                     for measured in itertools.combinations(range(n), size):
                         layers = ansatz._light_cone(spec, measured)

@@ -201,11 +201,11 @@ class TestGuards:
         assert f"{section}.{key} must be" in err and "'xxxx" in err
         assert len(err) < 300, len(err)
 
-    def test_prep_and_train_do_not_import_numpy_ma(self, tmp_path):
-        # np.unique on the labels imported numpy.ma, about 11 ms of every fresh process
-        cfg_path = small_config(tmp_path)
+    @staticmethod
+    def imports_numpy_ma(cfg_path, verbs):
+        """Whether a fresh process that runs ``verbs`` on ``cfg_path`` imports numpy.ma."""
         script = ("import sys\nfrom vqclass.cli import main\n"
-                  f"for verb in ('prep', 'train'):\n"
+                  f"for verb in {verbs!r}:\n"
                   f"    assert main([verb, '--config', {str(cfg_path)!r}]) == 0\n"
                   "print('numpy.ma' in sys.modules)")
         path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
@@ -213,7 +213,15 @@ class TestGuards:
         child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                text=True, timeout=120)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "False"
+        return child.stdout.strip() == "True"
+
+    def test_prep_and_train_do_not_import_numpy_ma(self, tmp_path):
+        # np.unique on the labels imported numpy.ma, about 11 ms of every fresh process
+        assert not self.imports_numpy_ma(small_config(tmp_path), ("prep", "train"))
+
+    def test_report_does_not_import_numpy_ma(self, tmp_path):
+        # nor does the whole pipeline: metrics.full_report's np.unique on the labels did
+        assert not self.imports_numpy_ma(small_config(tmp_path), ("report",))
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys):
         # a config error, even with --force

@@ -154,9 +154,10 @@ class TestEncode:
 
     def test_state_memory_at_max_qubits(self):
         # one n = 24 full sample: 256 MiB of state and 3.5 row blocks of 256 MiB, then
-        # the ansatz's two gathers at reps 2 (24 B each per basis state) and 40 B more
+        # the ansatz's two gathers at reps 2 (24 B each per basis state), its three RZ
+        # phase vectors (16 B each) and 40 B more
         assert state_memory(1, FeatureMapSpec(24)) == 1.125 * 2**30
-        assert AnsatzSpec(24, 2, "full").table_bytes == 1.375 * 2**30
+        assert AnsatzSpec(24, 2, "full").table_bytes == 2.125 * 2**30
 
     # a lone row's factors and products run on one-element loops, which numpy's complex
     # multiply may round apart from longer ones; from n = 1 on

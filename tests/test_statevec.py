@@ -187,11 +187,11 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_qubit_block_every_qubit_with_trailing_batch(self, n):
-        # a generic complex 2x2 on every target qubit of (2^n, 8) and (2^n, 2, 4)
+        # a generic real 2x2 on every target qubit of complex (2^n, 8) and (2^n, 2, 4)
         # batches (6 states, zero-padded to the alignment), against the dense
         # embedding; a column, padded alone, evolves as it does in the batch
         rng = np.random.default_rng(n)
-        u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u = rng.normal(size=(2, 2))
         width = padded_columns(6, n)
         states = np.zeros((1 << n, width), dtype=np.complex128)
         states[:, :6] = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
@@ -225,8 +225,9 @@ class TestOracleEquivalence:
 
     # every product shape and start qubit the ansatz issues at n = 1, 2, 5, 8 and 12, in
     # the layout it runs in (groups high in the register run swapped, at q0 - n // 2),
-    # on apply_block's reshape, (2^q0, 2^k, -1), of a padded (2^n, cols) block; and 8x8
-    # at every q0 that fits at n = 5 and 8
+    # on apply_block's reshape, (2^q0, 2^k, -1), of a padded (2^n, cols) block's float
+    # view; real matrices, as the ansatz's RY groups are; and 8x8 at every q0 that fits at
+    # n = 5 and 8
     @pytest.mark.parametrize("n, q0, k", sorted(
         {(n, q0, k) for n in (1, 2, 5, 8, 12) for q0, k in issued_products(n)}
         | {(n, q0, 3) for n in (5, 8) for q0 in range(n - 2)}))
@@ -234,7 +235,7 @@ class TestOracleEquivalence:
         # rows are bitwise independent of their block only while BLAS rounds each
         # column of a product alike in any batch padded to the alignment
         rng = np.random.default_rng(19)
-        m = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+        m = rng.normal(size=(1 << k, 1 << k))
         align = padded_columns(1, n)
         batch = np.zeros((1 << n, padded_columns(37, n)), dtype=np.complex128)
         batch[:, :37] = rng.normal(size=(1 << n, 37)) + 1j * rng.normal(size=(1 << n, 37))
@@ -317,7 +318,7 @@ class TestSampling:
 
     def test_bitstring_convention_qubit0_leftmost(self):
         amps = np.empty(4, dtype=np.complex128)
-        ry_pi = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
+        ry_pi = np.array([[0.0, -1.0], [1.0, 0.0]])
         apply_block(ry_pi, oracles.basis_state(2).amplitudes, 0, amps)  # RY(pi): |10>
         assert readout(amps, (0, 1), shots=16, seed=1).tolist() == [0.0]
         np.testing.assert_allclose(amps, [0, 0, 1, 0], atol=1e-15)

@@ -72,10 +72,10 @@ TESTS = Path(__file__).resolve().parent
 # the OpenBLAS cores an x86-64 CPU can run, by the /proc/cpuinfo flag each needs
 CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
               "Nehalem": None, "Prescott": None}
-# each row of a batch against the row alone, n = 3..12, 2.5 row blocks up to 300 rows:
-# full links read on (0, 1), and linear links read on qubit n - 1, which from n = 5 on
-# ends the circuit with the register's halves swapped; prints the running core, then
-# {(n, links): rows that differ}
+# each row of a batch against the row alone, n = 1..12, 2.5 row blocks up to 300 rows:
+# full links read on (0, 1) (on qubit 0 at n = 1), and linear links read on qubit n - 1,
+# which from n = 5 on ends the circuit with the register's halves swapped; prints the
+# running core, then {(n, links): rows that differ}
 ROWS_ALONE = """
 import numpy as np
 from blas import openblas_core
@@ -84,9 +84,9 @@ from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.statevec import BLOCK_BYTES
 from vqclass.vqc import VqcConfig, p_ad
 bad = {}
-for n in range(3, 13):
+for n in range(1, 13):
     rows = min(300, 5 * (BLOCK_BYTES >> (n + 4)) // 2)
-    for links, measured in (("full", (0, 1)), ("linear", (n - 1,))):
+    for links, measured in (("full", (0, 1)[:n]), ("linear", (n - 1,))):
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, links), measured)
         states = encode(np.random.default_rng(n).uniform(0, 1, size=(rows, n)), cfg.feature_map)
         params = init_params(cfg.ansatz, n)
@@ -231,21 +231,23 @@ class TestForward:
     @pytest.mark.parametrize("core", list(CORE_FLAGS))
     def test_rows_alike_under_every_openblas_core(self, core):
         # rows stay independent of their batch on every kernel this CPU can run, not only
-        # on the one OpenBLAS picks: the core and one BLAS thread are set in the child only
+        # on the one OpenBLAS picks, on one BLAS thread and on two, which split wide stacks
+        # of products apart: the core and the thread count are set in the child only
         if not blas.is_openblas() or platform.machine() != "x86_64":
             pytest.skip("needs OpenBLAS on x86-64")
         if CORE_FLAGS[core] is not None and CORE_FLAGS[core] not in cpu_flags():
             pytest.skip(f"this CPU lacks {CORE_FLAGS[core]}")
         path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(path)}
-        child = subprocess.run([sys.executable, "-c", ROWS_ALONE], env=env, capture_output=True,
-                               text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        # OpenBLAS names some forced cores after the kernels they share: Prescott is Katmai
-        running, bad = child.stdout.split(" ", 1)
-        assert bad.strip() == "{}", (f"{core} (runs as {running}): "
-                                     f"{{(n, links): rows that differ}} {bad}")
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(path)}
+            child = subprocess.run([sys.executable, "-c", ROWS_ALONE], env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            # OpenBLAS names some forced cores after the kernels they share: Prescott is Katmai
+            running, bad = child.stdout.split(" ", 1)
+            assert bad.strip() == "{}", (f"{core} (runs as {running}) on {threads} BLAS "
+                                         f"threads: {{(n, links): rows that differ}} {bad}")
 
     def test_p_ad_holds_no_batch_sized_buffer(self):
         cfg = VqcConfig(FeatureMapSpec(12, 1, "full"), AnsatzSpec(12, reps=2, entanglement="full"))
