@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import BindingError, ConfigError
 from .featmap import ENTANGLEMENTS, entangled_pairs
-from .statevec import COUNT_BYTES, MAX_QUBITS, apply_block, padded_columns, physical_memory
+from .statevec import COUNT_BYTES, MAX_QUBITS, apply_block, physical_memory
 
 # qubits per fused rotation block: 3 and 4 were about as fast at n = 5, 8 and 12, 2 lost at 12
 GROUP = 3
@@ -233,6 +233,8 @@ def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
+    if not np.isfinite(params).all():
+        raise BindingError("parameters must be finite")
     cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
     angles = params.reshape(-1, 2, spec.n_qubits)
     layers, rz, swapped = [], None, False  # the layer before's RZ half angles, its layout
@@ -274,21 +276,20 @@ def apply_ansatz(
     """Advance the rows of ``states``, one state each, (N, 2^n), through ``layers`` from
     ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``. ``states``
     is not written. With a light cone, the result holds the right probabilities on the
-    measured qubits, not the full final state. The rows are copied in transposed,
-    zero-padded to C = padded_columns(N, n) columns, into the first half of ``work``,
-    complex (2, >= C << n) and allocated if not given; each gather, rotation group and
-    swap writes into the other half, then the halves trade places; a phase step with no
-    gather runs in place."""
+    measured qubits, not the full final state. The rows are copied in transposed, into
+    the first half of ``work``, complex (2, >= N << n) and allocated if not given; each
+    gather, rotation group and swap writes into the other half, then the halves trade
+    places; a phase step with no gather runs in place. Every product is a real GEMM at
+    most ``GEMM_WIDTH`` floats wide, so a row's result does not depend on N."""
     n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
-    rows, cols = len(states), padded_columns(len(states), n)
+    rows = len(states)
     if work is None:
-        work = np.empty((2, cols << n), dtype=np.complex128)
-    # a short batch takes the first cols << n elements of each half, so it stays contiguous
-    cur, other = work[:, : cols << n].reshape(2, 1 << n, cols)
-    cur[:, :rows] = states.T
-    cur[:, rows:] = 0.0  # so each row rounds in BLAS as it would alone
+        work = np.empty((2, rows << n), dtype=np.complex128)
+    # a short batch takes the first rows << n elements of each half, so it stays contiguous
+    cur, other = work[:, : rows << n].reshape(2, 1 << n, rows)
+    cur[...] = states.T
     swapped = False
     for step, products in layers:
         if step is not None:
@@ -308,7 +309,7 @@ def apply_ansatz(
     if swapped:
         _swap_halves(cur, other, n - n // 2)
         cur = other
-    return cur[:, :rows]
+    return cur
 
 
 def init_params(spec: AnsatzSpec, seed: int) -> np.ndarray:

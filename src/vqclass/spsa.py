@@ -40,6 +40,10 @@ class SpsaConfig:
         if self.maxiter * COUNT_BYTES > physical_memory():
             raise ConfigError(f"maxiter = {self.maxiter} needs more than the physical "
                               f"memory at {COUNT_BYTES} B per iteration")
+        for name in ("a", "c", "A"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.a <= 0 or self.c <= 0:
             raise ConfigError(f"a and c must be positive, got a={self.a}, c={self.c}")
         if not 0 < self.gamma < self.alpha <= 1:

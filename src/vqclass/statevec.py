@@ -10,12 +10,13 @@ views, whose last axis interleaves the two, at half the multiplies of a
 complex product. Batch axes trail the amplitude axis, so a product on qubits
 [q, q + k) is a stack of 2^q products whose rows run 2^(n-q-k) times twice
 the batch long; ``apply_ansatz`` runs its RY rotation blocks through it on
-``vqc.p_ad``'s row blocks of ``BLOCK_BYTES``, transposed and padded as
-``padded_columns`` says so each batch entry evolves bitwise as it would alone,
-and swaps the register's halves before the blocks that lie in its high half,
-so q stays below about n / 2 and every product is wide. The module also holds
-the package's size limits: the qubit cap, the row-block size, the product
-width, the memory ceiling and its count charge."""
+``vqc.p_ad``'s row blocks of ``BLOCK_BYTES``, transposed, and swaps the
+register's halves before the blocks that lie in its high half, so q stays
+below about n / 2 and every product is wide. Real products at most
+``GEMM_WIDTH`` floats wide round each batch entry as it would alone, at any
+batch width. The module also holds the package's size limits: the qubit cap,
+the row-block size, the product width, the memory ceiling and its count
+charge."""
 
 from __future__ import annotations
 
@@ -47,15 +48,6 @@ COUNT_BYTES = 256
 def physical_memory() -> int:
     """Bytes of physical memory: the ceiling of every size the package checks."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def padded_columns(cols: int, n: int) -> int:
-    """``cols`` rounded up to a multiple of min(8, rows of a ``BLOCK_BYTES`` block of
-    n-qubit states), which never grows a block. BLAS rounds a column in an edge tile
-    apart from one in a full tile; OpenBLAS 0.3.31's SkylakeX kernel rounded columns alike
-    with counts padded to 4, 8 or 16, not to 1 or 2. From n = 13 on, blocks have one width."""
-    align = min(8, max(1, BLOCK_BYTES >> (n + 4)))
-    return -(-cols // align) * align
 
 
 def apply_block(matrix: np.ndarray, amplitudes: np.ndarray, qubit: int, out: np.ndarray) -> None:

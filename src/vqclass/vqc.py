@@ -38,7 +38,7 @@ from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, spsa_minimize
-from .statevec import BLOCK_BYTES, padded_columns
+from .statevec import BLOCK_BYTES
 
 
 class Label(IntEnum):
@@ -125,7 +125,7 @@ def p_ad(
     layers = build_ansatz(cfg.ansatz, params, cfg.measured_qubits)
     rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
     # allocated once; the gates would otherwise allocate temporaries per block
-    work = np.empty((2, padded_columns(min(rows, len(states)), n) << n), dtype=np.complex128)
+    work = np.empty((2, min(rows, len(states)) << n), dtype=np.complex128)
     mass = np.empty(len(states))
     for start in range(0, len(states), rows):
         block = apply_ansatz(states[start : start + rows], cfg.ansatz, layers, work)

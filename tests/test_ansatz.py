@@ -12,7 +12,7 @@ from vqclass.ansatz import (AnsatzSpec, apply_ansatz, block_gather, build_ansatz
                             entangling_links, init_params)
 from vqclass.errors import BindingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.statevec import apply_block, padded_columns
+from vqclass.statevec import apply_block
 from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 
@@ -169,6 +169,19 @@ class TestApplication:
         with pytest.raises(BindingError):
             run_ansatz(cfg.ansatz, np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_non_finite_params_rejected(self, bad, shots):
+        # exact readout would return nan masses, which classify reads as NON_AD, and
+        # shot readout would fail inside numpy's binomial draw
+        cfg = VqcConfig(FeatureMapSpec(3), AnsatzSpec(3), shots=shots)
+        params = init_params(cfg.ansatz, 0)
+        params[0] = bad
+        with pytest.raises(BindingError, match="finite"):
+            predict_batch(np.full((4, 3), 0.5), params, cfg)
+        with pytest.raises(BindingError, match="finite"):
+            build_ansatz(cfg.ansatz, params, (0, 1))
+
     def test_misshapen_batch_rejected(self):
         # the ansatz takes one state per row: a batch-last (2^n, N) batch, one
         # bare state or a 3-D stack would be advanced along the wrong axis
@@ -195,7 +208,7 @@ class TestApplication:
 
     @pytest.mark.parametrize("n, rows", [(5, 3), (12, 2)])
     def test_dirty_work_buffer(self, n, rows):
-        # the padding columns are zero-filled on every call: what a reused
+        # every element the ansatz reads is written first: what a reused
         # buffer held before changes no bit of the result and raises no warning
         spec = AnsatzSpec(n, reps=2, entanglement="full")
         rng = np.random.default_rng(n)
@@ -204,7 +217,7 @@ class TestApplication:
         layers = build_ansatz(spec, params)
         fresh = apply_ansatz(states, spec, layers)
         for fill in (np.inf, np.nan):
-            work = np.full((2, padded_columns(rows, n) << n), fill, dtype=np.complex128)
+            work = np.full((2, rows << n), fill, dtype=np.complex128)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert np.array_equal(apply_ansatz(states, spec, layers, work), fresh)

@@ -41,6 +41,10 @@ class TestGainSequences:
             SpsaConfig(alpha=0.3, gamma=0.5)
         with pytest.raises(ConfigError):
             SpsaConfig(alpha=1.2)
+        for name in ("a", "c", "A"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+                    SpsaConfig(**{name: bad})
         with pytest.raises(ConfigError):
             gain_sequences(SpsaConfig(), -1)
 

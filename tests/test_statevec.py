@@ -17,7 +17,7 @@ from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
-from vqclass.statevec import MAX_QUBITS, apply_block, padded_columns
+from vqclass.statevec import MAX_QUBITS, apply_block
 
 
 
@@ -187,24 +187,21 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_qubit_block_every_qubit_with_trailing_batch(self, n):
-        # a generic real 2x2 on every target qubit of complex (2^n, 8) and (2^n, 2, 4)
-        # batches (6 states, zero-padded to the alignment), against the dense
-        # embedding; a column, padded alone, evolves as it does in the batch
+        # a generic real 2x2 on every target qubit of complex (2^n, 6) and (2^n, 2, 3)
+        # batches, against the dense embedding; a (2^n, 1) column evolves as it does
+        # in the batch
         rng = np.random.default_rng(n)
         u = rng.normal(size=(2, 2))
-        width = padded_columns(6, n)
-        states = np.zeros((1 << n, width), dtype=np.complex128)
-        states[:, :6] = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
-        column = np.zeros((1 << n, padded_columns(1, n)), dtype=np.complex128)
-        column[:, 0] = states[:, 4]
+        states = rng.normal(size=(1 << n, 6)) + 1j * rng.normal(size=(1 << n, 6))
+        column = np.ascontiguousarray(states[:, 4:5])
         for q in range(n):
-            expect = oracles.embed_single(u, q, n) @ states[:, :6]
+            expect = oracles.embed_single(u, q, n) @ states
             alone = np.empty_like(column)
             apply_block(u, column, q, alone)
-            for shape in ((1 << n, width), (1 << n, 2, width // 2)):
+            for shape in ((1 << n, 6), (1 << n, 2, 3)):
                 got = np.empty(shape, dtype=np.complex128)
                 apply_block(u, states.reshape(shape), q, got)
-                np.testing.assert_allclose(got.reshape(states.shape)[:, :6], expect, atol=1e-12)
+                np.testing.assert_allclose(got.reshape(states.shape), expect, atol=1e-12)
                 assert np.array_equal(got.reshape(states.shape)[:, 4], alone[:, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
@@ -225,30 +222,28 @@ class TestOracleEquivalence:
 
     # every product shape and start qubit the ansatz issues at n = 1, 2, 5, 8 and 12, in
     # the layout it runs in (groups high in the register run swapped, at q0 - n // 2),
-    # on apply_block's reshape, (2^q0, 2^k, -1), of a padded (2^n, cols) block's float
-    # view; real matrices, as the ansatz's RY groups are; and 8x8 at every q0 that fits at
+    # on apply_block's reshape, (2^q0, 2^k, -1), of a (2^n, rows) block's float view;
+    # real matrices, as the ansatz's RY groups are; and 8x8 at every q0 that fits at
     # n = 5 and 8
     @pytest.mark.parametrize("n, q0, k", sorted(
         {(n, q0, k) for n in (1, 2, 5, 8, 12) for q0, k in issued_products(n)}
         | {(n, q0, 3) for n in (5, 8) for q0 in range(n - 2)}))
     def test_blas_rounds_padded_columns_alike(self, n, q0, k):
         # rows are bitwise independent of their block only while BLAS rounds each
-        # column of a product alike in any batch padded to the alignment
+        # column of a product alike at any batch width, an odd one included
         rng = np.random.default_rng(19)
         m = rng.normal(size=(1 << k, 1 << k))
-        align = padded_columns(1, n)
-        batch = np.zeros((1 << n, padded_columns(37, n)), dtype=np.complex128)
-        batch[:, :37] = rng.normal(size=(1 << n, 37)) + 1j * rng.normal(size=(1 << n, 37))
+        batch = rng.normal(size=(1 << n, 37)) + 1j * rng.normal(size=(1 << n, 37))
         together = np.empty_like(batch)
         apply_block(m, batch, q0, together)
         for j in range(37):
-            alone = np.zeros((1 << n, align), dtype=np.complex128)
-            alone[:, 0] = batch[:, j]
+            alone = np.ascontiguousarray(batch[:, j : j + 1])
             out = np.empty_like(alone)
             apply_block(m, alone, q0, out)
             assert np.array_equal(out[:, 0], together[:, j]), (
-                f"column {j}: this BLAS rounds {1 << k}x{1 << k} products apart at the "
-                f"{align}-column alignment; statevec.padded_columns must pad to a wider multiple")
+                f"column {j}: this BLAS rounds {1 << k}x{1 << k} products of 37 columns "
+                f"apart from one column alone; pad a row block's columns to a multiple "
+                f"this BLAS rounds alike before apply_block")
 
 
 class TestNormAndUnitarity:

@@ -85,7 +85,7 @@ from vqclass.statevec import BLOCK_BYTES
 from vqclass.vqc import VqcConfig, p_ad
 bad = {}
 for n in range(1, 13):
-    rows = min(300, 5 * (BLOCK_BYTES >> (n + 4)) // 2)
+    rows = min(299, 5 * (BLOCK_BYTES >> (n + 4)) // 2 + 1)  # odd-width tails
     for links, measured in (("full", (0, 1)[:n]), ("linear", (n - 1,))):
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, links), measured)
         states = encode(np.random.default_rng(n).uniform(0, 1, size=(rows, n)), cfg.feature_map)
@@ -212,7 +212,7 @@ class TestForward:
         np.testing.assert_array_equal(states, before)
         np.testing.assert_array_equal(p_ad(states, params, cfg), first)
 
-    # from n = 13 on blocks hold 4, 2 and 1 rows, and columns align to that many
+    # from n = 13 on blocks hold 4, 2 and 1 rows
     @pytest.mark.parametrize("n", [8, 12, 14, 16])
     def test_row_blocks_at_production_size(self, n):
         # 2.5 blocks' rows, so the last block is short
