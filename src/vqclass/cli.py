@@ -34,7 +34,7 @@ from . import vqc as vqc_mod
 from .ansatz import AnsatzSpec
 from .errors import ConfigError, DataError, VqclassError
 from .featmap import FeatureMapSpec, encode
-from .qkernel import kernel_matrix, kernel_to_csv
+from .qkernel import kernel_matrix, kernel_to_csv, row_blocks
 from .spsa import SpsaConfig
 
 MODEL_FILE = "model.json"
@@ -415,18 +415,21 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
 
 
 def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
-    """Export train x train and test x train fidelity kernel matrices,
-    encoding each split once and writing one row at a time."""
+    """Export train x train and test x train fidelity kernel matrices, one
+    row block at a time: only the training states are held whole, each test
+    block is encoded when its rows are written, and each block's fidelities
+    are formatted and written before the next block's are computed."""
     _, train, test = _load_stage(cfg, data)
     train_path, test_path = _artifact_paths(cfg, "kernel", force)
-    train_states = encode(train.x, cfg.vqc.feature_map)
-    test_states = encode(test.x, cfg.vqc.feature_map)
-    k_train = kernel_matrix(train_states, train_states)
-    k_test = kernel_matrix(test_states, train_states)
-    del train_states, test_states  # freed before the rows are formatted
-    train_ids, test_ids = train.ids.tolist(), test.ids.tolist()
-    _write_lines(train_path, kernel_to_csv(k_train, train_ids, train_ids))
-    _write_lines(test_path, kernel_to_csv(k_test, test_ids, train_ids))
+    spec = cfg.vqc.feature_map
+    train_states = encode(train.x, spec)
+    train_ids = train.ids.tolist()
+    for path, split in ((train_path, train), (test_path, test)):
+        # encode gives a row the same state in any batch, so a test block is encoded alone
+        states = (train_states[rows] if split is train else encode(split.x[rows], spec)
+                  for rows in row_blocks(len(split.x), spec.n_qubits, len(train_states)))
+        blocks = (kernel_matrix(block, train_states) for block in states)
+        _write_lines(path, kernel_to_csv(blocks, split.ids.tolist(), train_ids))
 
 
 def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:

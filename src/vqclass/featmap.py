@@ -99,8 +99,9 @@ def _diagonal(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
 
 
 def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
-    """Bytes a batch of ``n_rows`` states needs at its peak in ``encode``, then in
-    ``vqc.p_ad`` beside it; ``AnsatzSpec.table_bytes`` counts p_ad's cached tables."""
+    """Bytes a batch of ``n_rows`` states needs at its peak in ``encode``, then beside
+    it in ``vqc.p_ad`` or in the kernel verb's row block (``qkernel.row_blocks``);
+    ``AnsatzSpec.table_bytes`` counts p_ad's cached tables."""
     # per amplitude: the states (16 B), built in place; from reps 2 on also the
     # phase factors and a butterfly's temporary
     states = n_rows * (16 if spec.reps == 1 else 48) << spec.n_qubits

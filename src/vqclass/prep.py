@@ -87,19 +87,28 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
     return Table(*encoded, hashlib.sha256(raw).hexdigest())
 
 
-def _try_numeric(values: list[str]) -> np.ndarray | None:
+def _try_numeric(name: str, values: list[str]) -> np.ndarray | None:
+    """The column as float64 if every cell parses as a number, else None. A
+    blank cell among cells that all parse raises DataError: a missing number,
+    not a category."""
     try:
         return np.array([float(v) for v in values], dtype=np.float64)
     except ValueError:
-        return None
+        pass
+    filled = [v for v in values if v.strip()]
+    if filled and len(filled) < len(values) and _try_numeric(name, filled) is not None:
+        row = next(i for i, v in enumerate(values) if not v.strip())
+        raise DataError(f"column {name!r} row {row + 1}: empty cell in a numeric column")
+    return None
 
 
 def one_hot_encode(
     columns: list[str], rows: list[list[str]], label_column: str, positive_label: str
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Features, 0/1 labels and feature names of a string table. Numeric
-    columns pass through; each non-numeric column expands into one 0/1
-    indicator column per distinct value, lexicographic order."""
+    columns pass through, and a blank or non-finite cell in one raises
+    DataError; each non-numeric column expands into one 0/1 indicator column
+    per distinct value, lexicographic order."""
     label_idx = columns.index(label_column)
     labels = np.array(
         [1 if row[label_idx] == positive_label else 0 for row in rows], dtype=np.int64
@@ -110,7 +119,7 @@ def one_hot_encode(
         if j == label_idx:
             continue
         values = [row[j] for row in rows]
-        numeric = _try_numeric(values)
+        numeric = _try_numeric(name, values)
         if numeric is not None:
             if not np.all(np.isfinite(numeric)):
                 bad = int(np.argmax(~np.isfinite(numeric)))

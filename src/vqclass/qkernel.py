@@ -2,9 +2,12 @@
 
 Entry (i, j) is |<phi(b_j)|phi(a_i)>|^2 of two batches of states from
 ``featmap.encode``, so a same-set Gram matrix is symmetric, unit-diagonal,
-and positive semidefinite up to float roundoff. The caller encodes each
-batch once; one matrix product gives all overlaps, and the CSV export
-yields one row's line at a time.
+and positive semidefinite up to float roundoff. One matrix product gives a
+row block's overlaps with the whole right-hand batch. The CLI streams a
+kernel through ``row_blocks``: each block's fidelities are computed,
+formatted and written before the next block's are, so no N x M array and
+no conjugate copy of the right-hand batch exists, and the CSV export yields
+one row's line at a time.
 
 The export writes each value exactly as ``"%.17g" % v`` does, but numpy
 formats a chunk of whole rows at a time (``CHUNK_VALUES`` values), so
@@ -26,11 +29,12 @@ values.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BindingError
+from .statevec import BLOCK_BYTES
 
 CHUNK_VALUES = 4096  # values formatted per numpy pass: bounds the export's memory
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -95,27 +99,55 @@ def _lines(values: np.ndarray, cols: int) -> list[str]:
     return text.tobytes().translate(None, b"\0 ").decode("ascii").split("\n")[1:]
 
 
+def row_blocks(n_rows: int, n_qubits: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows: blocks of the most rows whose states
+    (2^n amplitudes each) and whose products with ``n_cols`` states each fit in
+    ``BLOCK_BYTES``, but at least 2. A 1-row tail joins the block before it:
+    numpy runs a 1-row product as a vector-matrix product, which rounds apart
+    from the matrix product the other rows run in."""
+    step = max(2, BLOCK_BYTES // (16 * max(1 << n_qubits, n_cols)))  # 16 B per complex
+    stops = [*range(step, n_rows - 1, step), n_rows]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 def kernel_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     """Fidelity of each row of ``states_a`` against each row of ``states_b``,
-    both of shape (N, 2^n): an (|A|, |B|) array clipped into [0, 1]."""
-    values = np.abs(states_a @ states_b.conj().T)
+    both of shape (N, 2^n): an (|A|, |B|) array clipped into [0, 1]. The left
+    operand is the one conjugated, so a row block of A against the whole of B
+    copies only the block."""
+    values = np.abs(states_a.conj() @ states_b.T)
     np.square(values, out=values)
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def kernel_to_csv(values: np.ndarray, row_ids: Sequence, col_ids: Sequence) -> Iterator[str]:
+def _misfit(shape: tuple, row_ids: Sequence, col_ids: Sequence) -> BindingError:
+    return BindingError(f"kernel values of shape {shape} do not fit "
+                        f"{len(row_ids)} row ids and {len(col_ids)} column ids")
+
+
+def kernel_to_csv(blocks: Iterable[np.ndarray], row_ids: Sequence,
+                  col_ids: Sequence) -> Iterator[str]:
     """The CSV lines, without newlines: the id header, then each row's id and
-    17-significant-digit values, formatted only when the row's chunk is asked for."""
-    if np.shape(values) != (len(row_ids), len(col_ids)):
-        raise BindingError(f"kernel values of shape {np.shape(values)} do not fit "
-                           f"{len(row_ids)} row ids and {len(col_ids)} column ids")
+    17-significant-digit values. ``blocks`` are the kernel's rows, a block of
+    (rows, len(col_ids)) values at a time, in order; each is formatted only when
+    its lines are asked for, and one that does not fit the ids raises
+    BindingError before any of its lines is yielded."""
+    cols, done = len(col_ids), 0
     yield ",".join(["id", *map(str, col_ids)])
-    cols = len(col_ids)
-    if not cols:
-        yield from map(str, row_ids)
-        return
-    step = max(1, CHUNK_VALUES // cols)
-    for start in range(0, len(row_ids), step):
-        block = np.asarray(values[start:start + step], np.float64).ravel()
-        for rid, line in zip(row_ids[start:start + step], _lines(block, cols)):
-            yield f"{rid},{line}"
+    step = max(1, CHUNK_VALUES // max(1, cols))
+    for block in blocks:
+        block = np.asarray(block, np.float64)
+        shape = (done + len(block), *block.shape[1:])
+        if shape[1:] != (cols,) or shape[0] > len(row_ids):
+            raise _misfit(shape, row_ids, col_ids)
+        for start in range(0, len(block), step):
+            ids = row_ids[done + start:done + start + step]
+            if not cols:
+                yield from map(str, ids)
+                continue
+            lines = _lines(block[start:start + step].ravel(), cols)
+            for rid, line in zip(ids, lines):
+                yield f"{rid},{line}"
+        done += len(block)
+    if done != len(row_ids):
+        raise _misfit((done, cols), row_ids, col_ids)

@@ -106,6 +106,12 @@ class TestLoadCsv:
             load_csv(path, "class", "P")
         assert str(info.value) == f"{path}: column 'a' row 2: non-finite value 'inf'"
 
+    def test_blank_numeric_cell_names_file(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,class\n1,0.5,P\n2,,H\n3,0.25,P\n4,1.5,H\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, "class", "P")
+        assert str(info.value) == f"{path}: column 'b' row 2: empty cell in a numeric column"
+
     def test_too_many_categories_names_file(self, tmp_path):
         rows = "".join(f"cat{i},{'P' if i % 2 else 'H'}\n" for i in range(65))
         path = write_csv(tmp_path, "col,class\n" + rows)
@@ -146,6 +152,17 @@ class TestOneHot:
     def test_nonfinite_numeric_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             self._encode(["x", "class"], [["1.0", "P"], ["nan", "H"]])
+
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_blank_numeric_cell_rejected(self, blank):
+        rows = [["0.5", "P"], [blank, "H"], ["0.25", "P"], ["1.5", "H"]]
+        with pytest.raises(DataError, match=r"column 'b' row 2: empty cell"):
+            self._encode(["b", "class"], rows)
+
+    def test_blank_cells_in_a_categorical_column_are_a_category(self):
+        features, _, names = self._encode(["c", "class"], [["x", "P"], ["", "H"], ["", "P"]])
+        assert names == ["c=", "c=x"]
+        assert features.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
 
 
 class TestPca:

@@ -1,5 +1,6 @@
 """Kernel tests: fidelity entries, Gram-matrix properties, CSV export."""
 
+import json
 import math
 import tracemalloc
 
@@ -9,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from blas import COMMITTED_CORE, openblas_core
+from vqclass import cli
 from vqclass.cli import _write_lines
 from vqclass.errors import BindingError, EncodingError
 from vqclass.featmap import FeatureMapSpec, encode
-from vqclass.qkernel import CHUNK_VALUES, kernel_matrix, kernel_to_csv
+from vqclass.prep import load_csv
+from vqclass.qkernel import CHUNK_VALUES, kernel_matrix, kernel_to_csv, row_blocks
+from vqclass.statevec import BLOCK_BYTES
+from vqclass.synth import make_blobs, write_labeled_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
 
@@ -23,8 +29,9 @@ def kernel(samples_a, samples_b, spec):
 
 
 def csv_text(values, row_ids, col_ids):
-    """The whole CSV text: the lines ``kernel_to_csv`` yields, each newline-terminated."""
-    return "".join(f"{line}\n" for line in kernel_to_csv(values, row_ids, col_ids))
+    """The whole CSV text: the lines ``kernel_to_csv`` yields for ``values`` as one
+    block, each newline-terminated."""
+    return "".join(f"{line}\n" for line in kernel_to_csv([values], row_ids, col_ids))
 
 
 def per_value_text(values, row_ids, col_ids):
@@ -167,7 +174,7 @@ class TestCsvExport:
         path = tmp_path / "kernel.csv"
         tracemalloc.start()
         try:
-            _write_lines(path, kernel_to_csv(values, ids, ids))
+            _write_lines(path, kernel_to_csv([values], ids, ids))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,6 +189,80 @@ class TestCsvExport:
         with pytest.raises(BindingError, match=r"shape \(4, 4\).*"
                            rf"{n_rows} row ids and {n_cols} column ids"):
             csv_text(values, list(range(n_rows)), list(range(n_cols)))
+
+
+def kernel_run(tmp_path, n_rows, n_qubits, test_fraction):
+    """prep on ``n_rows`` blobs rows at ``n_qubits`` qubits: the run's config and
+    input table."""
+    features, labels = make_blobs(n_rows, n_qubits, seed=n_rows)
+    write_labeled_csv(str(tmp_path / "data.csv"), features, labels)
+    config = {"data": {"path": str(tmp_path / "data.csv"), "label_column": "class",
+                       "positive_label": "pos"},
+              "prep": {"pca_k": n_qubits, "test_fraction": test_fraction},
+              "output_dir": str(tmp_path / "run")}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["prep", "--config", str(tmp_path / "config.json")]) == 0
+    data = load_csv(str(tmp_path / "data.csv"), "class", "pos")
+    return cli.load_config(str(tmp_path / "config.json")), data
+
+
+class TestStreamedExport:
+    """The kernel verb computes and writes one row block at a time, with the bytes
+    of one whole product."""
+
+    @pytest.mark.parametrize("rows, cols", [(16, 16), (17, 16), (1, 16), (17, 40)])
+    def test_blocks_keep_the_bytes_of_one_product(self, rows, cols):
+        # at n = 12 a block is 8 rows: an exact multiple, a 1-row tail, a single row,
+        # more columns than rows
+        spec = FeatureMapSpec(12, 1, "full")
+        rng = np.random.default_rng(rows + cols)
+        a, b = (encode(rng.uniform(0, 1, size=(size, 12)), spec) for size in (rows, cols))
+        blocks = row_blocks(rows, 12, cols)
+        assert [s.stop - s.start for s in blocks] == {16: [8, 8], 17: [8, 9], 1: [1]}[rows]
+        row_ids, col_ids = list(range(rows)), list(range(cols))
+        streamed = "".join(f"{line}\n" for line in kernel_to_csv(
+            (kernel_matrix(a[s], b) for s in blocks), row_ids, col_ids))
+        assert streamed == csv_text(kernel_matrix(a, b), row_ids, col_ids), (
+            f"blocks round apart from the whole product on OpenBLAS core {openblas_core()}; "
+            f"runs/ were made on {COMMITTED_CORE}")
+
+    @pytest.mark.parametrize("n_qubits, n_cols", [(1, 1), (8, 900), (12, 130), (16, 5000)])
+    def test_row_blocks_cover_the_rows_with_no_lone_row(self, n_qubits, n_cols):
+        step = BLOCK_BYTES // (16 * max(1 << n_qubits, n_cols))
+        for n_rows in range(1, 300):
+            blocks = row_blocks(n_rows, n_qubits, n_cols)
+            assert [s.start for s in blocks] == [0] + [s.stop for s in blocks[:-1]]
+            assert blocks[-1].stop == n_rows
+            sizes = [s.stop - s.start for s in blocks]
+            assert min(sizes) >= min(2, n_rows)
+            assert max(sizes) <= max(2, step) + 1
+
+    @pytest.mark.parametrize("n_rows", [18, 19])  # 16 and 17 training rows, 2 test rows
+    def test_verb_writes_the_bytes_of_one_product(self, tmp_path, n_rows):
+        cfg, data = kernel_run(tmp_path, n_rows, 12, 1 / n_rows)  # 1 test row per class
+        assert cli.main(["kernel", "--config", str(tmp_path / "config.json")]) == 0
+        _, train, test = cli._load_stage(cfg, data)
+        assert (len(train.x), len(test.x)) == (n_rows - 2, 2)
+        train_states = encode(train.x, cfg.vqc.feature_map)
+        for name, split in (("kernel_train.csv", train), ("kernel_test.csv", test)):
+            whole = kernel_matrix(encode(split.x, cfg.vqc.feature_map), train_states)
+            want = csv_text(whole, split.ids.tolist(), train.ids.tolist())
+            assert (tmp_path / "run" / name).read_text(encoding="utf-8") == want, (
+                f"{name} differs, on OpenBLAS core {openblas_core()}; "
+                f"runs/ were made on {COMMITTED_CORE}")
+
+    def test_verb_holds_no_kernel_sized_array(self, tmp_path):
+        cfg, data = kernel_run(tmp_path, 1600, 4, 0.25)
+        _, train, _ = cli._load_stage(cfg, data)  # 1,200 training rows, 400 test rows
+        states = len(train.x) * 16 << 4  # the training states, held whole
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli.cmd_kernel(cfg, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - states < len(train.x) ** 2 * 8 / 4
 
 
 def _neighbours(values):
