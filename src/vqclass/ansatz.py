@@ -5,16 +5,19 @@ rotation to every qubit, then an entangling block; a final RY+RZ layer
 closes the circuit. Parameters are numbered layer-major, qubit-minor,
 giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
 (reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
-the RZ angle of qubit q in layer r. ``build_ansatz`` binds that vector
-into each layer's RY(theta) rotations, one real matrix per group of GROUP
+the RZ angle of qubit q in layer r. ``_light_cone`` plans the circuit once
+per topology and measured set, as one run-order list of steps (swaps,
+rotation groups, gathers and phases), and decides there every swap and the
+layout each step reads. ``build_ansatz`` binds the vector into those steps:
+each layer's RY(theta) rotations become one real matrix per group of GROUP
 adjacent qubits (gate fusion, as in qsim: Isakov et al., arXiv:2111.02396),
 run as a float64 product on the states' float view; a last group short of
 GROUP qubits reaches back over the one before, with the identity there, so
 every product is 8x8 from n = 3 on. A layer's RZs make one diagonal over
 the 2^n basis states, folded into the phase of the gather that opens the
-next layer (below). ``apply_ansatz`` runs those layers on states given one
-per row (``vqc.p_ad`` builds them once per call and hands over one row block
-at a time) and returns them batch-last.
+next layer (below). ``apply_ansatz`` runs the bound steps in one flat loop
+on states given one per row (``vqc.p_ad`` binds them once per call and
+hands over one row block at a time) and returns them batch-last.
 
 A product on qubits [q0, q0 + 3) of batch-last amplitudes is a stack of
 2^q0 products, each 2^(n - q0 - 3) times the batch wide, so a group near
@@ -24,8 +27,8 @@ q0 >= h, one transposing copy moves the register's first h qubits after the
 rest (the cache-blocking qubit swap of Haener and Steiger, SC17,
 arXiv:1704.01127), and those groups run at q0 - h. The next entangling
 gather reads straight from the swapped layout, its index composed with the
-swap once and cached; a circuit that ends swapped is swapped back by one
-more copy.
+swap once and cached; a plan that ends swapped ends with one more copy, the
+swap back.
 
 The entangling block pairs neighbours (linear) or all pairs (full) and
 alternates CY/CZ along the pair sequence: CY on even-position links, CZ
@@ -37,7 +40,7 @@ diagonal D of the layer before it rides along in the phase:
 phase[b] * D[inv[b]], with D built in the layout the register is in there
 (``inv`` is composed with the swap). Where no gather follows a live RZ
 layer (n = 1, whose block has no link; the final layer when every gate is
-kept) D runs as a phase step of its own in the same loop.
+kept) D runs as a phase step of its own.
 
 Given the measured qubits, only gates in the readout's light cone run:
 walking backward from them, gates whose qubits all lie outside the cone
@@ -132,16 +135,18 @@ def block_gather(n: int, links: tuple, swapped: bool = False) -> tuple[np.ndarra
 
 
 @functools.lru_cache(maxsize=16)
-def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
-    """Per layer, the gather of the live links of the block before it (None in
-    layer 0 or with no live link), composed with the swap when the layer before ends
-    swapped; then, in run order, (group, start qubit in the layout it runs in, whether
-    the register swaps first) for each group owning a live rotation, and the (2, n)
-    factors that halve live RY and RZ angles and zero dead ones. ``measured`` None keeps
-    every gate. From n = 2 on every qubit in a cone has a link, so every layer after the
-    first opens with a gather, which leaves the register unswapped; and the cone before
-    a gather is the qubits of its links, so whether it reads swapped states follows
-    from its links and each gather is cached in one form."""
+def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[list, np.ndarray]:
+    """The ansatz as (steps, factors). ``factors``, (layers, 2, n) and read-only, halves
+    live RY and RZ angles and zeros dead ones; ``measured`` None keeps every gate. The
+    steps, in run order: ("swap", first) moves the register's ``first`` leading qubits
+    after the rest; ("group", layer, g, qubit) runs group g's RY product of ``layer`` from
+    ``qubit`` of the layout the register is in; ("phase", layer, swapped) runs the RZ
+    diagonal of ``layer`` alone, and ("gather", layer, swapped, inv, phase) the gather of
+    the live links of the block after it with that diagonal folded in; both read the
+    layout ``swapped`` records, and a gather leaves the register plain. From n = 2 on
+    every qubit in a cone has a link, so every layer after the first opens with a
+    gather; and the cone before a gather is the qubits of its links, so whether it reads
+    swapped states follows from its links and each gather is cached in one form."""
     n, h = spec.n_qubits, spec.n_qubits // 2
     cone = set(range(n) if measured is None else measured)
     backward = []
@@ -155,19 +160,27 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> list:
                 live.append((kind, (a, b)))
                 cone.update((a, b))
         backward.append((tuple(live[::-1]), groups, half))
-    layers, swapped = [], False
-    for live, groups, half in reversed(backward):
-        gather = block_gather(n, live, swapped) if live else None
-        if gather is not None:
+    steps, swapped = [], False
+    for layer, (live, groups, _) in enumerate(reversed(backward)):
+        if live:
+            steps.append(("gather", layer - 1, swapped, *block_gather(n, live, swapped)))
             swapped = False
-        runs = []
+        elif layer:
+            steps.append(("phase", layer - 1, swapped))
         for g in groups:
             q0 = min(g * GROUP, n - min(GROUP, n))
             high = 0 < h <= q0
-            runs.append((g, q0 - h if high else q0, high and not swapped))
-            swapped |= high
-        layers.append((gather, (runs, half)))
-    return layers
+            if high and not swapped:
+                steps.append(("swap", h))
+                swapped = True
+            steps.append(("group", layer, g, q0 - h if high else q0))
+    if measured is None:  # else the last RZs, diagonal before the readout, are dead
+        steps.append(("phase", spec.reps, swapped))
+    if swapped:
+        steps.append(("swap", n - h))
+    factors = np.stack([half for _, _, half in reversed(backward)])
+    factors.flags.writeable = False
+    return steps, factors
 
 
 @functools.cache  # built on first use: at import it raised a kernel run's peak RSS by 1 MB
@@ -182,19 +195,17 @@ def _group_tables(n: int) -> tuple[np.ndarray, ...]:
     return qubit, qubit >= start, 3 * np.arange(k)[:, None, None] + entry
 
 
-def _rotation_layers(angles: np.ndarray, cone: list):
-    """Per layer r of ``cone``, RY ``angles[r, 0]``, each group's real 2^k x 2^k matrix: the
-    Kronecker product of the RY(theta) 2x2s of its qubits, products of cosines and sines,
-    with the identity on those it does not own. The layer's RZs are not in it: see
-    ``_rz_diagonal``."""
-    qubit, owned, ry_entry = _group_tables(angles.shape[-1])
-    for first in range(0, len(cone), BUILD_LAYERS):
-        halves = np.stack([h[0] for _, (_, h) in cone[first : first + BUILD_LAYERS]])
-        half = (angles[first : first + len(halves), 0] * halves)[..., qubit] * owned
-        trig = np.empty((len(halves), *qubit.shape, 3))  # cos, sin, -sin
-        np.cos(half, out=trig[..., 0])
-        np.negative(np.sin(half, out=trig[..., 1]), out=trig[..., 2])
-        entries = np.take(trig.reshape(len(halves), len(qubit), -1), ry_entry, axis=-1)
+def _rotation_layers(half: np.ndarray):
+    """Per layer r of the RY half angles ``half``, (layers, n), each group's real 2^k x 2^k
+    matrix: the Kronecker product of the RY(2 * half[r, q]) 2x2s of its qubits, products of
+    cosines and sines, with the identity on those it does not own."""
+    qubit, owned, ry_entry = _group_tables(half.shape[-1])
+    for first in range(0, len(half), BUILD_LAYERS):
+        part = half[first : first + BUILD_LAYERS][..., qubit] * owned
+        trig = np.empty((*part.shape, 3))  # cos, sin, -sin
+        np.cos(part, out=trig[..., 0])
+        np.negative(np.sin(part, out=trig[..., 1]), out=trig[..., 2])
+        entries = np.take(trig.reshape(len(part), len(qubit), -1), ry_entry, axis=-1)
         yield from entries.prod(axis=2)
 
 
@@ -222,45 +233,33 @@ def _rz_diagonal(half: np.ndarray, swapped: bool) -> np.ndarray:
 
 
 def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None) -> list:
-    """The ansatz with parameter vector ``params`` bound, for ``apply_ansatz``: per layer,
-    the phase step that opens it (None if none), then (real RY matrix, start qubit, whether
-    the register swaps first) for each rotation group, in run order; then, with no
-    ``measured_qubits``, a step with no groups for the last layer's RZs. A step (inv, phase)
-    sends the amplitude at b to in[inv[b]] * phase[b]: the entangling block's gather, its
-    phase times the layer before's RZ diagonal read through ``inv``; with no gather, inv
-    is None and the phase is that diagonal alone. Given ``measured_qubits``, only the gates
-    in their light cone are kept."""
+    """The steps of the ansatz with parameter vector ``params`` bound, for ``apply_ansatz``,
+    in run order: ("swap", first); ("group", real RY matrix, start qubit); ("phase", RZ
+    diagonal); ("gather", inv, phase), which sends the amplitude at b to in[inv[b]] *
+    phase[b], the entangling block's phase times the layer before's RZ diagonal read
+    through ``inv``. Each diagonal is built in the layout the register is in when it
+    runs. Given ``measured_qubits``, only the gates in their light cone are kept."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
     if not np.isfinite(params).all():
         raise BindingError("parameters must be finite")
-    cone = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
-    angles = params.reshape(-1, 2, spec.n_qubits)
-    layers, rz, swapped = [], None, False  # the layer before's RZ half angles, its layout
-    for (gather, (runs, half)), mats, phi in zip(cone, _rotation_layers(angles, cone),
-                                                 angles[:, 1]):
-        layers.append((_phase_step(gather, rz, swapped),
-                       [(mats[g], qubit, swap) for g, qubit, swap in runs]))
-        swapped = (swapped and gather is None) or any(swap for _, _, swap in runs)
-        rz = phi * half[1]
-    if measured_qubits is None:  # else the last RZs, diagonal before the readout, are dead
-        layers.append((_phase_step(None, rz, swapped), []))
-    return layers
-
-
-def _phase_step(gather, rz, swapped: bool):
-    """The step that runs the RZ half angles ``rz`` (None in layer 0) in the layout
-    ``swapped`` says, then ``gather`` (None: none): the phase is built in place."""
-    if rz is None:
-        return gather
-    diag = _rz_diagonal(rz, swapped)
-    if gather is None:
-        return None, diag
-    inv, phase = gather
-    folded = diag[inv]
-    folded *= phase
-    return inv, folded
+    steps, factors = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
+    half = params.reshape(-1, 2, spec.n_qubits) * factors
+    mats = list(_rotation_layers(half[:, 0]))
+    bound = []
+    for step in steps:
+        match step:
+            case ("group", layer, g, qubit):
+                step = "group", mats[layer][g], qubit
+            case ("phase", layer, swapped):
+                step = "phase", _rz_diagonal(half[layer, 1], swapped)
+            case ("gather", layer, swapped, inv, phase):
+                folded = _rz_diagonal(half[layer, 1], swapped)[inv]
+                folded *= phase
+                step = "gather", inv, folded
+        bound.append(step)
+    return bound
 
 
 def _swap_halves(src: np.ndarray, dst: np.ndarray, first: int) -> None:
@@ -273,14 +272,15 @@ def _swap_halves(src: np.ndarray, dst: np.ndarray, first: int) -> None:
 def apply_ansatz(
     states: np.ndarray, spec: AnsatzSpec, layers: list, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """Advance the rows of ``states``, one state each, (N, 2^n), through ``layers`` from
-    ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``. ``states``
-    is not written. With a light cone, the result holds the right probabilities on the
-    measured qubits, not the full final state. The rows are copied in transposed, into
-    the first half of ``work``, complex (2, >= N << n) and allocated if not given; each
-    gather, rotation group and swap writes into the other half, then the halves trade
-    places; a phase step with no gather runs in place. Every product is a real GEMM at
-    most ``GEMM_WIDTH`` floats wide, so a row's result does not depend on N."""
+    """Advance the rows of ``states``, one state each, (N, 2^n), through the steps
+    ``layers`` from ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``.
+    ``states`` is not written. With a light cone, the result holds the right probabilities
+    on the measured qubits, not the full final state. The rows are copied in transposed,
+    into the first half of ``work``, complex (2, >= N << n) and allocated if not given; each
+    rotation group and swap writes into the other half, then the halves trade places; a
+    gather reads into the other half and its phase multiplies back, and a phase step runs
+    in place. Every product is a real GEMM at most ``GEMM_WIDTH`` floats wide, so a row's
+    result does not depend on N."""
     n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
@@ -290,25 +290,19 @@ def apply_ansatz(
     # a short batch takes the first rows << n elements of each half, so it stays contiguous
     cur, other = work[:, : rows << n].reshape(2, 1 << n, rows)
     cur[...] = states.T
-    swapped = False
-    for step, products in layers:
-        if step is not None:
-            inv, phase = step
-            if inv is None:
-                cur *= phase[:, None]
-            else:
+    for step in layers:
+        match step:
+            case ("phase", diag):
+                cur *= diag[:, None]
+            case ("gather", inv, phase):
                 np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
                 np.multiply(other, phase[:, None], out=cur)
-                swapped = False
-        for matrix, qubit, swap in products:
-            if swap:
-                _swap_halves(cur, other, n // 2)
-                cur, other, swapped = other, cur, True
-            apply_block(matrix, cur, qubit, other)
-            cur, other = other, cur
-    if swapped:
-        _swap_halves(cur, other, n - n // 2)
-        cur = other
+            case ("swap", first):
+                _swap_halves(cur, other, first)
+                cur, other = other, cur
+            case ("group", matrix, qubit):
+                apply_block(matrix, cur, qubit, other)
+                cur, other = other, cur
     return cur
 
 

@@ -32,7 +32,7 @@ from . import metrics as metrics_mod
 from . import prep as prep_mod
 from . import vqc as vqc_mod
 from .ansatz import AnsatzSpec
-from .errors import ConfigError, DataError, VqclassError
+from .errors import ConfigError, DataError, VqclassError, shown
 from .featmap import FeatureMapSpec, encode
 from .qkernel import kernel_matrix, kernel_to_csv, row_blocks
 from .spsa import SpsaConfig
@@ -51,50 +51,44 @@ UPSTREAM = {"train": ("prep",), "eval": ("prep", "train"), "kernel": ("prep",),
             "report": ("prep", "train", "eval", "kernel")}
 
 
-def _shown(value) -> str:
-    """``value``'s repr for an error message, cut at 120 characters as model.json's
-    readers cut theirs: a config value can be any size."""
-    return repr(value)[:120]
-
-
 def _float(value, name: str) -> float:
     """A finite JSON number; bool, NaN, Infinity and integers beyond the
     float range raise ConfigError."""
     finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not finite:
-        raise ConfigError(f"{name} must be a finite number, got {_shown(value)}")
+        raise ConfigError(f"{name} must be a finite number, got {shown(value)}")
     return float(value)
 
 
 def _int(value, name: str) -> int:
     """A JSON integer; bool and non-integral or non-finite numbers raise ConfigError."""
     if not _float(value, name).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
 def _seed(value, name: str) -> int:
     """A non-negative integer, as numpy's seeding needs."""
     if _int(value, name) < 0:
-        raise ConfigError(f"{name} must be >= 0, got {_shown(value)}")
+        raise ConfigError(f"{name} must be >= 0, got {shown(value)}")
     return int(value)
 
 
 def _fraction(value, name: str) -> float:
     if not 0.0 < _float(value, name) < 1.0:
-        raise ConfigError(f"{name} must be in (0, 1), got {_shown(value)}")
+        raise ConfigError(f"{name} must be in (0, 1), got {shown(value)}")
     return float(value)
 
 
 def _str(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {_shown(value)}")
+        raise ConfigError(f"{name} must be a string, got {shown(value)}")
     return value
 
 
 def _int_list(value, name: str) -> list[int]:
     if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {_shown(value)}")
+        raise ConfigError(f"{name} must be a list, got {shown(value)}")
     return [_int(v, name) for v in value]
 
 
@@ -179,7 +173,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError: bytes that are not UTF-8, or an integer past Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote a value."""
+
+
+def shown(value) -> str:
+    """``value``'s repr for an error message, cut at 120 characters as model.json's
+    readers cut theirs: a config value or a data file's cell can be any size."""
+    return repr(value)[:120]
 
 
 class VqclassError(Exception):

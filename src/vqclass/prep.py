@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, shown
 
 MAX_CATEGORIES = 64
 
@@ -58,11 +58,13 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
         raise DataError(f"{path}: file is empty (no header row)") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:  # e.g. a cell over the module's field size limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     repeated = sorted({c for c in columns if columns.count(c) > 1})
     if repeated:
-        raise DataError(f"{path}: repeated column names {repeated}")
+        raise DataError(f"{path}: repeated column names {shown(repeated)}")
     if label_column not in columns:
-        raise DataError(f"{path}: label column {label_column!r} not among {columns}")
+        raise DataError(f"{path}: label column {shown(label_column)} not among {shown(columns)}")
     width = len(columns)
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
@@ -73,12 +75,12 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
     label_values = sorted({row[label_idx] for row in rows})
     if len(label_values) != 2:
         raise DataError(
-            f"{path}: label column {label_column!r} has {len(label_values)} distinct "
-            f"values {label_values}, expected exactly 2"
+            f"{path}: label column {shown(label_column)} has {len(label_values)} distinct "
+            f"values {shown(label_values)}, expected exactly 2"
         )
     if positive_label not in label_values:
         raise DataError(
-            f"{path}: positive label {positive_label!r} not among {label_values}"
+            f"{path}: positive label {shown(positive_label)} not among {shown(label_values)}"
         )
     try:
         encoded = one_hot_encode(columns, rows, label_column, positive_label)
@@ -98,7 +100,7 @@ def _try_numeric(name: str, values: list[str]) -> np.ndarray | None:
     filled = [v for v in values if v.strip()]
     if filled and len(filled) < len(values) and _try_numeric(name, filled) is not None:
         row = next(i for i, v in enumerate(values) if not v.strip())
-        raise DataError(f"column {name!r} row {row + 1}: empty cell in a numeric column")
+        raise DataError(f"column {shown(name)} row {row + 1}: empty cell in a numeric column")
     return None
 
 
@@ -124,7 +126,7 @@ def one_hot_encode(
             if not np.all(np.isfinite(numeric)):
                 bad = int(np.argmax(~np.isfinite(numeric)))
                 raise DataError(
-                    f"column {name!r} row {bad + 1}: non-finite value {values[bad]!r}"
+                    f"column {shown(name)} row {bad + 1}: non-finite value {shown(values[bad])}"
                 )
             feature_cols.append(numeric)
             feature_names.append(name)
@@ -132,7 +134,7 @@ def one_hot_encode(
         categories = sorted(set(values))
         if len(categories) > MAX_CATEGORIES:
             raise DataError(
-                f"column {name!r} has {len(categories)} distinct categories "
+                f"column {shown(name)} has {len(categories)} distinct categories "
                 f"(> {MAX_CATEGORIES}); is it a misdeclared numeric column?"
             )
         for cat in categories:

@@ -259,9 +259,32 @@ class TestFastPath:
                 charged = ((spec.table_bytes >> n) - 40 - 16 * (reps + 1)) // 24
                 for size in range(1, n + 1):
                     for measured in itertools.combinations(range(n), size):
-                        layers = ansatz._light_cone(spec, measured)
-                        distinct = {id(gather[0]) for gather, _ in layers if gather is not None}
+                        steps, _ = ansatz._light_cone(spec, measured)
+                        distinct = {id(step[3]) for step in steps if step[0] == "gather"}
                         assert len(distinct) <= charged, (n, reps, measured)
+
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    def test_plan_layouts_replay(self, entanglement):
+        # replaying each plan's swaps: every phase and gather reads the layout it records and
+        # each group runs in the layout its start qubit is given in; no swap but the last,
+        # the swap back, runs on a swapped register; a gather leaves it plain, as does a plan
+        cases = [(n, measured) for n in range(1, 7) for size in range(1, n + 1)
+                 for measured in itertools.combinations(range(n), size)]
+        cases += [(n, None) for n in range(1, 7)] + [(12, (0, 1)), (12, (11,))]
+        for (n, measured), reps in itertools.product(cases, range(1, 4)):
+            h, swapped = n // 2, False
+            steps, _ = ansatz._light_cone(AnsatzSpec(n, reps, entanglement), measured)
+            for i, (kind, *at) in enumerate(steps):
+                if kind == "swap":
+                    assert (at, i) == ([n - h], len(steps) - 1) if swapped else at == [h]
+                    swapped = not swapped
+                elif kind == "group":
+                    q0 = min(at[1] * ansatz.GROUP, n - min(ansatz.GROUP, n))
+                    assert swapped == (0 < h <= q0) and at[2] == q0 - h * swapped
+                else:
+                    assert at[1] == swapped, (n, reps, measured, i)
+                    swapped &= kind != "gather"
+            assert not swapped, (n, reps, measured)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_swapped_layers_match_gate_oracle(self, n):
@@ -270,8 +293,9 @@ class TestFastPath:
         # gate kept (measured None) each layer swaps and the state comes back whole
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear"),
                         measured_qubits=(n - 1,))
-        _, (runs, _) = ansatz._light_cone(cfg.ansatz, cfg.measured_qubits)[-1]
-        assert runs[0][2]  # the last layer's first live group swaps: all of them lie high
+        steps, _ = ansatz._light_cone(cfg.ansatz, cfg.measured_qubits)
+        first = next(i for i, s in enumerate(steps) if s[:2] == ("group", cfg.ansatz.reps))
+        assert steps[first - 1][0] == "swap"  # the last layer's first live group swaps: all high
         rng = np.random.default_rng(n)
         x = rng.uniform(0, 1, size=(3, n))
         params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)

@@ -301,6 +301,15 @@ class TestGuards:
     def test_missing_config_file(self, tmp_path):
         assert main(["prep", "--config", str(tmp_path / "none.json")]) == 1
 
+    def test_huge_config_integer_rejected(self, tmp_path, capsys):
+        # past Python's 4,300-digit limit json.load raised a bare ValueError: exit 2
+        cfg_path = small_config(tmp_path)
+        text = cfg_path.read_text(encoding="utf-8").replace('"pca_k": 2', '"pca_k": ' + "9" * 5_000)
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        assert f"cannot read config file {cfg_path}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "section, value, message",
         [

@@ -64,6 +64,25 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="UTF-8"):
             load_csv(str(path), "class", "P")
 
+    def test_overlong_cell_rejected(self, tmp_path):
+        # a cell over the csv module's 131,072-character field limit raised _csv.Error: exit 2
+        path = write_csv(tmp_path, "a,class\n1,P\n" + "9" * 200_000 + ",H\n")
+        with pytest.raises(DataError, match=r"line 3: field larger than field limit"):
+            load_csv(path, "class", "P")
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("a,class\n1,P\n" + "9" * 5_000 + ",H\n", "class"),  # a non-finite cell
+        ("a,class\n1,P\n2,H\n", "c" * 10_000),  # a label column not in the header
+        ("a,class\n" + "".join(f"{i},{'v' * 10_000}{i}\n" for i in range(3)), "class"),
+        ("{0},{0},class\n1,2,P\n3,4,H\n".format("a" * 10_000), "class"),  # repeated names
+    ], ids=["non-finite-cell", "label-column", "label-values", "repeated-names"])
+    def test_message_quotes_bounded_values(self, tmp_path, text, label_column):
+        # each value the message quotes is cut at 120 characters
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            load_csv(path, label_column, "P")
+        assert len(str(err.value)) - len(path) < 300, str(err.value)[:400]
+
     def test_ragged_row_names_row_number(self, tmp_path):
         rows = ["a,b,class"] + [f"{i},{i},H" for i in range(1, 7)] + ["7,P", "8,8,P"]
         path = write_csv(tmp_path, "\n".join(rows) + "\n")

@@ -62,8 +62,8 @@ def random_instance(rng, rows):
 
 def issued_products(n):
     """(start qubit, k) of each rotation product the whole ansatz runs at n qubits."""
-    cone = ansatz._light_cone(AnsatzSpec(n, 2, "full"), None)
-    return {(qubit, min(3, n)) for _, (runs, _) in cone for _, qubit, _ in runs}
+    steps, _ = ansatz._light_cone(AnsatzSpec(n, 2, "full"), None)
+    return {(step[3], min(3, n)) for step in steps if step[0] == "group"}
 
 
 def run_classifier(fmap, spec, x, params):
