@@ -1,12 +1,9 @@
 """Variational quantum classifier pipeline for binary tabular classification.
 
-One fixed circuit, simulated on dense statevectors: a phase-encoding
-feature map evaluated in closed form (with fidelity kernels), a
-trainable RY/RZ + CY/CZ ansatz run as fused 3-qubit rotation blocks and
-CY/CZ block gathers and optimized by simultaneous perturbation, and a parity
-readout; plus classical preprocessing and evaluation metrics, wired
-together by a reproducible command-line pipeline.
-"""
+A phase-encoding feature map (with fidelity kernels), a trainable RY/RZ + CY/CZ ansatz
+optimized by simultaneous perturbation and a parity readout, simulated on dense
+statevectors; plus classical preprocessing, evaluation metrics and a reproducible
+command-line pipeline. README's "Simulator" section tells how the circuit is run."""
 
 from .ansatz import AnsatzSpec, init_params
 from .errors import (

@@ -1,52 +1,12 @@
 """Trainable circuit: repeated RY/RZ rotation layers with CY/CZ links.
 
-Each repetition applies an RY rotation to every qubit, then an RZ
-rotation to every qubit, then an entangling block; a final RY+RZ layer
-closes the circuit. Parameters are numbered layer-major, qubit-minor,
-giving 2 * n_qubits * (reps + 1) in total: viewed as an array of shape
-(reps + 1, 2, n_qubits), entry [r, 0, q] is the RY angle and [r, 1, q]
-the RZ angle of qubit q in layer r. ``_light_cone`` plans the circuit once
-per topology and measured set, as one run-order list of steps (swaps,
-rotation groups, gathers and phases), and decides there every swap and the
-layout each step reads. ``build_ansatz`` binds the vector into those steps:
-each layer's RY(theta) rotations become one real matrix per group of GROUP
-adjacent qubits (gate fusion, as in qsim: Isakov et al., arXiv:2111.02396),
-run as a float64 product on the states' float view; a last group short of
-GROUP qubits reaches back over the one before, with the identity there, so
-every product is 8x8 from n = 3 on. A layer's RZs make one diagonal over
-the 2^n basis states, folded into the phase of the gather that opens the
-next layer (below). ``apply_ansatz`` runs the bound steps in one flat loop
-on states given one per row (``vqc.p_ad`` binds them once per call and
-hands over one row block at a time) and returns them batch-last.
-
-A product on qubits [q0, q0 + 3) of batch-last amplitudes is a stack of
-2^q0 products, each 2^(n - q0 - 3) times the batch wide, so a group near
-the end of the register would run as many narrow products. With h = n // 2,
-groups with q0 < h run in place; before a layer's first live group with
-q0 >= h, one transposing copy moves the register's first h qubits after the
-rest (the cache-blocking qubit swap of Haener and Steiger, SC17,
-arXiv:1704.01127), and those groups run at q0 - h. The next entangling
-gather reads straight from the swapped layout, its index composed with the
-swap once and cached; a plan that ends swapped ends with one more copy, the
-swap back.
-
-The entangling block pairs neighbours (linear) or all pairs (full) and
-alternates CY/CZ along the pair sequence: CY on even-position links, CZ
-on odd. A block sends each basis state to one basis state times a phase
-in {1, -1, i, -i}, so it runs as one gather (an index array and a phase
-vector, built once per block), bit-identical to applying its links
-one by one. A gather computes out[b] = in[inv[b]] * phase[b], so the RZ
-diagonal D of the layer before it rides along in the phase:
-phase[b] * D[inv[b]], with D built in the layout the register is in there
-(``inv`` is composed with the swap). Where no gather follows a live RZ
-layer (n = 1, whose block has no link; the final layer when every gate is
-kept) D runs as a phase step of its own.
-
-Given the measured qubits, only gates in the readout's light cone run:
-walking backward from them, gates whose qubits all lie outside the cone
-and the final RZ layer (diagonal before a Z-basis readout) are dropped.
-So 2n - |measured| or more parameters are dead for the readout; the
-vector keeps them and its layout.
+Each of ``reps`` repetitions applies RY then RZ to every qubit, then an entangling block
+whose links (``featmap.entangled_pairs``) alternate CY on even positions and CZ on odd; a
+final RY+RZ layer closes the circuit. The 2 * n * (reps + 1) parameters, viewed as
+(reps + 1, 2, n), hold layer r's RY angle of qubit q at [r, 0, q] and its RZ angle at
+[r, 1, q]. Given the measured qubits only the gates in the readout's light cone run, and
+the dead parameters keep their place in the vector. ``build_ansatz`` binds a vector into
+the planned steps and ``apply_ansatz`` runs them on a block of states.
 """
 
 from __future__ import annotations
@@ -58,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BindingError, ConfigError
-from .featmap import ENTANGLEMENTS, entangled_pairs
-from .statevec import COUNT_BYTES, MAX_QUBITS, apply_block, physical_memory
+from .featmap import check_topology, entangled_pairs
+from .statevec import COUNT_BYTES, apply_block, physical_memory
 
 # qubits per fused rotation block: 3 and 4 were about as fast at n = 5, 8 and 12, 2 lost at 12
 GROUP = 3
@@ -76,15 +36,10 @@ class AnsatzSpec:
     entanglement: str = "linear"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        check_topology(self)
         if self.n_params * COUNT_BYTES + self.table_bytes > physical_memory():
             raise ConfigError(f"reps = {self.reps} needs more than the physical memory "
                               f"at {COUNT_BYTES} B per parameter plus its gather and phase tables")
-        if self.entanglement not in ENTANGLEMENTS:
-            raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
     @property
     def n_params(self) -> int:
@@ -94,12 +49,10 @@ class AnsatzSpec:
     def table_bytes(self) -> int:
         """Bytes of the tables ``vqc.p_ad`` caches or binds, whatever the batch: per basis
         state, 24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
-        first block back from the readout reaches every qubit), 8 B of mask, 32 B of build,
-        and 16 B per RZ phase vector a call binds: one per layer after the first, one more
-        for the RZ diagonal that the step being built reads or, with every gate kept, the
-        last layer's. A gather is cached either plain or composed with the half-register
-        swap, never both: whether its input is swapped follows from its links (see
-        ``_light_cone``)."""
+        first block back from the readout reaches every qubit; each cached in one form, see
+        ``_light_cone``), 8 B of mask, 32 B of build, and 16 B per RZ phase vector a call
+        binds: one per layer after the first, one more for the RZ diagonal that the step
+        being built reads or, with every gate kept, the last layer's."""
         gathers = min(self.reps, 2 if self.entanglement == "full" else self.n_qubits)
         return (24 * gathers + 16 * (self.reps + 1) + 40) << self.n_qubits
 
@@ -111,10 +64,11 @@ def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
 
 @functools.lru_cache(maxsize=16)
 def block_gather(n: int, links: tuple, swapped: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(inv, phase) such that applying ``links`` in order to states of n
-    qubits, shape (..., 2^n), gives ``states[..., inv] * phase``. With ``swapped``,
-    ``inv`` reads states held with their first n // 2 qubits after the rest, as
-    ``apply_ansatz`` leaves them after its swap, and the result is in plain order."""
+    """(inv, phase) such that applying ``links`` in order to states of n qubits, shape
+    (..., 2^n), gives ``states[..., inv] * phase``: each link sends a basis state to one
+    basis state times a phase in {1, -1, i, -i}, so the gather is exact. With ``swapped``,
+    ``inv`` reads states held with their first n // 2 qubits after the rest, as a swap step
+    leaves them, and the result is in plain order."""
     image = np.arange(1 << n)  # where each basis state is sent
     gain = np.ones(1 << n, dtype=np.complex128)  # and the phase it picks up
     for kind, (control, target) in links:
@@ -137,16 +91,25 @@ def block_gather(n: int, links: tuple, swapped: bool = False) -> tuple[np.ndarra
 @functools.lru_cache(maxsize=16)
 def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[list, np.ndarray]:
     """The ansatz as (steps, factors). ``factors``, (layers, 2, n) and read-only, halves
-    live RY and RZ angles and zeros dead ones; ``measured`` None keeps every gate. The
-    steps, in run order: ("swap", first) moves the register's ``first`` leading qubits
-    after the rest; ("group", layer, g, qubit) runs group g's RY product of ``layer`` from
-    ``qubit`` of the layout the register is in; ("phase", layer, swapped) runs the RZ
-    diagonal of ``layer`` alone, and ("gather", layer, swapped, inv, phase) the gather of
-    the live links of the block after it with that diagonal folded in; both read the
-    layout ``swapped`` records, and a gather leaves the register plain. From n = 2 on
-    every qubit in a cone has a link, so every layer after the first opens with a
-    gather; and the cone before a gather is the qubits of its links, so whether it reads
-    swapped states follows from its links and each gather is cached in one form."""
+    live RY and RZ angles and zeros dead ones; ``measured`` None keeps every gate. Walking
+    back from the measured qubits, a gate whose qubits all lie outside the cone is dead,
+    and so are the last RZs, diagonal before a Z-basis readout: 2n - |measured| or more
+    parameters are dead. The steps, in run order: ("swap", first) moves the register's
+    ``first`` leading qubits after the rest; ("group", layer, g, qubit) runs group g's RY
+    product of ``layer`` from ``qubit`` of the layout the register is in; ("phase", layer,
+    swapped) runs the RZ diagonal of ``layer`` alone, and ("gather", layer, swapped, inv,
+    phase) the gather of the live links of the block after it with that diagonal folded
+    in; both read the layout ``swapped`` records, and a gather leaves the register plain.
+
+    A product on qubits [q0, q0 + 3) of batch-last states is a stack of 2^q0 products each
+    2^(n - q0 - 3) times the batch wide, so a group high in the register would run as many
+    narrow ones. With h = n // 2, groups at q0 < h run in place; before a layer's first
+    live group at q0 >= h, one swap moves the first h qubits after the rest (the
+    cache-blocking qubit swap of Haener and Steiger, SC17, arXiv:1704.01127), and those
+    groups run at q0 - h. A plan that ends swapped ends with the swap back. From n = 2 on
+    every qubit in a cone has a link, so every layer after the first opens with a gather;
+    and the cone before a gather is the qubits of its links, so whether it reads swapped
+    states follows from its links and each gather is cached in one form."""
     n, h = spec.n_qubits, spec.n_qubits // 2
     cone = set(range(n) if measured is None else measured)
     backward = []
@@ -187,7 +150,8 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[lis
 def _group_tables(n: int) -> tuple[np.ndarray, ...]:
     """Group g's k = min(GROUP, n) qubits [q0, q0 + k), q0 = min(g * GROUP, n - k), [g, j],
     and whether g owns each (it lies in [g * GROUP, n)); which of qubit j's (cos, sin, -sin)
-    RY puts at row r, column c of a group's matrix, [j, r, c]."""
+    RY puts at row r, column c of a group's matrix, [j, r, c]. A last group short of GROUP
+    qubits reaches back over the one before, so every product is 2^k x 2^k."""
     k, start = min(GROUP, n), np.arange(0, n, GROUP)[:, None]
     qubit = np.minimum(start, n - k) + np.arange(k)
     bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
@@ -197,8 +161,9 @@ def _group_tables(n: int) -> tuple[np.ndarray, ...]:
 
 def _rotation_layers(half: np.ndarray):
     """Per layer r of the RY half angles ``half``, (layers, n), each group's real 2^k x 2^k
-    matrix: the Kronecker product of the RY(2 * half[r, q]) 2x2s of its qubits, products of
-    cosines and sines, with the identity on those it does not own."""
+    matrix: the Kronecker product of the RY(2 * half[r, q]) 2x2s of its qubits (gate fusion,
+    as in qsim: Isakov et al., arXiv:2111.02396), products of cosines and sines, with the
+    identity on those it does not own."""
     qubit, owned, ry_entry = _group_tables(half.shape[-1])
     for first in range(0, len(half), BUILD_LAYERS):
         part = half[first : first + BUILD_LAYERS][..., qubit] * owned
@@ -273,14 +238,11 @@ def apply_ansatz(
     states: np.ndarray, spec: AnsatzSpec, layers: list, work: np.ndarray | None = None
 ) -> np.ndarray:
     """Advance the rows of ``states``, one state each, (N, 2^n), through the steps
-    ``layers`` from ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``.
-    ``states`` is not written. With a light cone, the result holds the right probabilities
-    on the measured qubits, not the full final state. The rows are copied in transposed,
-    into the first half of ``work``, complex (2, >= N << n) and allocated if not given; each
-    rotation group and swap writes into the other half, then the halves trade places; a
-    gather reads into the other half and its phase multiplies back, and a phase step runs
-    in place. Every product is a real GEMM at most ``GEMM_WIDTH`` floats wide, so a row's
-    result does not depend on N."""
+    ``layers`` from ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``,
+    complex (2, >= N << n) and allocated if not given. ``states`` is not written. With a
+    light cone, the result holds the right probabilities on the measured qubits, not the
+    full final state. Every product is a real GEMM at most ``GEMM_WIDTH`` floats wide, so a
+    row's result does not depend on N."""
     n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")

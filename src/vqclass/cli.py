@@ -1,17 +1,12 @@
-"""Command-line pipeline: prep, train, eval, kernel, and report verbs.
+"""Command-line pipeline: prep, train, eval, kernel and report verbs over one JSON config.
 
-Every run is driven by a single JSON config with all seeds explicit, so
-repeating a command with the same config and inputs yields byte-identical
-artifacts. Each verb's files, named in ARTIFACTS, are streamed line by
-line and write-once per output directory, all checked before the verb
-writes any; pass --force to overwrite. The check also covers the files
-made from them (UPSTREAM), which --force removes first, so no directory
-mixes two runs. ``prep`` records the resolved config and the sha256 of
-the input in model.json, and train, eval and kernel refuse to run when
-either has changed since.
-
-Exit codes: 0 success, 1 user/config error, 2 internal error.
-"""
+Every seed is in the config, so a rerun with the same config and input makes
+byte-identical artifacts. A verb's files (ARTIFACTS) are write-once per output
+directory: it checks them, and the files made from them (UPSTREAM), before it writes
+any, and --force overwrites them and removes the downstream ones, so no directory mixes
+two runs. prep records the resolved config and the input's sha256 in model.json; train,
+eval and kernel refuse to run when either has changed since. Exit codes: 0 success,
+1 user or config error, 2 internal error."""
 
 from __future__ import annotations
 
@@ -32,7 +27,7 @@ from . import metrics as metrics_mod
 from . import prep as prep_mod
 from . import vqc as vqc_mod
 from .ansatz import AnsatzSpec
-from .errors import ConfigError, DataError, VqclassError, shown
+from .errors import ConfigError, DataError, VqclassError, reason, shown, shown_path
 from .featmap import FeatureMapSpec, encode
 from .qkernel import kernel_matrix, kernel_to_csv, row_blocks
 from .spsa import SpsaConfig
@@ -170,12 +165,12 @@ def load_config(path: str) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"config file not found: {shown_path(path)}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"config file {shown_path(path)} is not valid JSON: {exc}") from None
     # ValueError: bytes that are not UTF-8, or an integer past Python's digit limit
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"cannot read config file {shown_path(path)}: {reason(exc)}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     given = {}
@@ -224,21 +219,23 @@ def _artifact_paths(cfg: RunConfig, verb: str, force: bool) -> list[Path]:
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"output_dir {cfg.out} is not a directory") from None
+        raise ConfigError(f"output_dir {shown_path(cfg.out)} is not a directory") from None
     except OSError as exc:
-        raise ConfigError(f"cannot create output_dir {cfg.out}: {exc}") from None
+        raise ConfigError(f"cannot create output_dir {shown_path(cfg.out)}: "
+                          f"{reason(exc)}") from None
     paths = [cfg.out / name for name in ARTIFACTS[verb]]
     stale = [cfg.out / name for later, upstream in UPSTREAM.items() if verb in upstream
              for name in ARTIFACTS[later]]
     for path in paths + stale:
         if path.exists() and not force:
             action = "overwrite existing" if path in paths else f"remove {verb}'s downstream"
-            raise ConfigError(f"refusing to {action} artifact {path}; pass --force")
+            raise ConfigError(f"refusing to {action} artifact {shown_path(path)}; pass --force")
     for path in stale:
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot remove stale artifact {path}: {exc}") from None
+            raise ConfigError(f"cannot remove stale artifact {shown_path(path)}: "
+                              f"{reason(exc)}") from None
     return paths
 
 
@@ -253,7 +250,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write artifact {path}: {exc}") from None
+            raise ConfigError(f"cannot write artifact {shown_path(path)}: {reason(exc)}") from None
         raise
 
 
@@ -275,7 +272,7 @@ def _floats(path: Path, name: str, value, shape: tuple, verb: str) -> np.ndarray
             leaves = [x for row in leaves for x in row]
         return np.array([_float(x, "each entry") for x in leaves]).reshape(shape)
     except ConfigError as exc:
-        raise DataError(f"{path} {name}: {str(exc)[:120]}; rerun {verb} --force") from None
+        raise DataError(f"{shown_path(path)} {name}: {reason(exc)}; rerun {verb} --force") from None
 
 
 def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
@@ -284,8 +281,7 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
     and non-empty, disjoint, unique row ids, and its train and test splits
     with the stored PCA and min-max applied."""
     path = cfg.out / MODEL_FILE
-    if not path.exists():
-        raise DataError(f"missing {path}; run the prep command first")
+    where = shown_path(path)
     n, d = data.features.shape
     k = cfg.values["prep.pca_k"]
     # the fitted arrays under model.json's "prep", and the shape each must have
@@ -297,27 +293,29 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
         raw = {part: {key: model["prep"][part][key] for key in keys}
                for part, keys in shapes.items()}
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataError(f"missing {where}; run the prep command first") from None
     except (OSError, RecursionError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path} is not a model file written by prep ({type(exc).__name__}: "
-                        f"{str(exc)[:120]}); rerun prep --force") from None  # repr holds the input
+        raise DataError(f"{where} is not a model file written by prep ({type(exc).__name__}: "
+                        f"{reason(exc)}); rerun prep --force") from None
     if digest != data.sha256:
-        raise DataError(f"input {cfg.values['data.path']} changed since prep (sha256 "
+        raise DataError(f"input {shown_path(cfg.values['data.path'])} changed since prep (sha256 "
                         f"{digest} -> {data.sha256}); rerun prep --force")
     record = cfg.record
     for name in {**stored, **record}:  # REQUIRED stands in for a key absent on one side
         if stored.get(name, REQUIRED) != record.get(name, REQUIRED):
             raise ConfigError(
-                f"config key {name!r} is {record.get(name)!r} but {path} was prepared "
-                f"with {stored.get(name)!r}; rerun prep --force"
+                f"config key {shown(name)} is {shown(record.get(name))} but {where} was "
+                f"prepared with {shown(stored.get(name))}; rerun prep --force"
             )
     fitted = {part: {key: _floats(path, f"prep.{part}.{key}", raw[part][key], shape, "prep")
                      for key, shape in keys.items()} for part, keys in shapes.items()}
     if not all(isinstance(rows, list) and rows and all(type(i) is int and 0 <= i < n for i in rows)
                for rows in ids):
-        raise DataError(f"{path} split ids must be non-empty lists of integers in [0, {n}); "
+        raise DataError(f"{where} split ids must be non-empty lists of integers in [0, {n}); "
                         "rerun prep --force")
     if len(set(ids[0]) | set(ids[1])) != len(ids[0]) + len(ids[1]):
-        raise DataError(f"{path} has a split id twice, within or across train and test; "
+        raise DataError(f"{where} has a split id twice, within or across train and test; "
                         "rerun prep --force")
     splits = []
     for rows in map(np.array, ids):
@@ -333,7 +331,7 @@ def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     if v["prep.pca_k"] > data.features.shape[1]:
         raise ConfigError(
             f"pca_k = {v['prep.pca_k']} exceeds the {data.features.shape[1]} encoded "
-            f"feature columns of {v['data.path']}"
+            f"feature columns of {shown_path(v['data.path'])}"
         )
     model_path, *split_paths = _artifact_paths(cfg, "prep", force)
     train, test = prep_mod.stratified_split(data.labels, v["prep.test_fraction"], v["prep.seed"])
@@ -360,7 +358,8 @@ def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None
     model, train, _ = _load_stage(cfg, data)
     if "params" in model and not force:
         raise ConfigError(
-            f"{cfg.out / MODEL_FILE} already holds trained parameters; pass --force to retrain"
+            f"{shown_path(cfg.out / MODEL_FILE)} already holds trained parameters; "
+            "pass --force to retrain"
         )
     (loss_path,) = _artifact_paths(cfg, "train", force)
     params, history = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
@@ -380,7 +379,8 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     model, train, test = _load_stage(cfg, data)
     if "params" not in model:
         raise DataError(
-            f"{cfg.out / MODEL_FILE} has no trained parameters; run the train command first"
+            f"{shown_path(cfg.out / MODEL_FILE)} has no trained parameters; "
+            "run the train command first"
         )
     params = _floats(cfg.out / MODEL_FILE, "params", model["params"],
                      (cfg.vqc.ansatz.n_params,), "train")

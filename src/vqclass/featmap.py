@@ -1,15 +1,11 @@
 """Second-order phase feature map, evaluated in closed form for a batch.
 
-One qubit per feature (min-max normalized to [0, 1]). Each repetition is
-H on every qubit, P(2*phi_j) per qubit and, for every entangled pair
-(j, k), CX(j,k) P_k(2*phi_jk) CX(j,k), with the fixed angle map
-phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k). All of those phase terms
-are diagonal, so a repetition is H^n followed by the phase
-exp(i * [sum_j 2 phi_j b_j + sum_(j,k) 2 phi_jk (b_j XOR b_k)]) on
-basis state |b_0 ... b_(n-1)>. ``encode`` builds it by doubling, in O(2^n)
-complex products of per-row unit factors a row, with no cosine or sine per
-basis state (see ``_diagonal``).
-"""
+One qubit per feature (min-max normalized to [0, 1]). Each repetition is H on every
+qubit, P(2*phi_j) per qubit and, for every entangled pair (j, k), CX(j,k) P_k(2*phi_jk)
+CX(j,k), with the fixed angle map phi_j = x_j and phi_jk = (pi - x_j)(pi - x_k). All of
+those phase terms are diagonal, so a repetition is H^n followed by the phase
+exp(i * [sum_j 2 phi_j b_j + sum_(j,k) 2 phi_jk (b_j XOR b_k)]) on basis state
+|b_0 ... b_(n-1)>. The module also holds the topology checks both specs share."""
 
 from __future__ import annotations
 
@@ -38,15 +34,21 @@ class FeatureMapSpec:
     entanglement: str = "full"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        check_topology(self)
         if (self.reps - 1) * self.n_qubits > MAX_H_GATES:
             raise ConfigError(f"reps must be <= {1 + MAX_H_GATES // self.n_qubits} at "
                               f"n={self.n_qubits} ({MAX_H_GATES} H gates), got {self.reps}")
-        if self.entanglement not in ENTANGLEMENTS:
-            raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
+
+
+def check_topology(spec) -> None:
+    """The checks a feature map's and an ansatz's spec share: the qubit count, the
+    repetitions and the entanglement; each raises ConfigError."""
+    if not 1 <= spec.n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in [1, {MAX_QUBITS}], got {spec.n_qubits}")
+    if spec.reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {spec.reps}")
+    if spec.entanglement not in ENTANGLEMENTS:
+        raise ConfigError(f"entanglement must be one of {ENTANGLEMENTS}")
 
 
 def entangled_pairs(spec) -> list[tuple[int, int]]:
@@ -57,20 +59,18 @@ def entangled_pairs(spec) -> list[tuple[int, int]]:
 
 
 def _diagonal(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """2^(-n/2) exp(i * phase) of basis state |b_0 ... b_(n-1)> (qubit 0 most
-    significant) per row of ``x``, as products of unit complex factors. As
-    b_j XOR b_k = b_j + b_k - 2 b_j b_k, the phase is the sum over set bits b_j of
-    2 phi_j plus 2 phi_jk for each of j's pairs (j, k), less 4 phi_jk for each pair
-    with both bits set. So by doubling, from the last qubit up, qubit j copies
-    columns [0, m) to [m, 2m), where b_j is set, times its own factor and the
-    e^(-4i phi_jk) of its pairs with b_k set, themselves doubled from the last k up.
-    A pair's angle rounds alike in all three of its factors, so it cancels where both
-    bits are set, and no phase is summed whole: no cosine of an angle that grows with
-    the pair count. numpy rounds a complex product on a one-element loop apart from a
-    longer one when it is in place, or when the loop runs down a batch's rows; so the
-    per-row factors are multiplied into new arrays, and every product over a block of
-    columns runs along at least 2 of them in each row: a row's state is the same in any
-    batch."""
+    """2^(-n/2) exp(i * phase) of basis state |b_0 ... b_(n-1)> per row of ``x``, as
+    products of unit complex factors. As b_j XOR b_k = b_j + b_k - 2 b_j b_k, the phase is
+    the sum over set bits b_j of 2 phi_j plus 2 phi_jk for each of j's pairs (j, k), less
+    4 phi_jk for each pair with both bits set. So by doubling, from the last qubit up,
+    qubit j copies columns [0, m) to [m, 2m), where b_j is set, times its own factor and
+    the e^(-4i phi_jk) of its pairs with b_k set, themselves doubled from the last k up.
+    A pair's angle rounds alike in all three of its factors, so it cancels where both bits
+    are set, and no phase is summed whole: no cosine of an angle that grows with the pair
+    count. numpy rounds a complex product on a one-element loop apart from a longer one
+    when it is in place, or when the loop runs down a batch's rows; so the per-row factors
+    are multiplied into new arrays, and every product over a block of columns runs along
+    at least 2 of them in each row: a row's state is the same in any batch."""
     n, rows = spec.n_qubits, len(x)
     angle = {(j, k): 2.0 * (np.pi - x[:, j]) * (np.pi - x[:, k])  # 2 phi_jk
              for j, k in entangled_pairs(spec)}
@@ -110,11 +110,8 @@ def state_memory(n_rows: int, spec: FeatureMapSpec) -> int:
 
 
 def encode(x: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """Encode a batch of normalized feature vectors, shape (N, n), into
-    the (N, 2^n) amplitudes of the states they map to.
-
-    Features must already be min-max normalized: every entry in [0, 1].
-    """
+    """The (N, 2^n) amplitudes of the states a batch of feature vectors, (N, n), maps to.
+    Features must already be min-max normalized: every entry in [0, 1]."""
     n = spec.n_qubits
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:

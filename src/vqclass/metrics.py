@@ -1,8 +1,5 @@
-"""Binary-classification evaluation: confusion counts, the four derived
-scores, and rank-based AUROC, reported for both choices of positive class.
-Everything is a plain dict: ``confusion`` counts, ``scores_from_confusion``
-makes one report row from the counts and an AUROC, and ``full_report``
-returns the ``metrics.json`` record itself, one row per positive class."""
+"""Binary-classification evaluation as plain dicts: confusion counts, the four derived
+scores and rank-based AUROC, reported for both choices of positive class."""
 
 from __future__ import annotations
 

@@ -1,25 +1,23 @@
-"""Tabular ingestion and preprocessing: CSV loading, one-hot encoding,
-PCA down to the qubit count, min-max normalization, stratified splitting.
+"""Tabular ingestion and preprocessing: CSV loading, one-hot encoding, PCA down to the
+qubit count, min-max normalization, stratified splitting.
 
-``load_csv`` returns one ``Table``: the one-hot encoded features, the 0/1
-labels, the feature names and the sha256 of the file's bytes. A split is
-a pair of sorted row-index arrays into that table; a row's index is its
-sample id in every artifact.
-
-The fitted PCA and min-max are dicts of arrays, keyed as in model.json, fit
-on training rows only; applying them to test rows leaves them unchanged.
-"""
+``load_csv`` returns one ``Table``: the one-hot encoded features, the 0/1 labels, the
+feature names and the sha256 of the file's bytes. A split is a pair of sorted row-index
+arrays into that table; a row's index is its sample id in every artifact. The fitted PCA
+and min-max are dicts of arrays, keyed as in model.json, fit on training rows only;
+applying them to test rows leaves them unchanged."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, shown
+from .errors import ConfigError, DataError, reason, shown, shown_path
 
 MAX_CATEGORIES = 64
 
@@ -34,58 +32,56 @@ class Table(NamedTuple):
 
 
 def load_csv(path: str, label_column: str, positive_label: str) -> Table:
-    """Read a comma-delimited UTF-8 table with a header row, one-hot
-    encode it and hash the bytes it was parsed from, a leading byte-order
-    mark included; the mark itself is not part of the first column's name.
-
-    The label column must exist and hold exactly two distinct values,
-    one of which is ``positive_label``. The first structural defect is
-    reported with its 1-based data-row number.
-    """
+    """Read a comma-delimited UTF-8 table with a header row, one-hot encode it and hash
+    the bytes it was parsed from, a leading byte-order mark included; the mark itself is
+    not part of the first column's name. The label column must exist and hold exactly two
+    distinct values, one of which is ``positive_label``. The first structural defect is
+    reported with its 1-based data-row number."""
+    where = shown_path(path)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
+        raise DataError(f"input file not found: {where}") from None
     except OSError as exc:
-        raise DataError(f"cannot read input file {path}: {exc}") from None
+        raise DataError(f"cannot read input file {where}: {reason(exc)}") from None
     # decoded in chunks, as a text-mode open would, so no decoded copy of the file is held
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     try:
         columns = next(reader)
         rows = list(reader)
     except StopIteration:
-        raise DataError(f"{path}: file is empty (no header row)") from None
+        raise DataError(f"{where}: file is empty (no header row)") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+        raise DataError(f"{where}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:  # e.g. a cell over the module's field size limit
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    repeated = sorted({c for c in columns if columns.count(c) > 1})
+        raise DataError(f"{where}: line {reader.line_num}: {exc}") from None
+    repeated = sorted(c for c, count in Counter(columns).items() if count > 1)
     if repeated:
-        raise DataError(f"{path}: repeated column names {shown(repeated)}")
+        raise DataError(f"{where}: repeated column names {shown(repeated)}")
     if label_column not in columns:
-        raise DataError(f"{path}: label column {shown(label_column)} not among {shown(columns)}")
+        raise DataError(f"{where}: label column {shown(label_column)} not among {shown(columns)}")
     width = len(columns)
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            raise DataError(f"{where}: row {i} has {len(row)} cells, expected {width}")
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError(f"{where}: no data rows")
     label_idx = columns.index(label_column)
     label_values = sorted({row[label_idx] for row in rows})
     if len(label_values) != 2:
         raise DataError(
-            f"{path}: label column {shown(label_column)} has {len(label_values)} distinct "
+            f"{where}: label column {shown(label_column)} has {len(label_values)} distinct "
             f"values {shown(label_values)}, expected exactly 2"
         )
     if positive_label not in label_values:
         raise DataError(
-            f"{path}: positive label {shown(positive_label)} not among {shown(label_values)}"
+            f"{where}: positive label {shown(positive_label)} not among {shown(label_values)}"
         )
     try:
         encoded = one_hot_encode(columns, rows, label_column, positive_label)
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{where}: {exc}") from None
     return Table(*encoded, hashlib.sha256(raw).hexdigest())
 
 
@@ -145,12 +141,9 @@ def one_hot_encode(
 
 
 def pca_fit(train_features: np.ndarray, k: int) -> dict:
-    """Top-k principal directions of the training rows, via SVD: ``mean``
-    (d,), orthonormal ``components`` (k, d) and ``explained_variance`` (k,).
-
-    Sign convention: each component's largest-magnitude entry is made
-    positive, so the decomposition is deterministic.
-    """
+    """Top-k principal directions of the training rows, via SVD: ``mean`` (d,),
+    orthonormal ``components`` (k, d) and ``explained_variance`` (k,). Each component's
+    largest-magnitude entry is made positive, so the decomposition is deterministic."""
     x = np.asarray(train_features, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"expected a 2-D feature matrix, got shape {x.shape}")

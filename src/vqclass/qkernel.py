@@ -1,31 +1,10 @@
-"""Exact pairwise state-overlap (fidelity) kernels of encoded states.
+"""Exact pairwise state-overlap (fidelity) kernels of encoded states, and their CSV.
 
 Entry (i, j) is |<phi(b_j)|phi(a_i)>|^2 of two batches of states from
-``featmap.encode``, so a same-set Gram matrix is symmetric, unit-diagonal,
-and positive semidefinite up to float roundoff. One matrix product gives a
-row block's overlaps with the whole right-hand batch. The CLI streams a
-kernel through ``row_blocks``: each block's fidelities are computed,
-formatted and written before the next block's are, so no N x M array and
-no conjugate copy of the right-hand batch exists, and the CSV export yields
-one row's line at a time.
-
-The export writes each value exactly as ``"%.17g" % v`` does, but numpy
-formats a chunk of whole rows at a time (``CHUNK_VALUES`` values), so
-Python runs once per row. For v in [1e-4, 1) the 17 significant digits
-are the integer d nearest v * 10^k, where k = 16 - floor(log10 v) is in
-[17, 20] and comes from comparing v with the doubles 1e-3, 1e-2 and 1e-1,
-so 10^k is an exact double. Dekker's product (Veltkamp split by 2^27 + 1;
-each ufunc call rounds once, so nothing is fused) gives hi + lo ==
-v * 10^k exactly; hi is at least 2^53, so an even integer, and
-d = hi + rint(lo) is the product rounded half to even, as ``%.17g``
-rounds. Each value becomes a 32-byte cell: ",0.", its leading zeros and
-d in groups of three digits from a 1000-entry table, trailing zeros
-dropped; the nul and space bytes that pad the cells are deleted from
-the chunk's text. Every other value (0, 1, below 1e-4, negative, NaN,
-inf), and any whose d does not have 17 digits, is written into its cell
-by Python's own ``%.17g``, one format string for all of a chunk's such
-values.
-"""
+``featmap.encode``, so a same-set Gram matrix is symmetric, unit-diagonal and positive
+semidefinite up to float roundoff. ``row_blocks`` cuts a kernel's rows into blocks that
+are computed and formatted one at a time, and ``kernel_to_csv`` writes each value
+exactly as ``"%.17g" % v`` does."""
 
 from __future__ import annotations
 
@@ -62,8 +41,12 @@ _GROUPS = _words([b"%03d" % g for g in range(1000)]
 
 
 def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(decade index i, d): each x in [1e-4, 1), rounded to 17 significant
-    digits, is d * 10^-k with k = 20 - i."""
+    """(decade index i, d): each x in [1e-4, 1), rounded to 17 significant digits, is
+    d * 10^-k with k = 20 - i. k = 16 - floor(log10 x) is in [17, 20], so 10^k is an exact
+    double. Dekker's product (Veltkamp split by 2^27 + 1; each ufunc call rounds once, so
+    nothing is fused) gives hi + lo == x * 10^k exactly; hi is at least 2^53, so an even
+    integer, and d = hi + rint(lo) is the product rounded half to even, as ``%.17g``
+    rounds."""
     i = np.searchsorted(_DECADES, x, side="right")
     scale_hi, scale_lo = _SCALES_HI[i], _SCALES_LO[i]
     x_hi, x_lo = _split(x)
@@ -73,8 +56,14 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lines(values: np.ndarray, cols: int) -> list[str]:
-    """The lines of ``values``, whole rows of ``cols`` (flat float64), each
-    without its row id: every value as ``",%.17g"``, less the first comma."""
+    """The lines of ``values``, whole rows of ``cols`` (flat float64), each without its row
+    id: every value as ``",%.17g"``, less the first comma, formatted in numpy so Python
+    runs once per row. A value in [1e-4, 1) becomes a 32-byte cell: ",0.", its leading
+    zeros and d (``_digits``) in groups of three digits from a 1000-entry table, trailing
+    zeros dropped; the nul and space bytes that pad the cells are then deleted. Every
+    other value (0, 1, below 1e-4, negative, NaN, inf), and any whose d does not have 17
+    digits, is written into its cell by Python's own ``%.17g``, one format string for all
+    of them."""
     fast = (values >= 1e-4) & (values < 1.0)
     i, d = _digits(np.where(fast, values, 0.5))
     fast &= (d >= 10**16) & (d < 10**17)

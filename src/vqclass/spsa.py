@@ -1,10 +1,8 @@
 """Simultaneous-perturbation stochastic approximation minimizer.
 
-Gradient-free: each iteration perturbs all coordinates at once along a
-random Rademacher direction and estimates the gradient, and the loss, from
-two objective evaluations. Gain schedules follow the standard power-law
-decay a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma.
-"""
+Gradient-free: each iteration perturbs all coordinates at once along a random Rademacher
+direction. Gain schedules follow the standard power-law decay a_k = a / (k + 1 + A)^alpha,
+c_k = c / (k + 1)^gamma."""
 
 from __future__ import annotations
 
@@ -92,13 +90,10 @@ def spsa_minimize(
     theta0: Sequence[float],
     cfg: SpsaConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``objective`` from ``theta0``: (final params, loss history).
-    Deterministic for a fixed seed.
-
-    Each iteration costs exactly two objective evaluations, at the perturbed
-    points; history entry k is their mean, the loss estimate at theta_k
-    before iteration k's update.
-    """
+    """Minimize ``objective`` from ``theta0``: (final params, loss history), deterministic
+    for a fixed seed. Each iteration costs exactly two objective evaluations, at the
+    perturbed points; history entry k is their mean, the loss estimate at theta_k before
+    iteration k's update."""
     theta = np.array(theta0, dtype=np.float64, copy=True)
     if theta.ndim != 1 or theta.size == 0:
         raise ConfigError(f"theta0 must be a non-empty vector, got shape {theta.shape}")

@@ -1,22 +1,10 @@
-"""Dense statevector kernel: one real 2^k x 2^k matrix applied to k adjacent qubits.
+"""Dense statevector kernel, and the package's size limits.
 
-Qubit 0 is the most significant bit of the basis-state index: the basis
-state |b0 b1 ... b_{n-1}> lives at index ``int("b0b1...", 2)``, and bit
-strings are always written with qubit 0 leftmost. ``apply_block`` runs a
-gate as one stacked matrix product into a second buffer, so no 2^n x 2^n
-matrix is ever formed. The matrix is real, so it acts alike on the real and
-imaginary parts: the product runs in float64 on the complex arrays' float
-views, whose last axis interleaves the two, at half the multiplies of a
-complex product. Batch axes trail the amplitude axis, so a product on qubits
-[q, q + k) is a stack of 2^q products whose rows run 2^(n-q-k) times twice
-the batch long; ``apply_ansatz`` runs its RY rotation blocks through it on
-``vqc.p_ad``'s row blocks of ``BLOCK_BYTES``, transposed, and swaps the
-register's halves before the blocks that lie in its high half, so q stays
-below about n / 2 and every product is wide. Real products at most
-``GEMM_WIDTH`` floats wide round each batch entry as it would alone, at any
-batch width. The module also holds the package's size limits: the qubit cap,
-the row-block size, the product width, the memory ceiling and its count
-charge."""
+Qubit 0 is the most significant bit of the basis-state index: |b0 b1 ... b_{n-1}> lives
+at index ``int("b0b1...", 2)``, and bit strings are always written with qubit 0 leftmost.
+``apply_block`` applies one real 2^k x 2^k matrix to k adjacent qubits of amplitudes held
+batch-last, with no 2^n x 2^n matrix formed. The limits are the qubit cap, the row-block
+size, the product width, the memory ceiling and its charge per count."""
 
 from __future__ import annotations
 
@@ -54,7 +42,9 @@ def apply_block(matrix: np.ndarray, amplitudes: np.ndarray, qubit: int, out: np.
     """Write to ``out``, a C-contiguous complex array of their size, the C-contiguous complex
     amplitudes (2^n, ...) with the real 2^k x 2^k ``matrix`` (basis order |0..0> to |1..1>,
     ``qubit`` leftmost) applied to qubits [qubit, qubit + k), as float64 products on the
-    arrays' float views, ``GEMM_WIDTH`` floats wide at most."""
+    arrays' float views, ``GEMM_WIDTH`` floats wide at most, so each batch entry rounds as it
+    would alone. A real matrix acts alike on the real and imaginary parts, which the float
+    views interleave, so this takes half the multiplies of a complex product."""
     shape = (1 << qubit, len(matrix), -1)
     src, dst = amplitudes.view(np.float64).reshape(shape), out.view(np.float64).reshape(shape)
     for first in range(0, src.shape[-1], GEMM_WIDTH):

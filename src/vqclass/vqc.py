@@ -1,27 +1,12 @@
-"""The classifier: feature map + ansatz composition, parity readout,
-cross-entropy loss, training, and batch prediction, on plain arrays:
-``train`` takes the normalized feature matrix and its 0/1 labels, and
-``predict_batch`` returns one class-1 probability per row. Training and
-prediction share one batched path: one ``encode`` call per batch, then
-``p_ad`` binds the ansatz's rotations once (``build_ansatz``), takes the
-states one row block of about ``BLOCK_BYTES`` at a time and runs the whole
-ansatz (transposed, inside ``apply_ansatz``) and the parity mass on it while
-it stays in cache; only the ansatz gates in the measured qubits' light cone
-run, each layer's RY rotations as a few wide real 8x8 matrix products on the
-states' float view, the high half of the register swapped to the front for the
-groups that sit there, and each entangling block as one gather whose phase
-also carries the RZ layer before it (see ``ansatz``).
+"""The classifier on plain arrays: feature map and ansatz, parity readout,
+cross-entropy loss, SPSA training and batch prediction.
 
-Readout measures the configured qubits (default the first two) and maps
-each outcome by the parity of its '1' count: even (including zero) is
-the positive AD class, odd is NON_AD. The class-1 probability is the
-summed even-parity mass of the final state. In exact mode that mass is
-returned; in shot mode the even-outcome count of ``shots`` measurements
-is one Binomial(shots, mass) draw, and its frequency is returned. Row i
-of evaluation k draws from its own counter-based Philox stream (Salmon
-et al., SC 2011) keyed by (one ``SeedSequence((seed, k))`` word, i), so
-its count depends only on seed, i, k and mass, not on order or blocks.
-"""
+``train`` takes the normalized feature matrix and its 0/1 labels; ``predict_batch``
+returns one class-1 probability per row. Readout measures the configured qubits (default
+the first two) and maps each outcome by the parity of its '1' count: even (zero
+included) is the positive AD class, odd is NON_AD. The class-1 probability is the summed
+even-parity mass of the final state: in exact mode that mass, in shot mode the frequency
+of one Binomial(shots, mass) draw per row (``_draw``)."""
 
 from __future__ import annotations
 
@@ -48,11 +33,8 @@ class Label(IntEnum):
 
 @dataclass(frozen=True)
 class VqcConfig:
-    """Everything needed to evaluate the classifier on one sample.
-
-    ``shots`` None means exact probabilities from the statevector; an
-    integer means that many seeded measurement samples per state read out.
-    """
+    """Everything needed to evaluate the classifier on one sample. ``shots`` None means
+    exact probabilities; an integer, that many seeded measurements per state read out."""
 
     feature_map: FeatureMapSpec
     ansatz: AnsatzSpec
@@ -109,15 +91,10 @@ def _even_parity_mask(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.nda
 def p_ad(
     states: np.ndarray, params: Sequence[float], cfg: VqcConfig, eval_counter: int = 0
 ) -> np.ndarray:
-    """AD-class probability of each encoded state after the ansatz.
-
-    ``states`` holds one encoded state per row, shape (N, 2^n); it is left
-    unchanged. The ansatz is bound to ``params`` once; the rows run in blocks of about
-    ``BLOCK_BYTES``, each advanced through the whole ansatz in one working buffer that
-    every block reuses and reduced to its even-parity mass in cache; a row's result does
-    not depend on its block.
-    Shot-mode counts are then drawn per row, keyed by (seed, eval_counter, i).
-    """
+    """AD-class probability of each encoded state, one per row of ``states``, (N, 2^n),
+    which is left unchanged, after the ansatz bound to ``params``. The rows run in blocks
+    of about ``BLOCK_BYTES``; a row's result does not depend on its block. Shot mode draws
+    with ``eval_counter``."""
     n = cfg.n_qubits
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
@@ -143,7 +120,10 @@ def _parity_mass(states: np.ndarray, cfg: VqcConfig) -> np.ndarray:
 
 
 def _draw(mass: np.ndarray, cfg: VqcConfig, eval_counter: int) -> np.ndarray:
-    """Row i draws from ``Generator(Philox(key=word | (i << 64)))``, re-keyed in place."""
+    """``mass`` in exact mode, else each row's shot frequency. Row i draws from its own
+    counter-based Philox stream (Salmon et al., SC 2011), ``Generator(Philox(key=word |
+    (i << 64)))`` with one word of ``SeedSequence((seed, eval_counter))``, re-keyed in
+    place: its count depends only on the seed, i, the counter and its mass."""
     if cfg.shots is None:
         return mass
     word = np.random.SeedSequence((cfg.seed, eval_counter)).generate_state(1, np.uint64)[0]
@@ -169,14 +149,10 @@ def binary_cross_entropy(
 def train(
     x: np.ndarray, y: Sequence[int], cfg: VqcConfig, spsa_cfg: SpsaConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize the cross-entropy of the classifier on normalized features
-    ``x`` (N, n) and 0/1 labels ``y`` by SPSA: returns (params, loss history).
-
-    The samples are encoded once; every loss evaluation reuses the states.
-    Evaluation k (from 0) seeds its shot readout with eval counter k.
-    Initial parameters are drawn from ``cfg.seed``; the optimizer's own
-    draws come from ``spsa_cfg.seed``. Fully deterministic given both.
-    """
+    """Minimize the cross-entropy of the classifier on normalized features ``x`` (N, n) and
+    0/1 labels ``y`` by SPSA: returns (params, loss history). The samples are encoded
+    once. Evaluation k (from 0) draws its shots with eval counter k. Initial parameters
+    are drawn from ``cfg.seed``, the optimizer's own draws from ``spsa_cfg.seed``."""
     y = np.asarray(y)
     if y.size == 0 or y.shape != (len(x),):
         raise ConfigError(f"need a non-empty training set with one label per row, got "

@@ -1,7 +1,9 @@
-"""The OpenBLAS core numpy runs its products on, so a failure that depends on
-BLAS rounding can name it. OpenBLAS picks the core at load time from the CPU,
-or from ``OPENBLAS_CORETYPE``; numpy's build target (``np.__config__``) can
-differ from it."""
+"""The OpenBLAS core numpy runs its products on, and numpy's own SIMD dispatch, so a
+failure that depends on their rounding can name both. OpenBLAS picks the core at load
+time from the CPU, or from ``OPENBLAS_CORETYPE``; numpy's build target
+(``np.__config__``) can differ from it. numpy picks its dispatch targets from the CPU,
+less those named in ``NPY_DISABLE_CPU_FEATURES``; float64 ``exp`` and ``log`` round
+differently with ``X86_V4`` on and off."""
 
 import ctypes
 
@@ -10,8 +12,9 @@ import numpy as np
 # the core's name getter, by the prefixes and suffixes OpenBLAS builds use
 GETTERS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
            "openblas_get_corename64_", "openblas_get_corename")
-# the core the committed runs/ were made on
+# the core and the dispatch targets the committed runs/ were made on
 COMMITTED_CORE = "SkylakeX"
+COMMITTED_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def is_openblas() -> bool:
@@ -33,3 +36,12 @@ def openblas_core() -> str:
     except OSError:
         pass
     return "unknown"
+
+
+def simd_dispatch() -> str:
+    """numpy's SIMD dispatch targets this CPU runs, as "X86_V3 X86_V4 ...", or "unknown"."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return "unknown"
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))

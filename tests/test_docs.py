@@ -1,7 +1,9 @@
 """The README's code examples run against the package as it stands, its
 quoted benchmark output is what the committed benchmark run prints, and its
-config table lists ``cli.SCHEMA``'s keys and defaults."""
+config table lists ``cli.SCHEMA``'s keys and defaults; every module docstring
+fits ten lines."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -9,6 +11,16 @@ from pathlib import Path
 from vqclass.cli import REQUIRED, SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_module_docstrings_fit_ten_lines():
+    # a module docstring states what the module is for and what it promises; the design
+    # story is told once, in README
+    for path in sorted((ROOT / "src" / "vqclass").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        doc = tree.body[0] if tree.body else None
+        if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant):
+            assert doc.end_lineno - doc.lineno + 1 <= 10, path.name
 
 
 def test_readme_library_example_runs(capsys):

@@ -50,12 +50,14 @@ class TestStructure:
         assert doubled == base * 2
 
     def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            FeatureMapSpec(0, 1)
-        with pytest.raises(ConfigError):
-            FeatureMapSpec(2, 0)
-        with pytest.raises(ConfigError):
-            FeatureMapSpec(2, 1, "ring")
+        # both specs share these checks and their messages
+        for make in (FeatureMapSpec, AnsatzSpec):
+            with pytest.raises(ConfigError, match=r"n_qubits must be in \[1, 24\], got 0"):
+                make(0, 1)
+            with pytest.raises(ConfigError, match="reps must be >= 1, got 0"):
+                make(2, 0)
+            with pytest.raises(ConfigError, match="entanglement must be one of"):
+                make(2, 1, "ring")
 
 
 class TestEncode:

@@ -7,8 +7,9 @@ ignored). This test reruns ``report`` from each config into a temporary
 directory and compares byte for byte, so a refactor that changes any number
 fails here. A deliberate numeric change regenerates ``runs/`` in the same
 change, with ``python scripts/rerun.py demo benchmark``. The floats depend
-on the BLAS kernel too (LAPACK's SVD in prep first), so a failure names the
-OpenBLAS core it ran on and the one the committed runs were made on.
+on the BLAS kernel too (LAPACK's SVD in prep first), and on numpy's SIMD dispatch
+(float64 ``exp`` and ``log``), so a failure names the OpenBLAS core and the dispatch
+targets it ran on and the ones the committed runs were made on.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from blas import COMMITTED_CORE, openblas_core
+from blas import COMMITTED_CORE, COMMITTED_DISPATCH, openblas_core, simd_dispatch
 from vqclass.cli import main
 
 RUNS = Path(__file__).resolve().parents[1] / "runs"
@@ -47,5 +48,6 @@ def test_report_matches_committed_artifacts(tmp_path, run, data):
         if name == "config_echo.json":
             assert _without_paths(got) == _without_paths(want)
         else:
-            assert got == want, (f"{name} differs, on OpenBLAS core {openblas_core()}; "
-                                 f"runs/ were made on {COMMITTED_CORE}")
+            assert got == want, (f"{name} differs, on OpenBLAS core {openblas_core()} with "
+                                 f"numpy dispatch {simd_dispatch()}; runs/ were made on "
+                                 f"{COMMITTED_CORE} with {COMMITTED_DISPATCH}")
