@@ -4,14 +4,15 @@ Each of ``reps`` repetitions applies RY then RZ to every qubit, then an entangli
 whose links (``featmap.entangled_pairs``) alternate CY on even positions and CZ on odd; a
 final RY+RZ layer closes the circuit. The 2 * n * (reps + 1) parameters, viewed as
 (reps + 1, 2, n), hold layer r's RY angle of qubit q at [r, 0, q] and its RZ angle at
-[r, 1, q]. Given the measured qubits only the gates in the readout's light cone run, and
-the dead parameters keep their place in the vector. ``build_ansatz`` binds a vector into
+[r, 1, q]. Only the gates in the light cone of the measured qubits run, and the dead
+parameters keep their place in the vector. ``build_ansatz`` binds a vector into
 the planned steps and ``apply_ansatz`` runs them on a block of states.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +52,7 @@ class AnsatzSpec:
         state, 24 B per distinct gather (<= min(reps, n); <= 2 with full entanglement, whose
         first block back from the readout reaches every qubit; each cached in one form, see
         ``_light_cone``), 8 B of mask, 32 B of build, and 16 B per RZ phase vector a call
-        binds: one per layer after the first, one more for the RZ diagonal that the step
-        being built reads or, with every gate kept, the last layer's."""
+        binds: one per layer after the first, one more for the diagonal being folded."""
         gathers = min(self.reps, 2 if self.entanglement == "full" else self.n_qubits)
         return (24 * gathers + 16 * (self.reps + 1) + 40) << self.n_qubits
 
@@ -60,6 +60,21 @@ class AnsatzSpec:
 def entangling_links(spec: AnsatzSpec) -> list[tuple[str, tuple[int, int]]]:
     """(gate kind, qubit pair) for each link of one entangling block."""
     return [("CY" if i % 2 == 0 else "CZ", p) for i, p in enumerate(entangled_pairs(spec))]
+
+
+def check_measured(measured, n: int) -> tuple[int, ...]:
+    """``measured`` as ints; ConfigError unless it names one or more distinct qubits of n."""
+    measured = tuple(measured)
+    if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in measured):
+        raise ConfigError(f"measured_qubits must be integers, got {measured!r}")
+    measured = tuple(map(int, measured))
+    if not measured:
+        raise ConfigError("measured_qubits must be non-empty")
+    if len(set(measured)) != len(measured):
+        raise ConfigError(f"measured_qubits must be distinct, got {measured}")
+    if not all(0 <= q < n for q in measured):
+        raise ConfigError(f"measured_qubits {measured} out of range for n={n}")
+    return measured
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,35 +103,32 @@ def block_gather(n: int, links: tuple, swapped: bool = False) -> tuple[np.ndarra
     return inv, phase
 
 
-@functools.lru_cache(maxsize=16)
-def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[list, np.ndarray]:
-    """The ansatz as (steps, factors). ``factors``, (layers, 2, n) and read-only, halves
-    live RY and RZ angles and zeros dead ones; ``measured`` None keeps every gate. Walking
-    back from the measured qubits, a gate whose qubits all lie outside the cone is dead,
-    and so are the last RZs, diagonal before a Z-basis readout: 2n - |measured| or more
-    parameters are dead. The steps, in run order: ("swap", first) moves the register's
-    ``first`` leading qubits after the rest; ("group", layer, g, qubit) runs group g's RY
-    product of ``layer`` from ``qubit`` of the layout the register is in; ("phase", layer,
-    swapped) runs the RZ diagonal of ``layer`` alone, and ("gather", layer, swapped, inv,
-    phase) the gather of the live links of the block after it with that diagonal folded
-    in; both read the layout ``swapped`` records, and a gather leaves the register plain.
+# typed, with each qubit an argument: a plan cached for 1 is not served for 1.0 or True
+@functools.lru_cache(maxsize=16, typed=True)
+def _light_cone(spec: AnsatzSpec, *measured: int) -> tuple[list, np.ndarray]:
+    """The ansatz read out on ``measured`` (checked once per plan) as (steps, factors).
+    ``factors``, (layers, 2, n) and read-only, halves live RY and RZ angles and zeros dead
+    ones: walking back from the measured qubits, a gate whose qubits all lie outside the
+    cone is dead, and so are the last RZs, diagonal before a Z-basis readout, so
+    2n - |measured| or more parameters are dead. The steps, in run order: ("swap", first)
+    moves the register's ``first`` leading qubits after the rest; ("group", layer, g,
+    qubit) runs group g's RY product of ``layer`` from ``qubit`` of the layout the register
+    is in; ("gather", layer, swapped, inv, phase) opens every later layer with the live
+    links of the block after ``layer`` (none at n = 1: the identity) and that layer's RZs
+    folded in, reading the layout ``swapped`` records; it leaves the register plain.
 
     A product on qubits [q0, q0 + 3) of batch-last states is a stack of 2^q0 products each
-    2^(n - q0 - 3) times the batch wide, so a group high in the register would run as many
-    narrow ones. With h = n // 2, groups at q0 < h run in place; before a layer's first
-    live group at q0 >= h, one swap moves the first h qubits after the rest (the
-    cache-blocking qubit swap of Haener and Steiger, SC17, arXiv:1704.01127), and those
-    groups run at q0 - h. A plan that ends swapped ends with the swap back. From n = 2 on
-    every qubit in a cone has a link, so every layer after the first opens with a gather;
-    and the cone before a gather is the qubits of its links, so whether it reads swapped
-    states follows from its links and each gather is cached in one form."""
+    2^(n - q0 - 3) times the batch wide, so with h = n // 2 a layer's groups at q0 >= h run
+    at q0 - h after one swap of the first h qubits behind the rest (Haener and Steiger,
+    SC17, arXiv:1704.01127); a plan that ends swapped ends with the swap back. The cone
+    before a gather is its links' qubits, so its layout follows from them: one cached form."""
     n, h = spec.n_qubits, spec.n_qubits // 2
-    cone = set(range(n) if measured is None else measured)
+    cone = set(check_measured(measured, n))
     backward = []
     for layer in range(spec.reps, -1, -1):
         groups = sorted({q // GROUP for q in cone})
-        rz = 0.5 * (measured is None or layer < spec.reps)  # the last RZs precede a Z readout
-        half = np.outer([0.5, rz], np.isin(range(n), list(cone)))
+        # the last RZs precede a Z readout
+        half = np.outer([0.5, 0.5 * (layer < spec.reps)], np.isin(range(n), list(cone)))
         live = []
         for kind, (a, b) in reversed(entangling_links(spec) if layer else []):
             if a in cone or b in cone:
@@ -125,11 +137,9 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[lis
         backward.append((tuple(live[::-1]), groups, half))
     steps, swapped = [], False
     for layer, (live, groups, _) in enumerate(reversed(backward)):
-        if live:
+        if layer:
             steps.append(("gather", layer - 1, swapped, *block_gather(n, live, swapped)))
             swapped = False
-        elif layer:
-            steps.append(("phase", layer - 1, swapped))
         for g in groups:
             q0 = min(g * GROUP, n - min(GROUP, n))
             high = 0 < h <= q0
@@ -137,8 +147,6 @@ def _light_cone(spec: AnsatzSpec, measured: tuple[int, ...] | None) -> tuple[lis
                 steps.append(("swap", h))
                 swapped = True
             steps.append(("group", layer, g, q0 - h if high else q0))
-    if measured is None:  # else the last RZs, diagonal before the readout, are dead
-        steps.append(("phase", spec.reps, swapped))
     if swapped:
         steps.append(("swap", n - h))
     factors = np.stack([half for _, _, half in reversed(backward)])
@@ -175,41 +183,36 @@ def _rotation_layers(half: np.ndarray):
 
 
 @functools.cache
-def _factor_index(n: int, swapped: bool) -> tuple[np.ndarray, np.ndarray]:
-    """For the leading and the trailing half of the register's layout (with ``swapped``,
-    qubits n // 2 .. n - 1 lead), [b, j]: where the factor of the half's qubit j for its
-    basis state b sits in the flat (n, 2) table of each qubit's factors for bit 0 and 1."""
-    h = n // 2
-    index = []
-    for lo, hi in ((h, n), (0, h)) if swapped else ((0, h), (h, n)):
-        bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo - 1, -1, -1)) & 1
-        index.append(2 * np.arange(lo, hi) + bits)
-    return index[0], index[1]
+def _factor_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For qubits [0, n // 2) and [n // 2, n), [b, j]: where the factor of the part's qubit j
+    for its basis state b sits in the flat (n, 2) table of each qubit's bit-0 and 1 factors."""
+    h, k = n // 2, n - n // 2  # the first part's basis states are the first 2^h of the rest's
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return 2 * np.arange(h) + bits[: 1 << h, k - h :], 2 * np.arange(h, n) + bits
 
 
 def _rz_diagonal(half: np.ndarray, swapped: bool) -> np.ndarray:
     """The 2^n diagonal of RZ(2 * half[q]) on every qubit q, RZ(phi) = diag(e^(-i phi / 2),
     e^(i phi / 2)), over the basis states in plain order or, ``swapped``, with the first
-    n // 2 qubits after the rest: for each half of the layout, the products of its
-    qubits' factors (no angle is summed), then the outer product of the two halves."""
+    n // 2 qubits after the rest: the outer product of the products of the two parts'
+    qubits' factors (no angle is summed), the leading part first."""
     factors = np.exp(np.multiply.outer(half, [-1j, 1j])).ravel()
-    lead, trail = _factor_index(len(half), swapped)
-    return np.multiply.outer(factors[lead].prod(axis=1), factors[trail].prod(axis=1)).ravel()
+    first, rest = (factors[index].prod(axis=1) for index in _factor_index(len(half)))
+    return np.multiply.outer(*((rest, first) if swapped else (first, rest))).ravel()
 
 
-def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None) -> list:
-    """The steps of the ansatz with parameter vector ``params`` bound, for ``apply_ansatz``,
-    in run order: ("swap", first); ("group", real RY matrix, start qubit); ("phase", RZ
-    diagonal); ("gather", inv, phase), which sends the amplitude at b to in[inv[b]] *
+def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits: Sequence[int]) -> list:
+    """The steps of the light cone of ``measured_qubits`` with parameter vector ``params``
+    bound, for ``apply_ansatz``, in run order: ("swap", first); ("group", real RY matrix,
+    start qubit); ("gather", inv, phase), which sends the amplitude at b to in[inv[b]] *
     phase[b], the entangling block's phase times the layer before's RZ diagonal read
-    through ``inv``. Each diagonal is built in the layout the register is in when it
-    runs. Given ``measured_qubits``, only the gates in their light cone are kept."""
+    through ``inv`` and built in the layout the register is in when it runs."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise BindingError(f"expected {spec.n_params} parameters, got shape {params.shape}")
     if not np.isfinite(params).all():
         raise BindingError("parameters must be finite")
-    steps, factors = _light_cone(spec, None if measured_qubits is None else tuple(measured_qubits))
+    steps, factors = _light_cone(spec, *measured_qubits)
     half = params.reshape(-1, 2, spec.n_qubits) * factors
     mats = list(_rotation_layers(half[:, 0]))
     bound = []
@@ -217,8 +220,6 @@ def build_ansatz(spec: AnsatzSpec, params: Sequence[float], measured_qubits=None
         match step:
             case ("group", layer, g, qubit):
                 step = "group", mats[layer][g], qubit
-            case ("phase", layer, swapped):
-                step = "phase", _rz_diagonal(half[layer, 1], swapped)
             case ("gather", layer, swapped, inv, phase):
                 folded = _rz_diagonal(half[layer, 1], swapped)[inv]
                 folded *= phase
@@ -239,9 +240,9 @@ def apply_ansatz(
 ) -> np.ndarray:
     """Advance the rows of ``states``, one state each, (N, 2^n), through the steps
     ``layers`` from ``build_ansatz``; return them batch-last, (2^n, N), a view into ``work``,
-    complex (2, >= N << n) and allocated if not given. ``states`` is not written. With a
-    light cone, the result holds the right probabilities on the measured qubits, not the
-    full final state. Every product is a real GEMM at most ``GEMM_WIDTH`` floats wide, so a
+    complex (2, >= N << n) and allocated if not given. ``states`` is not written. The result
+    holds the right probabilities on the qubits the steps were built for, not the full
+    final state. Every product is a real GEMM at most ``GEMM_WIDTH`` floats wide, so a
     row's result does not depend on N."""
     n = spec.n_qubits
     if states.ndim != 2 or states.shape[1] != 1 << n:
@@ -254,8 +255,6 @@ def apply_ansatz(
     cur[...] = states.T
     for step in layers:
         match step:
-            case ("phase", diag):
-                cur *= diag[:, None]
             case ("gather", inv, phase):
                 np.take(cur, inv, axis=0, out=other, mode="clip")  # "raise" would buffer
                 np.multiply(other, phase[:, None], out=cur)

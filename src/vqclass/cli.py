@@ -295,7 +295,9 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
         ids = [model["split"][key] for key in ("train_ids", "test_ids")]
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"missing {where}; run the prep command first") from None
-    except (OSError, RecursionError, ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:  # not the content's fault, so prep --force would not mend it
+        raise DataError(f"cannot read {where}: {reason(exc)}") from None
+    except (RecursionError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{where} is not a model file written by prep ({type(exc).__name__}: "
                         f"{reason(exc)}); rerun prep --force") from None
     if digest != data.sha256:

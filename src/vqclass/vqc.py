@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
+from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, check_measured, init_params
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, spsa_minimize
@@ -44,22 +43,13 @@ class VqcConfig:
     loss_clip_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        measured = tuple(self.measured_qubits)
-        if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in measured):
-            raise ConfigError(f"measured_qubits must be integers, got {measured!r}")
-        object.__setattr__(self, "measured_qubits", tuple(int(q) for q in measured))
         if self.feature_map.n_qubits != self.ansatz.n_qubits:
             raise ConfigError(
                 f"feature map has {self.feature_map.n_qubits} qubits but "
                 f"ansatz has {self.ansatz.n_qubits}"
             )
-        n = self.feature_map.n_qubits
-        if not self.measured_qubits:
-            raise ConfigError("measured_qubits must be non-empty")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise ConfigError(f"measured_qubits must be distinct, got {self.measured_qubits}")
-        if any(q < 0 or q >= n for q in self.measured_qubits):
-            raise ConfigError(f"measured_qubits {self.measured_qubits} out of range for n={n}")
+        measured = check_measured(self.measured_qubits, self.n_qubits)
+        object.__setattr__(self, "measured_qubits", measured)
         if self.shots is not None and not 1 <= self.shots <= np.iinfo(np.int64).max:
             # numpy draws the binomial count as a C long
             raise ConfigError(f"shots must be in [1, 2**63 - 1] or None, got {self.shots}")

@@ -1,5 +1,6 @@
 """The OpenBLAS core numpy runs its products on, and numpy's own SIMD dispatch, so a
-failure that depends on their rounding can name both. OpenBLAS picks the core at load
+failure that depends on their rounding can name both; and the cores this CPU can run,
+for tests that force each in a child. OpenBLAS picks the core at load
 time from the CPU, or from ``OPENBLAS_CORETYPE``; numpy's build target
 (``np.__config__``) can differ from it. numpy picks its dispatch targets from the CPU,
 less those named in ``NPY_DISABLE_CPU_FEATURES``; float64 ``exp`` and ``log`` round
@@ -15,6 +16,9 @@ GETTERS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
 # the core and the dispatch targets the committed runs/ were made on
 COMMITTED_CORE = "SkylakeX"
 COMMITTED_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# the OpenBLAS cores an x86-64 CPU can run, by the /proc/cpuinfo flag each needs
+CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
+              "Nehalem": None, "Prescott": None}
 
 
 def is_openblas() -> bool:
@@ -36,6 +40,16 @@ def openblas_core() -> str:
     except OSError:
         pass
     return "unknown"
+
+
+def cpu_flags() -> set[str]:
+    """The CPU's flags from /proc/cpuinfo, or none if it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            return next((set(line.split(":", 1)[1].split()) for line in info
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
 
 
 def simd_dispatch() -> str:

@@ -36,8 +36,8 @@ def link(amps, n, kind, control, target):
 
 def rotate(amps, ry=0.0, rz=0.0):
     """One-qubit ``amps`` after RY(ry) then RZ(rz): the ansatz's first
-    layer, its closing layer at angle zero."""
-    layers = build_ansatz(ONE_QUBIT, [ry, rz, 0.0, 0.0])
+    layer, its closing layer at angle zero, read out on the qubit."""
+    layers = build_ansatz(ONE_QUBIT, [ry, rz, 0.0, 0.0], (0,))
     states = apply_ansatz(np.reshape(amps, (-1, 2)), ONE_QUBIT, layers)
     return states.T.reshape(np.shape(amps))
 

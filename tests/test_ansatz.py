@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from vqclass import ansatz, vqc
+from vqclass import ansatz
 from vqclass.ansatz import (AnsatzSpec, apply_ansatz, block_gather, build_ansatz,
                             entangling_links, init_params)
 from vqclass.errors import BindingError
@@ -18,9 +18,11 @@ from vqclass.vqc import VqcConfig, p_ad, predict_batch
 
 def run_ansatz(spec, params, state=None):
     """``state`` (default |0...0>) advanced in place through the production
-    ansatz, as a one-row batch; returns its amplitudes."""
+    ansatz read out on every qubit, as a one-row batch; returns its amplitudes.
+    The final RZs, which no readout sees, do not run: a caller that compares
+    the state with an oracle sets their angles, ``params[-n:]``, to 0."""
     state = oracles.basis_state(spec.n_qubits) if state is None else state
-    layers = build_ansatz(spec, params)
+    layers = build_ansatz(spec, params, tuple(range(spec.n_qubits)))
     state.amplitudes[...] = apply_ansatz(state.amplitudes[None], spec, layers)[:, 0]
     return state.amplitudes
 
@@ -54,10 +56,12 @@ def dead_slots(spec, measured):
 
 
 def full_circuit_p(states, params, cfg):
-    """Readout after every gate of the ansatz, no light cone: the parity
-    mass and the shot draw that ``p_ad`` runs after its ansatz."""
-    states = apply_ansatz(states, cfg.ansatz, build_ansatz(cfg.ansatz, params))
-    return vqc._draw(vqc._parity_mass(states, cfg), cfg, 0)
+    """Even-parity mass on the measured qubits of each row of ``states`` after
+    every gate of the ansatz, gate by gate in the oracle: no light cone and no
+    kernel of the package's."""
+    final = oracles.run_gates(oracles.ansatz_circuit(cfg.ansatz, params), states)
+    return np.array([oracles.p_even_bruteforce(oracles.State(cfg.n_qubits, amps),
+                                               cfg.measured_qubits) for amps in final])
 
 
 def op_shape(op):
@@ -119,6 +123,7 @@ class TestApplication:
         spec = AnsatzSpec(3, reps=2)
         for _ in range(5):
             params = rng.uniform(-np.pi, np.pi, spec.n_params)
+            params[-3:] = 0.0  # the final RZs
             amps = run_ansatz(spec, params)
             expect = oracles.run_circuit_dense(oracles.ansatz_circuit(spec, params))
             np.testing.assert_allclose(amps, expect, atol=1e-12)
@@ -131,19 +136,21 @@ class TestApplication:
         spec = AnsatzSpec(n, reps=reps, entanglement=entanglement)
         rng = np.random.default_rng(100 * n + 10 * reps + len(entanglement))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        params[-n:] = 0.0  # the final RZs, which no readout sees
         circuit = oracles.ansatz_circuit(spec, params)
         starts = np.stack(
             [oracles.basis_state(n).amplitudes]
             + [oracles.random_state(rng, n).amplitudes for _ in range(2)]
         )
-        got = apply_ansatz(starts, spec, build_ansatz(spec, params)).T
+        got = apply_ansatz(starts, spec, build_ansatz(spec, params, tuple(range(n)))).T
         np.testing.assert_allclose(got[0], oracles.run_circuit_dense(circuit), atol=1e-12)
         np.testing.assert_allclose(got, starts @ oracles.circuit_unitary(circuit).T, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_every_rotation_product_is_8x8(self, n, monkeypatch):
         # the last group reaches back over the one before it, so no layer ends in a
-        # 2x2 or 4x4 tail; one product per group and layer, then fewer in the light cone
+        # 2x2 or 4x4 tail; one product per group and layer read on every qubit, then fewer
+        # in the light cone of (0, 1)
         shapes = []
 
         def spy(matrix, *args):
@@ -154,7 +161,7 @@ class TestApplication:
         spec = AnsatzSpec(n, reps=2, entanglement="full")
         states = encode(np.random.default_rng(n).uniform(0, 1, size=(3, n)), FeatureMapSpec(n))
         params = init_params(spec, n)
-        apply_ansatz(states, spec, build_ansatz(spec, params))
+        apply_ansatz(states, spec, build_ansatz(spec, params, tuple(range(n))))
         assert len(shapes) == 3 * -(-n // 3)
         apply_ansatz(states, spec, build_ansatz(spec, params, (0, 1)))
         assert set(shapes) == {(8, 8)}
@@ -189,7 +196,7 @@ class TestApplication:
         rows = np.zeros((3, 4), dtype=np.complex128)
         for states in (rows.T, rows[0], rows[:, :, None]):
             with pytest.raises(BindingError, match=r"states must have shape \(N, 4\)"):
-                apply_ansatz(states, spec, build_ansatz(spec, np.zeros(8)))
+                apply_ansatz(states, spec, build_ansatz(spec, np.zeros(8), (0, 1)))
 
     def test_any_row_layout_gives_the_same_bits(self):
         # the rows are copied in whatever their strides and never written
@@ -197,7 +204,7 @@ class TestApplication:
         rng = np.random.default_rng(8)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         base = encode(rng.uniform(0, 1, size=(10, 4)), FeatureMapSpec(4))
-        layers = build_ansatz(spec, params)
+        layers = build_ansatz(spec, params, tuple(range(4)))
         expect = apply_ansatz(np.ascontiguousarray(base[::2]), spec, layers)
         readonly = base[::2].view()
         readonly.flags.writeable = False
@@ -214,7 +221,7 @@ class TestApplication:
         rng = np.random.default_rng(n)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
         states = encode(rng.uniform(0, 1, size=(rows, n)), FeatureMapSpec(n))
-        layers = build_ansatz(spec, params)
+        layers = build_ansatz(spec, params, tuple(range(n)))
         fresh = apply_ansatz(states, spec, layers)
         for fill in (np.inf, np.nan):
             work = np.full((2, rows << n), fill, dtype=np.complex128)
@@ -259,21 +266,22 @@ class TestFastPath:
                 charged = ((spec.table_bytes >> n) - 40 - 16 * (reps + 1)) // 24
                 for size in range(1, n + 1):
                     for measured in itertools.combinations(range(n), size):
-                        steps, _ = ansatz._light_cone(spec, measured)
+                        steps, _ = ansatz._light_cone(spec, *measured)
                         distinct = {id(step[3]) for step in steps if step[0] == "gather"}
                         assert len(distinct) <= charged, (n, reps, measured)
 
     @pytest.mark.parametrize("entanglement", ["linear", "full"])
     def test_plan_layouts_replay(self, entanglement):
-        # replaying each plan's swaps: every phase and gather reads the layout it records and
-        # each group runs in the layout its start qubit is given in; no swap but the last,
-        # the swap back, runs on a swapped register; a gather leaves it plain, as does a plan
+        # replaying each plan's swaps: every gather reads the layout it records and each
+        # group runs in the layout its start qubit is given in; no swap but the last, the
+        # swap back, runs on a swapped register; a gather leaves it plain, as does a plan;
+        # every layer after the first opens with a gather, one per layer, in order
         cases = [(n, measured) for n in range(1, 7) for size in range(1, n + 1)
                  for measured in itertools.combinations(range(n), size)]
-        cases += [(n, None) for n in range(1, 7)] + [(12, (0, 1)), (12, (11,))]
+        cases += [(12, (0, 1)), (12, (11,))]
         for (n, measured), reps in itertools.product(cases, range(1, 4)):
-            h, swapped = n // 2, False
-            steps, _ = ansatz._light_cone(AnsatzSpec(n, reps, entanglement), measured)
+            h, swapped, layer = n // 2, False, 0
+            steps, _ = ansatz._light_cone(AnsatzSpec(n, reps, entanglement), *measured)
             for i, (kind, *at) in enumerate(steps):
                 if kind == "swap":
                     assert (at, i) == ([n - h], len(steps) - 1) if swapped else at == [h]
@@ -281,31 +289,35 @@ class TestFastPath:
                 elif kind == "group":
                     q0 = min(at[1] * ansatz.GROUP, n - min(ansatz.GROUP, n))
                     assert swapped == (0 < h <= q0) and at[2] == q0 - h * swapped
+                    assert at[0] == layer, (n, reps, measured, i)
                 else:
-                    assert at[1] == swapped, (n, reps, measured, i)
-                    swapped &= kind != "gather"
-            assert not swapped, (n, reps, measured)
+                    assert kind == "gather" and at[:2] == [layer, swapped], (n, reps, measured, i)
+                    swapped, layer = False, layer + 1
+            assert not swapped and layer == reps, (n, reps, measured)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_swapped_layers_match_gate_oracle(self, n):
         # qubit n - 1 read after linear links: the last layer's one live group lies in
-        # the high half, so the register swaps and the circuit ends swapped; with every
-        # gate kept (measured None) each layer swaps and the state comes back whole
+        # the high half, so the register swaps and the circuit ends swapped; read on every
+        # qubit, each layer swaps and the state comes back whole, less the final RZs that
+        # no readout sees (0 here, for the kernel and the oracle alike)
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear"),
                         measured_qubits=(n - 1,))
-        steps, _ = ansatz._light_cone(cfg.ansatz, cfg.measured_qubits)
+        steps, _ = ansatz._light_cone(cfg.ansatz, *cfg.measured_qubits)
         first = next(i for i, s in enumerate(steps) if s[:2] == ("group", cfg.ansatz.reps))
         assert steps[first - 1][0] == "swap"  # the last layer's first live group swaps: all high
         rng = np.random.default_rng(n)
         x = rng.uniform(0, 1, size=(3, n))
         params = rng.uniform(-np.pi, np.pi, cfg.ansatz.n_params)
+        params[-n:] = 0.0
         expect = np.stack([
             oracles.run_gates(oracles.ansatz_circuit(cfg.ansatz, params),
                               oracles.run_gates(oracles.feature_map_circuit(row, cfg.feature_map),
                                                 oracles.basis_state(n).amplitudes))
             for row in x])
         states = encode(x, cfg.feature_map)
-        got = apply_ansatz(states, cfg.ansatz, build_ansatz(cfg.ansatz, params)).T
+        layers = build_ansatz(cfg.ansatz, params, tuple(range(n)))
+        got = apply_ansatz(states, cfg.ansatz, layers).T
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
         p = p_ad(states, params, cfg)
         even = [oracles.p_even_bruteforce(oracles.State(n, amps), (n - 1,)) for amps in expect]
@@ -394,6 +406,7 @@ class TestUnitaryProperties:
         rng = np.random.default_rng(77)
         spec = AnsatzSpec(3, reps=2)
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        params[-3:] = 0.0  # the final RZs
         circuit = oracles.ansatz_circuit(spec, params)
         s = oracles.random_state(rng, 3)
         before = s.amplitudes.copy()

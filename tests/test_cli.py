@@ -231,19 +231,25 @@ class TestGuards:
         assert f"output_dir {tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, verb", [("--config", "prep"), ("data.path", "prep"),
-                                           ("output_dir", "prep"), ("output_dir", "train")])
+                                           ("output_dir", "prep"), ("output_dir", "train"),
+                                           ("model.json-dir", "train")])
     def test_long_path_message_is_bounded(self, tmp_path, capsys, key, verb):
         # a 10,000-character data.path printed a 20,109-character line, and a 600-character
         # output_dir one of 1,305: the path whole, then again in the OSError's text; train
-        # exited 2 there, when its check for model.json raised "File name too long"
+        # exited 2 there, when its check for model.json raised "File name too long". An
+        # unreadable model.json, there or as a directory, was blamed on its content, with
+        # advice to rerun prep --force, which cannot mend it
         cfg_path = small_config(tmp_path)
         cfg = json.loads(cfg_path.read_text())
         if key == "--config":
             cfg_path = path = tmp_path / ("c" * 10_000)
         elif key == "data.path":
             path = cfg["data"]["path"] = str(tmp_path / ("d" * 10_000))
-        else:
+        elif key == "output_dir":
             path = cfg["output_dir"] = str(tmp_path / ("o" * 600))
+        else:
+            (Path(cfg["output_dir"]) / "model.json").mkdir(parents=True)
+            path = cfg["output_dir"]
         if key != "--config":
             cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main([verb, "--config", str(cfg_path)]) == 1
@@ -253,6 +259,8 @@ class TestGuards:
         assert named[:50] in err and named[-50:] in err and "Traceback" not in err
         if key == "output_dir" and verb == "prep":
             assert "output_dir" in err
+        if verb == "train":
+            assert "cannot read" in err and "rerun prep --force" not in err
 
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)

@@ -1,11 +1,13 @@
-"""The README's code examples run against the package as it stands, its
-quoted benchmark output is what the committed benchmark run prints, and its
-config table lists ``cli.SCHEMA``'s keys and defaults; every module docstring
-fits ten lines."""
+"""The README's code examples run against the package as it stands, the names it
+cites in the package's modules exist, its quoted benchmark output is what the
+committed benchmark run prints, and its config table lists ``cli.SCHEMA``'s keys and
+defaults; every module docstring fits ten lines."""
 
 import ast
+import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 from vqclass.cli import REQUIRED, SCHEMA
@@ -30,6 +32,20 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md (Library example)", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert printed[-1] == "(30, 30)"
+
+
+def test_readme_code_names_resolve():
+    # each `module.name` README cites for a vqclass module, as `vqclass.cli.SCHEMA` or
+    # `ansatz._light_cone`, exists; config keys (`ansatz.reps`) and file names are not code
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in (ROOT / "src" / "vqclass").glob("*.py")}
+    for name, module in set(re.findall(r"`(?:vqclass\.)?((\w+)\.[\w.]+)`", readme)):
+        if module not in modules or name in SCHEMA or name.endswith((".json", ".csv")):
+            continue
+        target = importlib.import_module(f"vqclass.{module}")
+        for part in name.split(".")[1:]:
+            assert hasattr(target, part), f"README cites {name}, which does not exist"
+            target = getattr(target, part)
 
 
 def test_readme_benchmark_block_matches_committed_run():

@@ -53,22 +53,30 @@ def encoded_phase(x):
 
 def random_instance(rng, rows):
     """A random instance of the classifier's circuit, n from 1 to 4: the
-    feature map and ansatz specs, ``rows`` feature vectors, and parameters."""
+    feature map and ansatz specs, ``rows`` feature vectors, and parameters,
+    with the final RZs' angles at 0 for ``run_classifier``."""
     n = int(rng.integers(1, 5))
     fmap = FeatureMapSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
     spec = AnsatzSpec(n, int(rng.integers(1, 4)), ENTANGLEMENTS[rng.integers(2)])
-    return fmap, spec, rng.uniform(0, 1, size=(rows, n)), rng.uniform(-np.pi, np.pi, spec.n_params)
+    x, params = rng.uniform(0, 1, size=(rows, n)), rng.uniform(-np.pi, np.pi, spec.n_params)
+    params[-n:] = 0.0
+    return fmap, spec, x, params
 
 
 def issued_products(n):
-    """(start qubit, k) of each rotation product the whole ansatz runs at n qubits."""
-    steps, _ = ansatz._light_cone(AnsatzSpec(n, 2, "full"), None)
+    """(start qubit, k) of each rotation product the ansatz runs at n qubits, read
+    out on every qubit."""
+    steps, _ = ansatz._light_cone(AnsatzSpec(n, 2, "full"), *range(n))
     return {(step[3], min(3, n)) for step in steps if step[0] == "group"}
 
 
 def run_classifier(fmap, spec, x, params):
-    """The states the pipeline evolves: ``x`` encoded, then the whole ansatz."""
-    return apply_ansatz(encode(x, fmap), spec, build_ansatz(spec, params)).T
+    """The states the pipeline evolves: ``x`` encoded, then the ansatz read out on
+    every qubit. The final RZs, which no readout sees, do not run: a caller that
+    compares the states with an oracle sets their angles, ``params[-n:]``, to 0, as
+    ``random_instance`` does."""
+    layers = build_ansatz(spec, params, tuple(range(spec.n_qubits)))
+    return apply_ansatz(encode(x, fmap), spec, layers).T
 
 
 class TestQubitCap:
@@ -145,7 +153,7 @@ class TestRunCircuit:
         # zero angles make every rotation the identity; |00> leaves every link off
         state = oracles.basis_state(2).amplitudes[None]
         spec = AnsatzSpec(2, reps=2, entanglement="full")
-        states = apply_ansatz(state, spec, build_ansatz(spec, np.zeros(12)))
+        states = apply_ansatz(state, spec, build_ansatz(spec, np.zeros(12), (0, 1)))
         assert np.array_equal(states[:, 0], [1, 0, 0, 0])
 
     def test_h_then_trivial_cz(self):
@@ -179,7 +187,7 @@ class TestOracleEquivalence:
         states = np.stack(
             [oracles.random_state(np.random.default_rng(100 + i), 3).amplitudes for i in range(6)]
         )
-        layers = build_ansatz(spec, params)
+        layers = build_ansatz(spec, params, (0, 1, 2))
         batched = apply_ansatz(states, spec, layers)
         for i in range(6):
             single = apply_ansatz(states[i : i + 1], spec, layers)
@@ -206,14 +214,15 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
     def test_short_last_group_matches_dense_oracle(self, n):
-        # every gate: at n = 4, 5, 7 and 8 the last group owns 1, 2, 1 and 2 qubits and
-        # reaches back over 2, 1, 2 and 1 of the group before (the identity there), and
-        # n = 1 and 2 run one group of n qubits; then qubit 0's light cone under linear
-        # links, whose groups hold dead qubits (the identity) or no live one (skipped)
+        # read on every qubit: at n = 4, 5, 7 and 8 the last group owns 1, 2, 1 and 2
+        # qubits and reaches back over 2, 1, 2 and 1 of the group before (the identity
+        # there), and n = 1 and 2 run one group of n qubits; then qubit 0's light cone
+        # under linear links, whose groups hold dead qubits (the identity) or none live (skipped)
         rng = np.random.default_rng(50 + n)
         fmap, spec = FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, 2, "linear")
         x = rng.uniform(0, 1, size=(3, n))
         params = rng.uniform(-np.pi, np.pi, spec.n_params)
+        params[-n:] = 0.0  # the final RZs, which no readout sees
         expect = oracles.classifier_states(x, fmap, spec, params)
         np.testing.assert_allclose(run_classifier(fmap, spec, x, params), expect, atol=1e-12)
         cfg = vqc.VqcConfig(fmap, spec, measured_qubits=(0,))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import blas
 import oracles
+from blas import CORE_FLAGS, cpu_flags
 import vqclass
 from vqclass import vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
@@ -37,9 +38,10 @@ from vqclass.vqc import (
 
 
 def final_state(x, params, cfg):
-    """Encoded state of one sample after the ansatz, as an oracle State."""
+    """Encoded state of one sample after the ansatz read out on every qubit, as an
+    oracle State: the final state but for the final RZs, which no readout sees."""
     amps = apply_ansatz(encode([x], cfg.feature_map), cfg.ansatz,
-                        build_ansatz(cfg.ansatz, params))
+                        build_ansatz(cfg.ansatz, params, tuple(range(cfg.n_qubits))))
     return oracles.State(cfg.n_qubits, amps[:, 0])
 
 
@@ -69,9 +71,6 @@ def shot_states(cfg, rows, seed):
 
 
 TESTS = Path(__file__).resolve().parent
-# the OpenBLAS cores an x86-64 CPU can run, by the /proc/cpuinfo flag each needs
-CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
-              "Nehalem": None, "Prescott": None}
 # each row of a batch against the row alone, n = 1..12, 2.5 row blocks up to 300 rows:
 # full links read on (0, 1) (on qubit 0 at n = 1), and linear links read on qubit n - 1,
 # which from n = 5 on ends the circuit with the register's halves swapped; prints the
@@ -94,15 +93,6 @@ for n in range(1, 13):
         bad[n, links] = int(np.sum(p_ad(states, params, cfg) != alone))
 print(openblas_core(), {key: d for key, d in bad.items() if d})
 """
-
-
-def cpu_flags():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as info:
-            return next((set(line.split(":", 1)[1].split()) for line in info
-                         if line.startswith("flags")), set())
-    except OSError:
-        return set()
 
 
 def small_cfg(n=2, shots=None, seed=0, measured=None):
@@ -328,13 +318,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             VqcConfig(feature_map=FeatureMapSpec(2), ansatz=AnsatzSpec(3))
 
-    def test_measured_qubits_validation(self):
-        with pytest.raises(ConfigError):
-            small_cfg(2, measured=())
-        with pytest.raises(ConfigError):
-            small_cfg(2, measured=(0, 0))
-        with pytest.raises(ConfigError):
-            small_cfg(2, measured=(5,))
+    @pytest.mark.parametrize("make", [
+        lambda measured: small_cfg(2, measured=measured),
+        lambda measured: build_ansatz(AnsatzSpec(2, reps=1), np.zeros(8), measured),
+    ], ids=["VqcConfig", "build_ansatz"])
+    def test_measured_qubits_validation(self, make):
+        # build_ansatz once planned (-1,) with a group at qubit -3, raised a bare IndexError
+        # on (5,) and (1.5,), and planned (); a plan cached for (0, 1) or (1,) does not let
+        # (0, 1.0) or (True,), equal keys to the cache, through unchecked
+        make((0, 1)), make((1,))
+        for measured, message in [((), "non-empty"), ((0, 0), "distinct"), ((5,), "range"),
+                                  ((-1,), "range"), ((1.5,), "integers"),
+                                  ((0, 1.0), "integers"), ((True,), "integers")]:
+            with pytest.raises(ConfigError, match=f"measured_qubits.* {message}"):
+                make(measured)
 
     def test_measured_qubits_must_be_integers(self):
         # neither rounded nor read as 0/1: a float, a bool or a string is rejected
