@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import BindingError, ConfigError
 from .featmap import check_topology, entangled_pairs
-from .statevec import COUNT_BYTES, apply_block, physical_memory
+from .statevec import COUNT_BYTES, apply_block, physical_memory, row_blocks
 
 # qubits per fused rotation block: 3 and 4 were about as fast at n = 5, 8 and 12, 2 lost at 12
 GROUP = 3
-# a build peaks at about 4 KB per group and layer: 8 layers stay inside state_memory's spare
-BUILD_LAYERS = 8
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,10 @@ def _rotation_layers(half: np.ndarray):
     as in qsim: Isakov et al., arXiv:2111.02396), products of cosines and sines, with the
     identity on those it does not own."""
     qubit, owned, ry_entry = _group_tables(half.shape[-1])
-    for first in range(0, len(half), BUILD_LAYERS):
-        part = half[first : first + BUILD_LAYERS][..., qubit] * owned
+    # a build peaks at about 4 KB per group and layer: at 8 KB a layer's group, a chunk of
+    # layers stays within half a block, state_memory's spare
+    for layers in row_blocks(len(half), 8192 * len(qubit)):
+        part = half[layers][..., qubit] * owned
         trig = np.empty((*part.shape, 3))  # cos, sin, -sin
         np.cos(part, out=trig[..., 0])
         np.negative(np.sin(part, out=trig[..., 1]), out=trig[..., 2])

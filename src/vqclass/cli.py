@@ -29,8 +29,9 @@ from . import vqc as vqc_mod
 from .ansatz import AnsatzSpec
 from .errors import ConfigError, DataError, VqclassError, reason, shown, shown_path
 from .featmap import FeatureMapSpec, encode
-from .qkernel import kernel_matrix, kernel_to_csv, row_blocks
+from .qkernel import kernel_matrix, kernel_to_csv
 from .spsa import SpsaConfig
+from .statevec import row_blocks
 
 MODEL_FILE = "model.json"
 # Each verb's files, named once. train also rewrites MODEL_FILE, guarded by its params.
@@ -78,6 +79,8 @@ def _fraction(value, name: str) -> float:
 def _str(value, name: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {shown(value)}")
+    if "\0" in value:  # no path can hold one (open and mkdir raise ValueError)
+        raise ConfigError(f"{name} must not contain a NUL byte, got {shown(value)}")
     return value
 
 
@@ -328,18 +331,16 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
 
 
 def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
-    """Fit the preprocessing models on the training split and persist them."""
+    """Fit the preprocessing models on the training split, then make output_dir and save them."""
     v = cfg.values
-    if v["prep.pca_k"] > data.features.shape[1]:
-        raise ConfigError(
-            f"pca_k = {v['prep.pca_k']} exceeds the {data.features.shape[1]} encoded "
-            f"feature columns of {shown_path(v['data.path'])}"
-        )
-    model_path, *split_paths = _artifact_paths(cfg, "prep", force)
     train, test = prep_mod.stratified_split(data.labels, v["prep.test_fraction"], v["prep.seed"])
-    x_train = data.features[train]
-    pca = prep_mod.pca_fit(x_train, v["prep.pca_k"])
+    x_train, k = data.features[train], v["prep.pca_k"]
+    if k > min(x_train.shape):
+        raise ConfigError(f"prep.pca_k must be at most min(training rows, encoded feature "
+                          f"columns) = min{x_train.shape} of {shown_path(v['data.path'])}, got {k}")
+    pca = prep_mod.pca_fit(x_train, k)
     mm = prep_mod.minmax_fit(prep_mod.pca_transform(pca, x_train))
+    model_path, *split_paths = _artifact_paths(cfg, "prep", force)
     model = {
         "prep": {
             "pca": {key: a.tolist() for key, a in pca.items()},
@@ -421,10 +422,13 @@ def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> Non
     spec = cfg.vqc.feature_map
     train_states = encode(train.x, spec)
     train_ids = train.ids.tolist()
+    # 16 B per complex of a row's state and its products; at least 2 rows, as numpy runs a
+    # 1-row product as a vector-matrix product, which rounds apart from a matrix product
+    row_bytes = 16 * max(1 << spec.n_qubits, len(train_states))
     for path, split in ((train_path, train), (test_path, test)):
         # encode gives a row the same state in any batch, so a test block is encoded alone
         states = (train_states[rows] if split is train else encode(split.x[rows], spec)
-                  for rows in row_blocks(len(split.x), spec.n_qubits, len(train_states)))
+                  for rows in row_blocks(len(split.x), row_bytes, least=2))
         blocks = (kernel_matrix(block, train_states) for block in states)
         _write_lines(path, kernel_to_csv(blocks, split.ids.tolist(), train_ids))
 

@@ -2,9 +2,9 @@
 
 Entry (i, j) is |<phi(b_j)|phi(a_i)>|^2 of two batches of states from
 ``featmap.encode``, so a same-set Gram matrix is symmetric, unit-diagonal and positive
-semidefinite up to float roundoff. ``row_blocks`` cuts a kernel's rows into blocks that
-are computed and formatted one at a time, and ``kernel_to_csv`` writes each value
-exactly as ``"%.17g" % v`` does."""
+semidefinite up to float roundoff. A kernel's rows are computed and formatted a block at
+a time (``statevec.row_blocks``), and ``kernel_to_csv`` writes each value exactly as
+``"%.17g" % v`` does."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BindingError
-from .statevec import BLOCK_BYTES
+from .statevec import row_blocks
 
-CHUNK_VALUES = 4096  # values formatted per numpy pass: bounds the export's memory
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -88,17 +87,6 @@ def _lines(values: np.ndarray, cols: int) -> list[str]:
     return text.tobytes().translate(None, b"\0 ").decode("ascii").split("\n")[1:]
 
 
-def row_blocks(n_rows: int, n_qubits: int, n_cols: int) -> list[slice]:
-    """Consecutive slices of ``n_rows`` rows: blocks of the most rows whose states
-    (2^n amplitudes each) and whose products with ``n_cols`` states each fit in
-    ``BLOCK_BYTES``, but at least 2. A 1-row tail joins the block before it:
-    numpy runs a 1-row product as a vector-matrix product, which rounds apart
-    from the matrix product the other rows run in."""
-    step = max(2, BLOCK_BYTES // (16 * max(1 << n_qubits, n_cols)))  # 16 B per complex
-    stops = [*range(step, n_rows - 1, step), n_rows]
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
-
-
 def kernel_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     """Fidelity of each row of ``states_a`` against each row of ``states_b``,
     both of shape (N, 2^n): an (|A|, |B|) array clipped into [0, 1]. The left
@@ -123,20 +111,18 @@ def kernel_to_csv(blocks: Iterable[np.ndarray], row_ids: Sequence,
     BindingError before any of its lines is yielded."""
     cols, done = len(col_ids), 0
     yield ",".join(["id", *map(str, col_ids)])
-    step = max(1, CHUNK_VALUES // max(1, cols))
     for block in blocks:
         block = np.asarray(block, np.float64)
         shape = (done + len(block), *block.shape[1:])
         if shape[1:] != (cols,) or shape[0] > len(row_ids):
             raise _misfit(shape, row_ids, col_ids)
-        for start in range(0, len(block), step):
-            ids = row_ids[done + start:done + start + step]
-            if not cols:
+        # _lines peaks at about 130 B a value: 4,096-value chunks keep it near one block
+        for rows in row_blocks(len(block), 128 * max(1, cols)):
+            ids = row_ids[done + rows.start:done + rows.stop]
+            if cols:
+                yield from map("{},{}".format, ids, _lines(block[rows].ravel(), cols))
+            else:
                 yield from map(str, ids)
-                continue
-            lines = _lines(block[start:start + step].ravel(), cols)
-            for rid, line in zip(ids, lines):
-                yield f"{rid},{line}"
         done += len(block)
     if done != len(row_ids):
         raise _misfit((done, cols), row_ids, col_ids)

@@ -3,8 +3,8 @@
 Qubit 0 is the most significant bit of the basis-state index: |b0 b1 ... b_{n-1}> lives
 at index ``int("b0b1...", 2)``, and bit strings are always written with qubit 0 leftmost.
 ``apply_block`` applies one real 2^k x 2^k matrix to k adjacent qubits of amplitudes held
-batch-last, with no 2^n x 2^n matrix formed. The limits are the qubit cap, the row-block
-size, the product width, the memory ceiling and its charge per count."""
+batch-last, with no 2^n x 2^n matrix formed; ``row_blocks`` cuts every batch into blocks.
+Its limits: the qubit cap, block size, product width, memory ceiling and charge per count."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import os
 import numpy as np
 
 MAX_QUBITS = 24
-# vqc.p_ad advances a batch in row blocks of about this many bytes, so a
-# block and its gates' scratch stay in L2 through the whole ansatz; of 64 KiB
-# to 2 MiB (130 rows), 512 KiB and 1 MiB were fastest at n = 12, with and without
+# row_blocks keeps a block within this many bytes, so vqc.p_ad's block and its
+# gates' scratch stay in L2 through the whole ansatz; of 64 KiB to 2 MiB (130
+# rows), 512 KiB and 1 MiB were fastest at n = 12, with and without
 # apply_ansatz's half-register swap: take the smaller
 BLOCK_BYTES = 1 << 19
 # apply_block runs its products at most this many floats wide. OpenBLAS keeps a GEMM
@@ -36,6 +36,16 @@ COUNT_BYTES = 256
 def physical_memory() -> int:
     """Bytes of physical memory: the ceiling of every size the package checks."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def row_blocks(n_rows: int, row_bytes: int, least: int = 1) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows of ``row_bytes`` each: the fewest blocks of at
+    most max(least, BLOCK_BYTES // row_bytes) rows, their sizes as even as possible (they
+    differ by at most one), none under ``least`` rows unless all the rows are; so a block
+    can hold up to 2 * least - 1 rows when there are few. 0 rows give no blocks."""
+    most = max(least, BLOCK_BYTES // row_bytes)
+    count = min(-(-n_rows // most), max(1, n_rows // least))
+    return [slice(i * n_rows // count, (i + 1) * n_rows // count) for i in range(count)]
 
 
 def apply_block(matrix: np.ndarray, amplitudes: np.ndarray, qubit: int, out: np.ndarray) -> None:

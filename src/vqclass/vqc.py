@@ -22,7 +22,7 @@ from .ansatz import AnsatzSpec, apply_ansatz, build_ansatz, check_measured, init
 from .errors import BindingError, ConfigError
 from .featmap import FeatureMapSpec, encode
 from .spsa import SpsaConfig, spsa_minimize
-from .statevec import BLOCK_BYTES
+from .statevec import row_blocks
 
 
 class Label(IntEnum):
@@ -82,21 +82,21 @@ def p_ad(
     states: np.ndarray, params: Sequence[float], cfg: VqcConfig, eval_counter: int = 0
 ) -> np.ndarray:
     """AD-class probability of each encoded state, one per row of ``states``, (N, 2^n),
-    which is left unchanged, after the ansatz bound to ``params``. The rows run in blocks
-    of about ``BLOCK_BYTES``; a row's result does not depend on its block. Shot mode draws
-    with ``eval_counter``."""
+    which is left unchanged, after the ansatz bound to ``params``. The rows run in even
+    blocks of at most ``BLOCK_BYTES`` or one row (``statevec.row_blocks``); a row's result
+    does not depend on its block. Shot mode draws with ``eval_counter``."""
     n = cfg.n_qubits
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise BindingError(f"states must have shape (N, {1 << n}), got {states.shape}")
     layers = build_ansatz(cfg.ansatz, params, cfg.measured_qubits)
-    rows = max(1, BLOCK_BYTES >> (n + 4))  # 16 B per amplitude
-    # allocated once; the gates would otherwise allocate temporaries per block
-    work = np.empty((2, min(rows, len(states)) << n), dtype=np.complex128)
+    blocks = row_blocks(len(states), 16 << n)  # 16 B per amplitude
+    # allocated once, for the largest block (the rows per block, rounded up); the gates
+    # would otherwise allocate temporaries per block
+    work = np.empty((2, -(-len(states) // max(1, len(blocks))) << n), np.complex128)
     mass = np.empty(len(states))
-    for start in range(0, len(states), rows):
-        block = apply_ansatz(states[start : start + rows], cfg.ansatz, layers, work)
-        mass[start : start + rows] = _parity_mass(block, cfg)
+    for block in blocks:
+        mass[block] = _parity_mass(apply_ansatz(states[block], cfg.ansatz, layers, work), cfg)
     return _draw(mass, cfg, eval_counter)
 
 

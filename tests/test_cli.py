@@ -262,6 +262,24 @@ class TestGuards:
         if verb == "train":
             assert "cannot read" in err and "rerun prep --force" not in err
 
+    @pytest.mark.parametrize("verb", list(cli.ARTIFACTS))
+    @pytest.mark.parametrize("key", ["data.path", "output_dir"])
+    def test_nul_byte_in_a_path_is_a_config_error(self, tmp_path, capsys, key, verb):
+        # in data.path every verb exited 2 ("embedded null byte"); in output_dir prep and
+        # report did, and train, eval and kernel blamed model.json's content, the NUL printed
+        cfg_path = small_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        if key == "data.path":
+            cfg["data"]["path"] += "\0"
+        else:
+            cfg["output_dir"] = str(tmp_path / "o\0ut")
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must not contain a NUL byte" in err and "\0" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)
         cfg = json.loads(cfg_path.read_text())
@@ -464,6 +482,27 @@ class TestProvenance:
         assert model["config"]["spsa.maxiter"] == 5 and len(model["params"]) == 12
         for name in ("model.json", "loss_history.csv"):
             assert (out / name).read_bytes() != first[name], name
+
+    @pytest.mark.parametrize("prep, message", [
+        ({"pca_k": 7}, "prep.pca_k must be at most min(training rows, encoded feature "
+                       "columns) = min(6, 9)"),
+        ({"test_fraction": 0.9}, "cannot allocate 4 test sample(s)"),
+    ], ids=["pca_k", "split"])
+    def test_failed_forced_prep_leaves_the_run_as_it_was(self, tmp_path, capsys, prep, message):
+        # on 8 rows, 6 of them training rows, prep --force at pca_k 7 removed the earlier
+        # report's 7 downstream files, then failed in pca_fit with a message that named no
+        # config key: the split and both fits now run before output_dir is touched
+        features, labels = make_blobs(8, 9, seed=5)
+        write_labeled_csv(str(tmp_path / "blobs.csv"), features, labels)
+        assert main(["report", "--config", str(small_config(tmp_path))]) == 0
+        out = tmp_path / "run"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == sorted(ARTIFACTS)
+        cfg_path = small_config(tmp_path, prep={"pca_k": 2, "seed": 1, **prep})
+        capsys.readouterr()
+        assert main(["prep", "--config", str(cfg_path), "--force"]) == 1
+        assert message in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_forced_train_removes_what_was_made_from_the_old_params(self, tmp_path):
         cfg_path = small_config(tmp_path)

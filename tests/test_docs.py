@@ -1,7 +1,7 @@
-"""The README's code examples run against the package as it stands, the names it
-cites in the package's modules exist, its quoted benchmark output is what the
-committed benchmark run prints, and its config table lists ``cli.SCHEMA``'s keys and
-defaults; every module docstring fits ten lines."""
+"""The README's code examples run against the package as it stands, the names it and the
+package's docstrings cite in the package's modules exist, its quoted benchmark output is
+what the committed benchmark run prints, and its config table lists ``cli.SCHEMA``'s keys
+and defaults; every module docstring fits ten lines."""
 
 import ast
 import importlib
@@ -36,16 +36,24 @@ def test_readme_library_example_runs(capsys):
 
 def test_readme_code_names_resolve():
     # each `module.name` README cites for a vqclass module, as `vqclass.cli.SCHEMA` or
-    # `ansatz._light_cone`, exists; config keys (`ansatz.reps`) and file names are not code
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    modules = {path.stem for path in (ROOT / "src" / "vqclass").glob("*.py")}
-    for name, module in set(re.findall(r"`(?:vqclass\.)?((\w+)\.[\w.]+)`", readme)):
-        if module not in modules or name in SCHEMA or name.endswith((".json", ".csv")):
-            continue
-        target = importlib.import_module(f"vqclass.{module}")
-        for part in name.split(".")[1:]:
-            assert hasattr(target, part), f"README cites {name}, which does not exist"
-            target = getattr(target, part)
+    # `ansatz._light_cone`, and each ``module.name`` a docstring in src/ cites, exists;
+    # config keys (`ansatz.reps`) and file names are not code
+    paths = sorted((ROOT / "src" / "vqclass").glob("*.py"))
+    texts = {"README": (ROOT / "README.md").read_text(encoding="utf-8")}
+    for path in paths:
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        texts[path.name] = "\n".join(filter(None, (
+            ast.get_docstring(node) for node in nodes
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))))
+    modules = {path.stem for path in paths}
+    for where, text in texts.items():
+        for name, module in set(re.findall(r"`(?:vqclass\.)?((\w+)\.[\w.]+)`", text)):
+            if module not in modules or name in SCHEMA or name.endswith((".json", ".csv")):
+                continue
+            target = importlib.import_module(f"vqclass.{module}")
+            for part in name.split(".")[1:]:
+                assert hasattr(target, part), f"{where} cites {name}, which does not exist"
+                target = getattr(target, part)
 
 
 def test_readme_benchmark_block_matches_committed_run():

@@ -16,8 +16,8 @@ from vqclass.cli import _write_lines
 from vqclass.errors import BindingError, EncodingError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.prep import load_csv
-from vqclass.qkernel import CHUNK_VALUES, kernel_matrix, kernel_to_csv, row_blocks
-from vqclass.statevec import BLOCK_BYTES
+from vqclass.qkernel import kernel_matrix, kernel_to_csv
+from vqclass.statevec import BLOCK_BYTES, row_blocks
 from vqclass.synth import make_blobs, write_labeled_csv
 
 SPEC5 = FeatureMapSpec(5, 1, "full")
@@ -212,13 +212,13 @@ class TestStreamedExport:
 
     @pytest.mark.parametrize("rows, cols", [(16, 16), (17, 16), (1, 16), (17, 40)])
     def test_blocks_keep_the_bytes_of_one_product(self, rows, cols):
-        # at n = 12 a block is 8 rows: an exact multiple, a 1-row tail, a single row,
-        # more columns than rows
+        # at n = 12 a block is at most 8 rows: an exact multiple, one row over (three even
+        # blocks), a single row, more columns than rows
         spec = FeatureMapSpec(12, 1, "full")
         rng = np.random.default_rng(rows + cols)
         a, b = (encode(rng.uniform(0, 1, size=(size, 12)), spec) for size in (rows, cols))
-        blocks = row_blocks(rows, 12, cols)
-        assert [s.stop - s.start for s in blocks] == {16: [8, 8], 17: [8, 9], 1: [1]}[rows]
+        blocks = row_blocks(rows, 16 * max(1 << 12, cols), least=2)  # as cmd_kernel cuts them
+        assert [s.stop - s.start for s in blocks] == {16: [8, 8], 17: [5, 6, 6], 1: [1]}[rows]
         row_ids, col_ids = list(range(rows)), list(range(cols))
         streamed = "".join(f"{line}\n" for line in kernel_to_csv(
             (kernel_matrix(a[s], b) for s in blocks), row_ids, col_ids))
@@ -230,7 +230,7 @@ class TestStreamedExport:
     def test_row_blocks_cover_the_rows_with_no_lone_row(self, n_qubits, n_cols):
         step = BLOCK_BYTES // (16 * max(1 << n_qubits, n_cols))
         for n_rows in range(1, 300):
-            blocks = row_blocks(n_rows, n_qubits, n_cols)
+            blocks = row_blocks(n_rows, 16 * max(1 << n_qubits, n_cols), least=2)
             assert [s.start for s in blocks] == [0] + [s.stop for s in blocks[:-1]]
             assert blocks[-1].stop == n_rows
             sizes = [s.stop - s.start for s in blocks]
@@ -301,8 +301,9 @@ class TestExactDigits:
         assert_per_value_digits(values.T)
         assert_per_value_digits(values.astype(np.float32))
 
-    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (2, CHUNK_VALUES + 1),
-                                       (CHUNK_VALUES // 50 + 3, 50)])
+    # kernel_to_csv formats BLOCK_BYTES // 128 values a pass
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (2, BLOCK_BYTES // 128 + 1),
+                                       (BLOCK_BYTES // 128 // 50 + 3, 50)])
     def test_chunk_boundaries(self, shape):
         assert_per_value_digits(np.random.default_rng(13).random(shape) ** 2)
 

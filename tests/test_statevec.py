@@ -3,8 +3,9 @@ ansatz's fused rotation blocks and CY/CZ block gathers, and the closed-form
 encoder, checked for gate semantics, norm and unitarity against the dense
 oracles; then the outcome probabilities and shot sampling that the parity
 readout takes from a state (``vqc._parity_mass``, then the shot draw
-``vqc._draw``: the two steps ``p_ad`` runs after the ansatz). The one-gate
-helpers in ``gates`` take and return one state per row, as the oracles do."""
+``vqc._draw``: the two steps ``p_ad`` runs after the ansatz), and the rule that
+cuts every batch into row blocks (``row_blocks``). The one-gate helpers in
+``gates`` take and return one state per row, as the oracles do."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from vqclass import ansatz, vqc
 from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz
 from vqclass.errors import ConfigError
 from vqclass.featmap import ENTANGLEMENTS, FeatureMapSpec, encode
-from vqclass.statevec import MAX_QUBITS, apply_block
+from vqclass.statevec import BLOCK_BYTES, MAX_QUBITS, apply_block, row_blocks
 
 
 
@@ -77,6 +78,30 @@ def run_classifier(fmap, spec, x, params):
     ``random_instance`` does."""
     layers = build_ansatz(spec, params, tuple(range(spec.n_qubits)))
     return apply_ansatz(encode(x, fmap), spec, layers).T
+
+
+class TestRowBlocks:
+    @given(st.integers(0, 2000),
+           st.integers(1, 4 * BLOCK_BYTES) | st.integers(BLOCK_BYTES // 3000, BLOCK_BYTES // 2),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_fewest_even_blocks_cover_the_rows(self, n_rows, row_bytes, least):
+        most = BLOCK_BYTES // row_bytes
+        blocks = row_blocks(n_rows, row_bytes, least)
+        if not n_rows:
+            assert blocks == []
+            return
+        assert [s.start for s in blocks] == [0] + [s.stop for s in blocks[:-1]]
+        assert blocks[-1].stop == n_rows
+        sizes = [s.stop - s.start for s in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= max(most, 2 * least - 1)
+        assert n_rows < least or min(sizes) >= least
+        assert (len(blocks) - 1) * max(least, most) < n_rows  # one block fewer would not do
+
+    def test_a_short_tail_is_shared(self):
+        # 128 + 2 rows at n = 8: the 2-row block paid a whole block's numpy calls
+        assert row_blocks(130, 16 << 8) == [slice(0, 65), slice(65, 130)]
 
 
 class TestQubitCap:

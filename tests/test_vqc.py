@@ -23,9 +23,9 @@ from vqclass.ansatz import AnsatzSpec, apply_ansatz, build_ansatz, init_params
 from vqclass.errors import ConfigError
 from vqclass.featmap import FeatureMapSpec, encode
 from vqclass.spsa import SpsaConfig, gain_sequences
+from vqclass.statevec import BLOCK_BYTES, row_blocks
 from vqclass.synth import make_blobs
 from vqclass.vqc import (
-    BLOCK_BYTES,
     Label,
     VqcConfig,
     _even_parity_mask,
@@ -202,10 +202,23 @@ class TestForward:
         np.testing.assert_array_equal(states, before)
         np.testing.assert_array_equal(p_ad(states, params, cfg), first)
 
+    @pytest.mark.parametrize("shots", [None, 10])
+    def test_p_ad_of_no_rows_is_empty(self, shots):
+        # no rows give no row blocks: no block is run
+        cfg = small_cfg(3, shots=shots)
+        assert p_ad(np.empty((0, 8), complex), init_params(cfg.ansatz, 0), cfg).shape == (0,)
+
+    def test_rows_alone_runs_an_odd_width_block_at_every_n(self):
+        # ROWS_ALONE's batch, cut as p_ad cuts it: each n runs a block an odd number of
+        # rows wide
+        for n in range(1, 13):
+            rows = min(299, 5 * (BLOCK_BYTES >> (n + 4)) // 2 + 1)
+            assert any((s.stop - s.start) % 2 for s in row_blocks(rows, 16 << n)), n
+
     # from n = 13 on blocks hold 4, 2 and 1 rows
     @pytest.mark.parametrize("n", [8, 12, 14, 16])
     def test_row_blocks_at_production_size(self, n):
-        # 2.5 blocks' rows, so the last block is short
+        # 2.5 blocks' rows, cut into even blocks
         cfg = VqcConfig(FeatureMapSpec(n, 1, "full"), AnsatzSpec(n, reps=2, entanglement="full"))
         rows = 5 * max(1, BLOCK_BYTES >> (n + 4)) // 2
         states = encode(np.random.default_rng(8).uniform(0, 1, size=(rows, n)), cfg.feature_map)
