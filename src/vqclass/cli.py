@@ -4,9 +4,9 @@ Every seed is in the config, so a rerun with the same config and input makes
 byte-identical artifacts. A verb's files (ARTIFACTS) are write-once per output
 directory: it checks them, and the files made from them (UPSTREAM), before it writes
 any, and --force overwrites them and removes the downstream ones, so no directory mixes
-two runs. prep records the resolved config and the input's sha256 in model.json; train,
-eval and kernel refuse to run when either has changed since. Exit codes: 0 success,
-1 user or config error, 2 internal error."""
+two runs. prep records its split and fits, the resolved config and the input's sha256 in
+model.json; train, eval and kernel refit the split and fits, and refuse to run unless all
+of it is what they find. Exit codes: 0 success, 1 user or config error, 2 internal error."""
 
 from __future__ import annotations
 
@@ -154,11 +154,14 @@ class RunConfig:
 
 
 def _nested(values: dict) -> dict:
-    """Schema-keyed values regrouped into the sections of the config file."""
+    """Dotted keys regrouped into nested objects: {"a.b.c": x} becomes {"a": {"b": {"c": x}}}."""
     out: dict = {}
     for name, value in values.items():
-        section, _, key = name.rpartition(".")
-        (out.setdefault(section, {}) if section else out)[key] = value
+        *sections, key = name.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
     return out
 
 
@@ -264,38 +267,54 @@ class _Split(NamedTuple):
     x: np.ndarray  # pcs min-max scaled into [0, 1]: the encoder's input
 
 
-def _floats(path: Path, name: str, value, shape: tuple, verb: str) -> np.ndarray:
-    """model.json's ``name`` as a float64 array of ``shape``: nested lists of numbers
-    _float accepts, else a DataError naming the file, the key and the verb to rerun."""
+def _floats(path: Path, value, size: int) -> np.ndarray:
+    """model.json's params as a float64 array: a list of ``size`` numbers _float accepts,
+    else a DataError naming the file and the key."""
     try:
-        leaves = [value]
-        for size in shape:
-            if not all(isinstance(row, list) and len(row) == size for row in leaves):
-                raise ConfigError(f"must hold {shape} finite numbers")
-            leaves = [x for row in leaves for x in row]
-        return np.array([_float(x, "each entry") for x in leaves]).reshape(shape)
+        if not (isinstance(value, list) and len(value) == size):
+            raise ConfigError(f"must hold {size} finite numbers")
+        return np.array([_float(x, "each entry") for x in value])
     except ConfigError as exc:
-        raise DataError(f"{shown_path(path)} {name}: {reason(exc)}; rerun {verb} --force") from None
+        raise DataError(f"{shown_path(path)} params: {reason(exc)}; rerun train --force") from None
+
+
+def _fit(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
+    """prep's split of the input and its PCA and min-max, fit on the training rows:
+    model.json's record of them, its keys dotted, and the train and test splits."""
+    v, where = cfg.values, shown_path(cfg.values["data.path"])
+    fraction, k = v["prep.test_fraction"], v["prep.pca_k"]
+    try:
+        ids = prep_mod.stratified_split(data.labels, fraction, v["prep.seed"], data.label_names)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc} (prep.test_fraction = {fraction})") from None
+    x_train = data.features[ids[0]]
+    if k > min(x_train.shape):
+        raise ConfigError(f"prep.pca_k must be at most min(training rows, encoded feature "
+                          f"columns) = min{x_train.shape} of {where}, got {k}")
+    try:
+        pca = prep_mod.pca_fit(x_train, k)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    pcs = [prep_mod.pca_transform(pca, data.features[rows]) for rows in ids]
+    mm = prep_mod.minmax_fit(pcs[0])
+    record = {**{f"prep.pca.{key}": a.tolist() for key, a in pca.items()},
+              **{f"prep.minmax.{key}": a.tolist() for key, a in mm.items()},
+              "prep.feature_names": data.feature_names,
+              "split.train_ids": ids[0].tolist(), "split.test_ids": ids[1].tolist()}
+    train, test = (_Split(rows, data.labels[rows], z, prep_mod.minmax_transform(mm, z))
+                   for rows, z in zip(ids, pcs))
+    return record, train, test
 
 
 def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
-    """The load stage of train, eval and kernel: model.json, checked against
-    the config and input it was prepared from and for shapes, finite values
-    and non-empty, disjoint, unique row ids, and its train and test splits
-    with the stored PCA and min-max applied."""
+    """The load stage of train, eval and kernel: model.json, checked against the config
+    and input it was prepared from, then against _fit's refit of them, key by key as JSON
+    text, and the refit's train and test splits."""
     path = cfg.out / MODEL_FILE
     where = shown_path(path)
-    n, d = data.features.shape
-    k = cfg.values["prep.pca_k"]
-    # the fitted arrays under model.json's "prep", and the shape each must have
-    shapes = {"pca": {"mean": (d,), "components": (k, d), "explained_variance": (k,)},
-              "minmax": {"min": (k,), "max": (k,)}}
     try:
         model = json.loads(path.read_text(encoding="utf-8"))
         stored, digest = dict(model["config"]), model["input_sha256"]
-        raw = {part: {key: model["prep"][part][key] for key in keys}
-               for part, keys in shapes.items()}
-        ids = [model["split"][key] for key in ("train_ids", "test_ids")]
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"missing {where}; run the prep command first") from None
     except OSError as exc:  # not the content's fault, so prep --force would not mend it
@@ -313,47 +332,27 @@ def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Sp
                 f"config key {shown(name)} is {shown(record.get(name))} but {where} was "
                 f"prepared with {shown(stored.get(name))}; rerun prep --force"
             )
-    fitted = {part: {key: _floats(path, f"prep.{part}.{key}", raw[part][key], shape, "prep")
-                     for key, shape in keys.items()} for part, keys in shapes.items()}
-    if not all(isinstance(rows, list) and rows and all(type(i) is int and 0 <= i < n for i in rows)
-               for rows in ids):
-        raise DataError(f"{where} split ids must be non-empty lists of integers in [0, {n}); "
-                        "rerun prep --force")
-    if len(set(ids[0]) | set(ids[1])) != len(ids[0]) + len(ids[1]):
-        raise DataError(f"{where} has a split id twice, within or across train and test; "
-                        "rerun prep --force")
-    splits = []
-    for rows in map(np.array, ids):
-        pcs = prep_mod.pca_transform(fitted["pca"], data.features[rows])
-        splits.append(_Split(rows, data.labels[rows], pcs,
-                             prep_mod.minmax_transform(fitted["minmax"], pcs)))
-    return model, splits[0], splits[1]
+    fit, train, test = _fit(cfg, data)
+    for key, value in fit.items():
+        held = model
+        for part in key.split("."):
+            held = held.get(part) if isinstance(held, dict) else None
+        # as text, so 1, 1.0 and true differ; JSON floats round-trip exactly
+        if json.dumps(held) != json.dumps(value):
+            raise DataError(f"{where} {key}: not what prep fits to this input and config; "
+                            "rerun prep --force")
+    return model, train, test
 
 
 def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
-    """Fit the preprocessing models on the training split, then make output_dir and save them."""
-    v = cfg.values
-    train, test = prep_mod.stratified_split(data.labels, v["prep.test_fraction"], v["prep.seed"])
-    x_train, k = data.features[train], v["prep.pca_k"]
-    if k > min(x_train.shape):
-        raise ConfigError(f"prep.pca_k must be at most min(training rows, encoded feature "
-                          f"columns) = min{x_train.shape} of {shown_path(v['data.path'])}, got {k}")
-    pca = prep_mod.pca_fit(x_train, k)
-    mm = prep_mod.minmax_fit(prep_mod.pca_transform(pca, x_train))
+    """Split the input and fit the preprocessing on its training rows (_fit), then make
+    output_dir and write model.json: that fit, the config record and the input's sha256."""
+    fit, train, test = _fit(cfg, data)
     model_path, *split_paths = _artifact_paths(cfg, "prep", force)
-    model = {
-        "prep": {
-            "pca": {key: a.tolist() for key, a in pca.items()},
-            "minmax": {key: a.tolist() for key, a in mm.items()},
-            "feature_names": data.feature_names,
-        },
-        "split": {"train_ids": train.tolist(), "test_ids": test.tolist()},
-        "config": cfg.record,
-        "input_sha256": data.sha256,
-    }
+    model = _nested({**fit, "config": cfg.record, "input_sha256": data.sha256})
     _write_lines(model_path, [json.dumps(model, indent=2)])
-    for path, rows in zip(split_paths, (train, test)):
-        _write_lines(path, chain(["sample_id"], map(str, rows.tolist())))
+    for path, split in zip(split_paths, (train, test)):
+        _write_lines(path, chain(["sample_id"], map(str, split.ids.tolist())))
 
 
 def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
@@ -385,19 +384,12 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
             f"{shown_path(cfg.out / MODEL_FILE)} has no trained parameters; "
             "run the train command first"
         )
-    params = _floats(cfg.out / MODEL_FILE, "params", model["params"],
-                     (cfg.vqc.ansatz.n_params,), "train")
+    params = _floats(cfg.out / MODEL_FILE, model["params"], cfg.vqc.ansatz.n_params)
     metrics_path, pred_path, scatter_path = _artifact_paths(cfg, "eval", force)
 
     test_p = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
     test_pred = vqc_mod.classify(test_p)
     report = metrics_mod.full_report(test.labels.tolist(), test_pred.tolist(), test_p.tolist())
-    if report["ad_cohort"]["auroc"] is None:
-        print(
-            "warning: held-out split contains a single class; AUROC is undefined "
-            "and reported as null",
-            file=sys.stderr,
-        )
     _write_lines(metrics_path, [json.dumps(report, indent=2)])
     _write_lines(pred_path, chain(["sample_id,p_ad,predicted,true"], (
         f"{int(sid)},{p!r},{_label(pred)},{_label(true)}"
@@ -435,12 +427,11 @@ def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> Non
 
 def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
     """Full pipeline into one directory, plus an echo of the config."""
-    (echo_path,) = _artifact_paths(cfg, "report", force)
-    cmd_prep(cfg, data, force)  # checks every verb's files before it writes
+    cmd_prep(cfg, data, force)  # checks every verb's files, the echo too, before it writes
     cmd_train(cfg, data, force)
     cmd_eval(cfg, data, force)
     cmd_kernel(cfg, data, force)
-    _write_lines(echo_path, [json.dumps(_nested(cfg.values), indent=2)])
+    _write_lines(cfg.out / ARTIFACTS["report"][0], [json.dumps(_nested(cfg.values), indent=2)])
 
 
 _COMMANDS = {

@@ -29,6 +29,7 @@ class Table(NamedTuple):
     labels: np.ndarray
     feature_names: list[str]
     sha256: str  # of the file's bytes
+    label_names: tuple[str, str]  # the label column's values of labels 0 and 1
 
 
 def load_csv(path: str, label_column: str, positive_label: str) -> Table:
@@ -82,7 +83,8 @@ def load_csv(path: str, label_column: str, positive_label: str) -> Table:
         encoded = one_hot_encode(columns, rows, label_column, positive_label)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
-    return Table(*encoded, hashlib.sha256(raw).hexdigest())
+    negative = next(value for value in label_values if value != positive_label)
+    return Table(*encoded, hashlib.sha256(raw).hexdigest(), (negative, positive_label))
 
 
 def _try_numeric(name: str, values: list[str]) -> np.ndarray | None:
@@ -192,13 +194,14 @@ def minmax_transform(minmax: dict, features: np.ndarray) -> np.ndarray:
 
 
 def stratified_split(
-    labels: np.ndarray, test_fraction: float, seed: int
+    labels: np.ndarray, test_fraction: float, seed: int, names=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted train and test row indices: per-class shuffle then
     proportional allocation to the test split.
 
     Test size per class is round(count * fraction) (half rounds up) and
     at least 1; every class must keep at least one training sample.
+    ``names``, if given, are what messages call the two classes, lower label first.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -209,12 +212,12 @@ def stratified_split(
     rng = np.random.default_rng(seed)
     test_idx: list[np.ndarray] = []
     train_idx: list[np.ndarray] = []
-    for cls in classes:
+    for cls, name in zip(classes, names or classes):
         members = np.flatnonzero(labels == cls)
         n_test = max(1, int(np.floor(members.size * test_fraction + 0.5)))
         if members.size - n_test < 1:
             raise DataError(
-                f"class {cls} has {members.size} sample(s); cannot allocate "
+                f"class {shown(name)} has {members.size} sample(s); cannot allocate "
                 f"{n_test} test sample(s) and keep one for training"
             )
         perm = rng.permutation(members)

@@ -3,9 +3,11 @@
 ``bench/checks.py`` rebuilds spot p_ad values and kernel entries with dense
 gate matrices, sharing no code with the package, and checks the split,
 the loss history and the reference metrics. Running it over ``runs/`` here
-catches regenerated artifacts that the benchmark would reject.
+catches regenerated artifacts that the benchmark would reject. The names the bench
+imports from the package, and those its tracer wraps, must exist.
 """
 
+import ast
 import importlib
 import json
 import sys
@@ -47,3 +49,18 @@ def test_committed_run_passes_gate(run, data, expect):
 def test_trace_target_resolves(module, name):
     assert (module, name) in [(m, a) for m, a, _ in PATCHES]
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+def test_bench_package_imports_resolve():
+    # bench/workloads.py imports vqclass.synth's generators inside make_inputs, where no
+    # import-time error shows: a moved or renamed one would break every workload unseen
+    resolved = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vqclass":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    assert hasattr(module, alias.name), f"bench/{path.name} imports {name}"
+                    resolved.append(name)
+    assert "vqclass.synth.make_handwriting_table" in resolved

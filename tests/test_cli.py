@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +31,8 @@ ARTIFACTS = [
     "kernel_test.csv",
     "config_echo.json",
 ]
+# small_config's columns, whose label 'H' has a single row: too few to split
+ONE_H_ROW = "f0,f1,class\n0.1,0.2,H\n0.3,0.1,pos\n0.5,0.9,pos\n0.2,0.4,pos\n"
 
 
 def small_config(tmp_path, out_name="run", maxiter=3, **overrides):
@@ -331,6 +332,19 @@ class TestGuards:
         assert str(model_path) in err and "Traceback" not in err
         assert len(err) < 300, err
 
+    @pytest.mark.parametrize("text, message", [
+        (ONE_H_ROW, "class 'H' has 1 sample(s); cannot allocate 1 test sample(s) and keep one "
+                    "for training (prep.test_fraction = 0.25)"),
+        ("f0,f1,class\n" + "1,2,H\n1,2,pos\n" * 4,
+         "PCA input has zero variance in every feature (all rows identical)"),
+    ], ids=["split", "zero-variance"])
+    def test_prep_data_error_names_the_input(self, tmp_path, capsys, text, message):
+        # neither named the file, nor the split prep.test_fraction; it called 'H' class 0
+        data_path = tmp_path / "blobs.csv"
+        data_path.write_text(text, encoding="utf-8")
+        assert main(["prep", "--config", str(small_config(tmp_path))]) == 1
+        assert f"error: {data_path}: {message}\n" == capsys.readouterr().err
+
     def test_pca_k_too_large(self, tmp_path):
         cfg_path = small_config(tmp_path, prep={"pca_k": 9, "test_fraction": 0.25, "seed": 1})
         assert main(["prep", "--config", str(cfg_path)]) == 1
@@ -437,7 +451,8 @@ def trained_run(tmp_path_factory):
 
 
 class TestProvenance:
-    """prep records the config and the input's sha256; the later verbs check both."""
+    """prep records its split and fits, the config and the input's sha256; the later
+    verbs check all of them."""
 
     @pytest.mark.parametrize(
         "change, rc, message",
@@ -503,6 +518,42 @@ class TestProvenance:
         assert main(["prep", "--config", str(cfg_path), "--force"]) == 1
         assert message in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_report_makes_no_output_dir(self, tmp_path, capsys):
+        # report made output_dir to check its echo, then prep's split failed and left it empty
+        (tmp_path / "blobs.csv").write_text(ONE_H_ROW, encoding="utf-8")
+        assert main(["report", "--config", str(small_config(tmp_path))]) == 1
+        assert "class 'H' has 1 sample(s)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["split.train_ids", "prep.pca.components", "prep.minmax.max"])
+    def test_well_formed_edit_is_refused(self, trained_run, key):
+        # each edit keeps every shape, type and id rule that model.json is parsed by; the
+        # verbs ran on it, and their artifacts claimed a config and input they were not made from
+        cfg_path, out = trained_run
+        model_path = out / "model.json"
+        good = model_path.read_bytes()
+        model = json.loads(good)
+        if key == "split.train_ids":  # one test id moved into the train list, both sorted
+            split = model["split"]
+            split["train_ids"] = sorted(split["train_ids"] + [split["test_ids"].pop(0)])
+        elif key == "prep.pca.components":  # one row negated, still orthonormal
+            model["prep"]["pca"]["components"][-1] = [
+                -x for x in model["prep"]["pca"]["components"][-1]]
+        else:  # moved by one ulp
+            model["prep"]["minmax"]["max"][0] = float(np.nextafter(
+                model["prep"]["minmax"]["max"][0], np.inf))
+        model_path.write_text(json.dumps(model, indent=2), encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        try:
+            for verb in ("train", "eval", "kernel"):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert main([verb, "--config", str(cfg_path), "--force"]) == 1, verb
+                assert f"{model_path} {key}: not what prep fits to this input and config; " \
+                       "rerun prep --force" in err.getvalue(), verb
+                assert {path.name: path.read_bytes() for path in out.iterdir()} == before, verb
+        finally:
+            model_path.write_bytes(good)
 
     def test_forced_train_removes_what_was_made_from_the_old_params(self, tmp_path):
         cfg_path = small_config(tmp_path)
@@ -665,24 +716,9 @@ class TestProvenance:
                         if k != "output_dir"}
 
 
-def readme_section(title):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split(f"### {title}\n", 1)[1].split("\n#", 1)[0]
-
-
-def test_readme_config_table_matches_schema():
-    section = readme_section("Config reference")
-    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(SCHEMA)
-
-
-def test_readme_artifacts_table_matches_artifacts():
-    first_cells = re.findall(r"^\| ([^|]+) \|", readme_section("Artifacts"), flags=re.M)
-    listed = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
-    assert listed == [name for names in cli.ARTIFACTS.values() for name in names]
-
-
 class TestSingleClassEval:
-    def test_auroc_null_with_diagnostic(self, tmp_path, capsys):
+    def test_doctored_split_is_refused(self, tmp_path, capsys):
+        # train and eval ran on this split, which prep did not make, and reported a null AUROC
         cfg_path = small_config(tmp_path, maxiter=2)
         assert main(["prep", "--config", str(cfg_path)]) == 0
         # doctor the split so the held-out rows are single-class
@@ -694,9 +730,9 @@ class TestSingleClassEval:
         model["split"]["test_ids"] = pos_ids[:3]
         model["split"]["train_ids"] = sorted(pos_ids[3:] + neg_ids)
         model_path.write_text(json.dumps(model))
-        assert main(["train", "--config", str(cfg_path)]) == 0
-        assert main(["eval", "--config", str(cfg_path)]) == 0
-        err = capsys.readouterr().err
-        assert "AUROC" in err
-        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
-        assert metrics["ad_cohort"]["auroc"] is None
+        before = {path.name: path.read_bytes() for path in model_path.parent.iterdir()}
+        capsys.readouterr()
+        for verb in ("train", "eval"):
+            assert main([verb, "--config", str(cfg_path)]) == 1, verb
+            assert f"{model_path} split.train_ids: " in capsys.readouterr().err, verb
+            assert {path.name: path.read_bytes() for path in model_path.parent.iterdir()} == before

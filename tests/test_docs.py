@@ -1,7 +1,8 @@
 """The README's code examples run against the package as it stands, the names it and the
 package's docstrings cite in the package's modules exist, its quoted benchmark output is
-what the committed benchmark run prints, and its config table lists ``cli.SCHEMA``'s keys
-and defaults; every module docstring fits ten lines."""
+what the committed benchmark run prints, its config table lists ``cli.SCHEMA``'s keys and
+defaults and its artifacts table ``cli.ARTIFACTS``' files; every module docstring fits ten
+lines."""
 
 import ast
 import importlib
@@ -10,9 +11,14 @@ import json
 import re
 from pathlib import Path
 
-from vqclass.cli import REQUIRED, SCHEMA
+from vqclass.cli import ARTIFACTS, REQUIRED, SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_section(title):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"### {title}\n", 1)[1].split("\n#", 1)[0]
 
 
 def test_module_docstrings_fit_ten_lines():
@@ -77,8 +83,7 @@ def test_readme_layout_names_every_module():
 
 def test_readme_config_table_matches_schema():
     # each row names a SCHEMA key, in SCHEMA order, with SCHEMA's default as README spells it
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Config reference\n", 1)[1].split("\n### ", 1)[0]
+    section = readme_section("Config reference")
     rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| `")]
     assert [key.strip(" `") for key, *_ in rows] == list(SCHEMA)
     short = {key: key.rsplit(".", 1)[-1] for key in SCHEMA}
@@ -91,3 +96,9 @@ def test_readme_config_table_matches_schema():
             assert json.loads(cell) == default, key
         else:
             assert cell == f"`{default if isinstance(default, str) else json.dumps(default)}`", key
+
+
+def test_readme_artifacts_table_matches_artifacts():
+    first_cells = re.findall(r"^\| ([^|]+) \|", readme_section("Artifacts"), flags=re.M)
+    listed = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert listed == [name for names in ARTIFACTS.values() for name in names]
