@@ -4,9 +4,9 @@ Every seed is in the config, so a rerun with the same config and input makes
 byte-identical artifacts. A verb's files (ARTIFACTS) are write-once per output
 directory: it checks them, and the files made from them (UPSTREAM), before it writes
 any, and --force overwrites them and removes the downstream ones, so no directory mixes
-two runs. prep records its split and fits, the resolved config and the input's sha256 in
-model.json; train, eval and kernel refit the split and fits, and refuse to run unless all
-of it is what they find. Exit codes: 0 success, 1 user or config error, 2 internal error."""
+two runs. Each invocation fits the split and preprocessing once; prep writes that fit, the
+resolved config and the input's sha256 to model.json, and train, eval and kernel run only if
+it holds exactly that. Exit codes: 0 success, 1 user or config error, 2 internal error."""
 
 from __future__ import annotations
 
@@ -181,7 +181,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     given = {}
     for top, value in raw.items():
-        if top in SCHEMA:
+        if top in SCHEMA and "." not in top:  # output_dir; a dotted key belongs in its section
             given[top] = value
         elif not any(name.startswith(f"{top}.") for name in SCHEMA):
             raise ConfigError(f"unknown top-level config key {top!r}")
@@ -267,6 +267,9 @@ class _Split(NamedTuple):
     x: np.ndarray  # pcs min-max scaled into [0, 1]: the encoder's input
 
 
+_Fit = tuple[dict, _Split, _Split]  # model.json as prep writes it, the train and test splits
+
+
 def _floats(path: Path, value, size: int) -> np.ndarray:
     """model.json's params as a float64 array: a list of ``size`` numbers _float accepts,
     else a DataError naming the file and the key."""
@@ -278,9 +281,10 @@ def _floats(path: Path, value, size: int) -> np.ndarray:
         raise DataError(f"{shown_path(path)} params: {reason(exc)}; rerun train --force") from None
 
 
-def _fit(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
+def _fit(cfg: RunConfig, data: prep_mod.Table) -> _Fit:
     """prep's split of the input and its PCA and min-max, fit on the training rows:
-    model.json's record of them, its keys dotted, and the train and test splits."""
+    model.json as prep writes it (the fits, the split, the config record and the input's
+    sha256), and the train and test splits."""
     v, where = cfg.values, shown_path(cfg.values["data.path"])
     fraction, k = v["prep.test_fraction"], v["prep.pca_k"]
     try:
@@ -297,77 +301,81 @@ def _fit(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
         raise DataError(f"{where}: {exc}") from None
     pcs = [prep_mod.pca_transform(pca, data.features[rows]) for rows in ids]
     mm = prep_mod.minmax_fit(pcs[0])
-    record = {**{f"prep.pca.{key}": a.tolist() for key, a in pca.items()},
-              **{f"prep.minmax.{key}": a.tolist() for key, a in mm.items()},
-              "prep.feature_names": data.feature_names,
-              "split.train_ids": ids[0].tolist(), "split.test_ids": ids[1].tolist()}
+    model = {"prep": {"pca": {key: a.tolist() for key, a in pca.items()},
+                      "minmax": {key: a.tolist() for key, a in mm.items()},
+                      "feature_names": data.feature_names},
+             "split": {"train_ids": ids[0].tolist(), "test_ids": ids[1].tolist()},
+             "config": cfg.record, "input_sha256": data.sha256}
     train, test = (_Split(rows, data.labels[rows], z, prep_mod.minmax_transform(mm, z))
                    for rows, z in zip(ids, pcs))
-    return record, train, test
+    return model, train, test
 
 
-def _load_stage(cfg: RunConfig, data: prep_mod.Table) -> tuple[dict, _Split, _Split]:
-    """The load stage of train, eval and kernel: model.json, checked against the config
-    and input it was prepared from, then against _fit's refit of them, key by key as JSON
-    text, and the refit's train and test splits."""
+def _leaves(obj: dict, path: tuple = ()) -> Iterable[tuple[tuple, object]]:
+    """Each leaf of a parsed JSON object, keyed by the keys that lead to it: a value that
+    is not a non-empty object, so a key on one side only is a leaf the other lacks."""
+    for key, value in obj.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def _load_stage(cfg: RunConfig, fit: _Fit) -> _Fit:
+    """The load stage of train, eval and kernel: model.json, which less its params must hold
+    _fit's model leaf by leaf, and the fit's train and test splits."""
+    model, train, test = fit
     path = cfg.out / MODEL_FILE
     where = shown_path(path)
     try:
-        model = json.loads(path.read_text(encoding="utf-8"))
-        stored, digest = dict(model["config"]), model["input_sha256"]
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        held = dict(_leaves({key: value for key, value in stored.items() if key != "params"}))
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"missing {where}; run the prep command first") from None
     except OSError as exc:  # not the content's fault, so prep --force would not mend it
         raise DataError(f"cannot read {where}: {reason(exc)}") from None
-    except (RecursionError, ValueError, KeyError, TypeError) as exc:
+    except (RecursionError, ValueError, AttributeError) as exc:
         raise DataError(f"{where} is not a model file written by prep ({type(exc).__name__}: "
                         f"{reason(exc)}); rerun prep --force") from None
-    if digest != data.sha256:
-        raise DataError(f"input {shown_path(cfg.values['data.path'])} changed since prep (sha256 "
-                        f"{digest} -> {data.sha256}); rerun prep --force")
-    record = cfg.record
-    for name in {**stored, **record}:  # REQUIRED stands in for a key absent on one side
-        if stored.get(name, REQUIRED) != record.get(name, REQUIRED):
-            raise ConfigError(
-                f"config key {shown(name)} is {shown(record.get(name))} but {where} was "
-                f"prepared with {shown(stored.get(name))}; rerun prep --force"
-            )
-    fit, train, test = _fit(cfg, data)
-    for key, value in fit.items():
-        held = model
-        for part in key.split("."):
-            held = held.get(part) if isinstance(held, dict) else None
+    want = dict(_leaves(model))
+    # the input first, then the config, then the fit: either of the first explains the last
+    rank = {"input_sha256": 0, "config": 1}
+    for key in sorted({**want, **held}, key=lambda leaf: rank.get(leaf[0], 2)):
         # as text, so 1, 1.0 and true differ; JSON floats round-trip exactly
-        if json.dumps(held) != json.dumps(value):
-            raise DataError(f"{where} {key}: not what prep fits to this input and config; "
-                            "rerun prep --force")
-    return model, train, test
+        if key in held and key in want and json.dumps(held[key]) == json.dumps(want[key]):
+            continue
+        was, now = held.get(key), want.get(key)
+        if key[0] == "input_sha256":
+            raise DataError(f"input {shown_path(cfg.values['data.path'])} changed since prep "
+                            f"(sha256 {str(was)[:120]} -> {now}); rerun prep --force")
+        if key[0] == "config":
+            raise ConfigError(f"config key {shown('.'.join(key[1:]))} is {shown(now)} but "
+                              f"{where} was prepared with {shown(was)}; rerun prep --force")
+        raise DataError(f"{where} {'.'.join(key)}: not what prep fits to this input and "
+                        "config; rerun prep --force")
+    return stored, train, test
 
 
-def cmd_prep(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
-    """Split the input and fit the preprocessing on its training rows (_fit), then make
-    output_dir and write model.json: that fit, the config record and the input's sha256."""
-    fit, train, test = _fit(cfg, data)
+def cmd_prep(cfg: RunConfig, fit: _Fit, force: bool = False) -> None:
+    """Make output_dir and write _fit's model.json and the ids of its two splits."""
+    model, train, test = fit
     model_path, *split_paths = _artifact_paths(cfg, "prep", force)
-    model = _nested({**fit, "config": cfg.record, "input_sha256": data.sha256})
     _write_lines(model_path, [json.dumps(model, indent=2)])
     for path, split in zip(split_paths, (train, test)):
         _write_lines(path, chain(["sample_id"], map(str, split.ids.tolist())))
 
 
-def cmd_train(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
+def cmd_train(cfg: RunConfig, fit: _Fit, force: bool = False) -> None:
     """Train the classifier on the persisted split and record the run."""
-    model, train, _ = _load_stage(cfg, data)
-    if "params" in model and not force:
-        raise ConfigError(
-            f"{shown_path(cfg.out / MODEL_FILE)} already holds trained parameters; "
-            "pass --force to retrain"
-        )
+    stored, train, _ = _load_stage(cfg, fit)
+    if "params" in stored and not force:
+        raise ConfigError(f"{shown_path(cfg.out / MODEL_FILE)} already holds trained "
+                          "parameters; pass --force to retrain")
     (loss_path,) = _artifact_paths(cfg, "train", force)
     params, history = vqc_mod.train(train.x, train.labels, cfg.vqc, cfg.spsa)
-    model["params"] = [float(v) for v in params]
     _write_lines(loss_path, chain(["iteration,loss"], (
         f"{k},{float(v)!r}" for k, v in enumerate(history))))
+    model = {**fit[0], "params": [float(v) for v in params]}
     _write_lines(cfg.out / MODEL_FILE, [json.dumps(model, indent=2)])
 
 
@@ -376,15 +384,13 @@ def _label(value) -> str:
     return vqc_mod.Label(int(value)).name
 
 
-def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
+def cmd_eval(cfg: RunConfig, fit: _Fit, force: bool = False) -> None:
     """Score the held-out split and write metrics, predictions, scatter."""
-    model, train, test = _load_stage(cfg, data)
-    if "params" not in model:
-        raise DataError(
-            f"{shown_path(cfg.out / MODEL_FILE)} has no trained parameters; "
-            "run the train command first"
-        )
-    params = _floats(cfg.out / MODEL_FILE, model["params"], cfg.vqc.ansatz.n_params)
+    stored, train, test = _load_stage(cfg, fit)
+    if "params" not in stored:
+        raise DataError(f"{shown_path(cfg.out / MODEL_FILE)} has no trained parameters; "
+                        "run the train command first")
+    params = _floats(cfg.out / MODEL_FILE, stored["params"], cfg.vqc.ansatz.n_params)
     metrics_path, pred_path, scatter_path = _artifact_paths(cfg, "eval", force)
 
     test_p = vqc_mod.predict_batch(test.x, params, cfg.eval_vqc)
@@ -404,12 +410,12 @@ def cmd_eval(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
         for sid, pc, true, pred in zip(part.ids, part.pcs.tolist(), part.labels, preds))))
 
 
-def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
+def cmd_kernel(cfg: RunConfig, fit: _Fit, force: bool = False) -> None:
     """Export train x train and test x train fidelity kernel matrices, one
     row block at a time: only the training states are held whole, each test
     block is encoded when its rows are written, and each block's fidelities
     are formatted and written before the next block's are computed."""
-    _, train, test = _load_stage(cfg, data)
+    _, train, test = _load_stage(cfg, fit)
     train_path, test_path = _artifact_paths(cfg, "kernel", force)
     spec = cfg.vqc.feature_map
     train_states = encode(train.x, spec)
@@ -425,22 +431,16 @@ def cmd_kernel(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> Non
         _write_lines(path, kernel_to_csv(blocks, split.ids.tolist(), train_ids))
 
 
-def cmd_report(cfg: RunConfig, data: prep_mod.Table, force: bool = False) -> None:
+def cmd_report(cfg: RunConfig, fit: _Fit, force: bool = False) -> None:
     """Full pipeline into one directory, plus an echo of the config."""
-    cmd_prep(cfg, data, force)  # checks every verb's files, the echo too, before it writes
-    cmd_train(cfg, data, force)
-    cmd_eval(cfg, data, force)
-    cmd_kernel(cfg, data, force)
+    cmd_prep(cfg, fit, force)  # checks every verb's files, the echo too, before it writes
+    for verb in (cmd_train, cmd_eval, cmd_kernel):
+        verb(cfg, fit, force)
     _write_lines(cfg.out / ARTIFACTS["report"][0], [json.dumps(_nested(cfg.values), indent=2)])
 
 
-_COMMANDS = {
-    "prep": cmd_prep,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "kernel": cmd_kernel,
-    "report": cmd_report,
-}
+_COMMANDS = {"prep": cmd_prep, "train": cmd_train, "eval": cmd_eval, "kernel": cmd_kernel,
+             "report": cmd_report}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -464,9 +464,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         v = cfg.values
-        # the input is read once per invocation; report shares it among its verbs
+        # the input is read and fit once per invocation; report shares the fit among its verbs
         data = prep_mod.load_csv(v["data.path"], v["data.label_column"], v["data.positive_label"])
-        _COMMANDS[args.command](cfg, data, force=args.force)
+        _COMMANDS[args.command](cfg, _fit(cfg, data), force=args.force)
     except VqclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -118,6 +118,17 @@ class TestPipeline:
         assert main(["kernel", "--config", str(cfg_path)]) == 0
         assert sorted(rows) == [4, 12]  # the test split and the train split, once each
 
+    def test_report_fits_once(self, tmp_path, monkeypatch):
+        calls, pca_fit = [], cli.prep_mod.pca_fit
+
+        def counting_pca_fit(x, k):
+            calls.append(len(x))
+            return pca_fit(x, k)
+
+        monkeypatch.setattr(cli.prep_mod, "pca_fit", counting_pca_fit)
+        assert main(["report", "--config", str(small_config(tmp_path))]) == 0
+        assert calls == [12]  # prep's fit on the training split, shared by every verb
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = small_config(tmp_path, out_name="a", maxiter=4)
         cfg_b = small_config(tmp_path, out_name="b", maxiter=4)
@@ -426,6 +437,16 @@ class TestGuards:
         with pytest.raises(ConfigError, match="bad_key"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key", ["spsa.maxiter", "data.path"])
+    def test_dotted_top_level_key_rejected(self, tmp_path, capsys, key):
+        # "spsa.maxiter": 7 beside "spsa": {"maxiter": 3} resolved to 7
+        cfg_path = small_config(tmp_path, **{key: "elsewhere.csv" if key == "data.path" else 7})
+        with pytest.raises(ConfigError, match=f"unknown top-level config key '{key}'"):
+            load_config(str(cfg_path))
+        assert main(["prep", "--config", str(cfg_path)]) == 1
+        assert f"unknown top-level config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 # model.json's numeric leaves, and the values no leaf may hold
 NUMERIC_KEYS = ["prep.pca.mean", "prep.pca.components", "prep.pca.explained_variance",
@@ -526,7 +547,8 @@ class TestProvenance:
         assert "class 'H' has 1 sample(s)" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key", ["split.train_ids", "prep.pca.components", "prep.minmax.max"])
+    @pytest.mark.parametrize("key", ["split.train_ids", "prep.pca.components", "prep.minmax.max",
+                                     "prep.pca.note", "extra"])
     def test_well_formed_edit_is_refused(self, trained_run, key):
         # each edit keeps every shape, type and id rule that model.json is parsed by; the
         # verbs ran on it, and their artifacts claimed a config and input they were not made from
@@ -540,9 +562,13 @@ class TestProvenance:
         elif key == "prep.pca.components":  # one row negated, still orthonormal
             model["prep"]["pca"]["components"][-1] = [
                 -x for x in model["prep"]["pca"]["components"][-1]]
-        else:  # moved by one ulp
+        elif key == "prep.minmax.max":  # moved by one ulp
             model["prep"]["minmax"]["max"][0] = float(np.nextafter(
                 model["prep"]["minmax"]["max"][0], np.inf))
+        elif key == "prep.pca.note":  # a key prep does not write, in a fit
+            model["prep"]["pca"]["note"] = "hand-checked"
+        else:  # and at the top level
+            model["extra"] = 1
         model_path.write_text(json.dumps(model, indent=2), encoding="utf-8")
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         try:
@@ -554,6 +580,30 @@ class TestProvenance:
                 assert {path.name: path.read_bytes() for path in out.iterdir()} == before, verb
         finally:
             model_path.write_bytes(good)
+
+    @pytest.mark.parametrize("key, good, bad", [
+        ("prep.pca_k", 2, 2.0), ("vqc.seed", 2, 2.0), ("prep.seed", 1, True),
+        ("vqc.measured_qubits", [0, 1], [False, True]),
+    ], ids=["pca_k-float", "vqc.seed-float", "prep.seed-bool", "measured_qubits-bools"])
+    def test_retyped_config_is_refused(self, trained_run, key, good, bad):
+        # each compared equal in Python, so the verbs ran, and train --force wrote it back
+        cfg_path, out = trained_run
+        model_path = out / "model.json"
+        text = model_path.read_bytes()
+        model = json.loads(text)
+        assert model["config"][key] == good
+        model["config"][key] = bad
+        model_path.write_text(json.dumps(model, indent=2), encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        try:
+            for verb in ("train", "eval", "kernel"):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert main([verb, "--config", str(cfg_path), "--force"]) == 1, verb
+                assert f"config key {key!r} is {good!r} but {model_path} was prepared with " \
+                       f"{bad!r}; rerun prep --force" in err.getvalue(), verb
+                assert {path.name: path.read_bytes() for path in out.iterdir()} == before, verb
+        finally:
+            model_path.write_bytes(text)
 
     def test_forced_train_removes_what_was_made_from_the_old_params(self, tmp_path):
         cfg_path = small_config(tmp_path)

@@ -241,7 +241,7 @@ class TestStreamedExport:
     def test_verb_writes_the_bytes_of_one_product(self, tmp_path, n_rows):
         cfg, data = kernel_run(tmp_path, n_rows, 12, 1 / n_rows)  # 1 test row per class
         assert cli.main(["kernel", "--config", str(tmp_path / "config.json")]) == 0
-        _, train, test = cli._load_stage(cfg, data)
+        _, train, test = cli._load_stage(cfg, cli._fit(cfg, data))
         assert (len(train.x), len(test.x)) == (n_rows - 2, 2)
         train_states = encode(train.x, cfg.vqc.feature_map)
         for name, split in (("kernel_train.csv", train), ("kernel_test.csv", test)):
@@ -253,12 +253,12 @@ class TestStreamedExport:
 
     def test_verb_holds_no_kernel_sized_array(self, tmp_path):
         cfg, data = kernel_run(tmp_path, 1600, 4, 0.25)
-        _, train, _ = cli._load_stage(cfg, data)  # 1,200 training rows, 400 test rows
+        _, train, _ = cli._load_stage(cfg, cli._fit(cfg, data))  # 1,200 train, 400 test rows
         states = len(train.x) * 16 << 4  # the training states, held whole
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cli.cmd_kernel(cfg, data)
+            cli.cmd_kernel(cfg, cli._fit(cfg, data))  # main fits before the verb runs
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
